@@ -106,8 +106,8 @@ func buildConfig(args []string, stderr io.Writer) (daemon.Config, map[radio.Node
 		healthIvl = fs.Duration("health-interval", 0, "replica-health check interval (default 2 heartbeats; negative disables)")
 		replTTL   = fs.Duration("replica-ttl", 0, "how long a REPLICA_ACK lease stays fresh (default 8 heartbeats)")
 		drop      = fs.Float64("drop", 0, "chaos testing: drop outbound data frames with this probability, in [0, 1)")
-		batchB    = fs.Int("batch-bytes", 0, "coalesce queued frames to a peer once this many payload bytes accumulate (0 disables)")
-		batchD    = fs.Duration("batch-delay", 0, "coalesce queued frames to a peer for up to this long (0 disables)")
+		batchB    = fs.Int("batch-bytes", 0, "payload cap of one batch frame; frames queued for a peer always share a batch up to this size (0 = default, about one MTU)")
+		batchD    = fs.Duration("batch-delay", 0, "linger this long for more frames to a peer before flushing a batch (0 = flush as soon as the queue is empty)")
 		authKey   = fs.String("auth-key", "", "cluster passphrase: seal and verify every datagram with an HMAC-SHA256 key derived from it (empty disables)")
 		rateLimit = fs.Float64("rate-limit", 0, "accepted datagrams per second per remote address (0 disables)")
 		rateBurst = fs.Int("rate-burst", 0, "rate-limit burst size (default max(16, rate-limit))")

@@ -103,11 +103,11 @@ type Config struct {
 	RetryBase   time.Duration
 	MaxAttempts int
 	DropRate    float64
-	// BatchFlushBytes/BatchFlushDelay enable transport frame coalescing:
-	// queued messages to one peer leave the socket as a single batch
-	// frame once the queue holds this many payload bytes or the oldest
-	// message has waited this long (see udptransport.Config). Both zero
-	// leaves batching off.
+	// BatchFlushBytes/BatchFlushDelay shape transport frame coalescing:
+	// queued messages to one peer always leave the socket as a single
+	// batch frame, capped at this many payload bytes (zero: about one
+	// MTU) and lingering this long for stragglers (zero: none). See
+	// udptransport.Config.
 	BatchFlushBytes int
 	BatchFlushDelay time.Duration
 	// AuthKey, when set, seals every outgoing datagram with

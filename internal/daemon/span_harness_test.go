@@ -233,8 +233,9 @@ func TestTraceConcurrentWithWriters(t *testing.T) {
 // TestMetricsHistogramMatchesAllocations pins the /v1/metrics histogram
 // contract on the owner: the bootstrap owner never joins, so its
 // config-latency observation count equals exactly its completed
-// /v1/allocate calls, and the ballot RTT histogram has at least one
-// observation per committed ballot.
+// /v1/allocate calls, the ballot RTT histogram has at least one
+// observation per committed ballot, and the transport's ack round trips —
+// what its retransmission timer is derived from — are exported too.
 func TestMetricsHistogramMatchesAllocations(t *testing.T) {
 	ds := newCluster(t, 3)
 	waitFor(t, 20*time.Second, "cluster formation", func() bool {
@@ -276,6 +277,14 @@ func TestMetricsHistogramMatchesAllocations(t *testing.T) {
 	}
 	if rtt := promSample(t, text, "quorumd_ballot_rtt_seconds_count"); rtt < n {
 		t.Errorf("ballot RTT observations = %d, want >= %d (one per committed ballot)", rtt, n)
+	}
+	if !strings.Contains(text, "# TYPE quorumd_transport_rtt_seconds histogram") {
+		t.Error("transport RTT histogram TYPE line missing")
+	}
+	// Every allocation makes the owner send at least one frame; the exact
+	// sample count (Karn's rule) is pinned in udptransport's own tests.
+	if samples := promSample(t, text, "quorumd_transport_rtt_seconds_count"); samples < n {
+		t.Errorf("transport RTT samples = %d, want >= %d", samples, n)
 	}
 }
 

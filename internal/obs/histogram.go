@@ -156,6 +156,11 @@ const (
 	// HistBatchOccupancy is the number of envelopes coalesced into one
 	// transmitted batch frame (dimensionless).
 	HistBatchOccupancy = "batch_occupancy"
+	// HistTransportRTT is the data-to-ack round trip of every udptransport
+	// exchange acknowledged on its first transmission — the samples the
+	// retransmission timer is derived from — in nanoseconds, exported in
+	// seconds.
+	HistTransportRTT = "transport_rtt_seconds"
 )
 
 // Histograms is a named registry of histograms. The zero value is unusable;

@@ -36,8 +36,8 @@ var (
 	// is at capacity and the caller declined to wait (no cancellable
 	// context).
 	ErrQueueFull = errors.New("transport: send queue full")
-	// ErrRetriesExhausted reports that a message was transmitted
-	// MaxAttempts times without acknowledgement and was dropped.
+	// ErrRetriesExhausted reports that a message stayed unacknowledged
+	// through its whole retransmission schedule and was dropped.
 	// Fire-and-forget Send reports it through trace events and the
 	// send_drop counter; udptransport's SendWait returns it directly.
 	ErrRetriesExhausted = errors.New("transport: retries exhausted")

@@ -13,33 +13,28 @@ import (
 	"quorumconf/internal/wire"
 )
 
-// TestBatchCoalescesBurst: with a flush delay configured, a burst of small
-// messages to one peer leaves the socket as a handful of batch frames, and
-// every envelope still arrives exactly once.
+// TestBatchCoalescesBurst: a burst of small messages to one peer leaves the
+// socket as a handful of batch frames, and every envelope still arrives
+// exactly once — with no knob set (whatever queued up during the previous
+// exchange's round trip shares a frame) and with a flush delay lingering
+// for stragglers.
 func TestBatchCoalescesBurst(t *testing.T) {
-	ring := obs.NewRing(256)
-	a, err := New(Config{
-		ID:              1,
-		BatchFlushDelay: 50 * time.Millisecond,
-		Tracer:          obs.NewTracer(nil, ring),
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		linger time.Duration
+	}{
+		{"default", 0},
+		{"flush delay", 50 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testBatchCoalescesBurst(t, tc.linger) })
 	}
-	t.Cleanup(func() { a.Close(context.Background()) })
-	b, err := New(Config{ID: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close(context.Background()) })
-	if err := a.AddPeer(2, b.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddPeer(1, a.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	const n = 20
+func testBatchCoalescesBurst(t *testing.T, linger time.Duration) {
+	ring := obs.NewRing(256)
+	a, b := newPairWith(t, Config{BatchFlushDelay: linger, Tracer: obs.NewTracer(nil, ring)})
+
+	const n = 100
 	var mu sync.Mutex
 	got := map[uint64]int{}
 	b.SetHandler(func(env *wire.Envelope) {
