@@ -148,9 +148,17 @@ func (e Entry) Newer(o Entry) bool { return e.Version > o.Version }
 // explicit entry are implicitly {Free, 0}, so a fresh table allocates no
 // per-address storage. Tables are the unit of replication: a cluster head's
 // IPSpace is a Table, and each replica in a QuorumSpace is a copy of one.
+//
+// Beside the entries the table keeps an index of its free addresses (see
+// freeIndex) and a count of the occupied ones, so lowest-free selection
+// and the counts cost the same at any occupancy. put, the one place a
+// single entry is written, keeps both current; Split, Absorb and Clone
+// carry them over whole.
 type Table struct {
-	block   Block
-	entries map[Addr]Entry
+	block    Block
+	entries  map[Addr]Entry
+	free     freeIndex
+	occupied uint32
 }
 
 // NewTable creates a table over the given non-empty block with every
@@ -159,7 +167,7 @@ func NewTable(b Block) (*Table, error) {
 	if b.IsEmpty() {
 		return nil, fmt.Errorf("addrspace: table over empty block")
 	}
-	return &Table{block: b, entries: make(map[Addr]Entry)}, nil
+	return &Table{block: b, entries: make(map[Addr]Entry), free: freeIndex{{b.Lo, b.Hi}}}, nil
 }
 
 // Block returns the address range this table covers.
@@ -177,16 +185,39 @@ func (t *Table) Get(a Addr) (Entry, bool) {
 	return Entry{Status: Free, Version: 0}, true
 }
 
+// put writes the entry for a, which must lie inside the block and carry a
+// valid status, keeping the free index and the occupied count equal to
+// what a scan of the entries would find.
+func (t *Table) put(a Addr, e Entry) {
+	t.entries[a] = e
+	i, wasFree := t.free.find(a)
+	switch isFree := e.Status == Free; {
+	case wasFree && !isFree:
+		t.free.take(i, a)
+		t.occupied++
+	case !wasFree && isFree:
+		t.free.release(i, a)
+		t.occupied--
+	}
+}
+
+func validStatus(s Status) error {
+	if s != Free && s != Occupied {
+		return fmt.Errorf("addrspace: invalid status %v", s)
+	}
+	return nil
+}
+
 // Set overwrites the entry for a (used when adopting fresher replicated
 // state; it does not bump the version).
 func (t *Table) Set(a Addr, e Entry) error {
 	if !t.block.Contains(a) {
 		return fmt.Errorf("addrspace: %v outside block %v", a, t.block)
 	}
-	if e.Status != Free && e.Status != Occupied {
-		return fmt.Errorf("addrspace: invalid status %v", e.Status)
+	if err := validStatus(e.Status); err != nil {
+		return err
 	}
-	t.entries[a] = e
+	t.put(a, e)
 	return nil
 }
 
@@ -197,36 +228,35 @@ func (t *Table) Mark(a Addr, s Status) (Entry, error) {
 	if !ok {
 		return Entry{}, fmt.Errorf("addrspace: %v outside block %v", a, t.block)
 	}
+	if err := validStatus(s); err != nil {
+		return Entry{}, err
+	}
 	next := Entry{Status: s, Version: cur.Version + 1}
-	t.entries[a] = next
+	t.put(a, next)
 	return next, nil
 }
 
-// FirstFree returns the lowest free address in the table.
-func (t *Table) FirstFree() (Addr, bool) {
-	for a := t.block.Lo; ; a++ {
-		if e, _ := t.Get(a); e.Status == Free {
-			return a, true
-		}
-		if a == t.block.Hi {
-			return 0, false
-		}
+// NextFree returns the lowest free address that is not below from.
+// Iterating with NextFree(a+1) must stop at a == Block().Hi: the block may
+// end at 255.255.255.255, where a+1 wraps.
+func (t *Table) NextFree(from Addr) (Addr, bool) {
+	switch i, free := t.free.find(from); {
+	case free:
+		return from, true
+	case i < len(t.free):
+		return t.free[i].lo, true
 	}
+	return 0, false
 }
+
+// FirstFree returns the lowest free address in the table.
+func (t *Table) FirstFree() (Addr, bool) { return t.NextFree(t.block.Lo) }
 
 // FreeCount returns how many addresses are currently free.
-func (t *Table) FreeCount() uint32 {
-	occupied := uint32(0)
-	for _, e := range t.entries {
-		if e.Status == Occupied {
-			occupied++
-		}
-	}
-	return t.block.Size() - occupied
-}
+func (t *Table) FreeCount() uint32 { return t.block.Size() - t.occupied }
 
 // OccupiedCount returns how many addresses are currently occupied.
-func (t *Table) OccupiedCount() uint32 { return t.block.Size() - t.FreeCount() }
+func (t *Table) OccupiedCount() uint32 { return t.occupied }
 
 // Occupied returns the occupied addresses in ascending order.
 func (t *Table) Occupied() []Addr {
@@ -263,7 +293,12 @@ func (t *Table) Entries() []AddrEntry {
 
 // Clone returns a deep copy (a replica in the paper's sense).
 func (t *Table) Clone() *Table {
-	c := &Table{block: t.block, entries: make(map[Addr]Entry, len(t.entries))}
+	c := &Table{
+		block:    t.block,
+		entries:  make(map[Addr]Entry, len(t.entries)),
+		free:     append(freeIndex(nil), t.free...),
+		occupied: t.occupied,
+	}
 	for a, e := range t.entries {
 		c.entries[a] = e
 	}
@@ -284,7 +319,7 @@ func (t *Table) AdoptNewer(other *Table) int {
 			continue
 		}
 		if cur, _ := t.Get(a); e.Newer(cur) {
-			t.entries[a] = e
+			t.put(a, e)
 			adopted++
 		}
 	}
@@ -302,13 +337,17 @@ func (t *Table) Split() (lower, upper *Table, err error) {
 	lower = &Table{block: lb, entries: make(map[Addr]Entry)}
 	upper = &Table{block: ub, entries: make(map[Addr]Entry)}
 	for a, e := range t.entries {
+		half := upper
 		if lb.Contains(a) {
-			lower.entries[a] = e
-		} else {
-			upper.entries[a] = e
+			half = lower
+		}
+		half.entries[a] = e
+		if e.Status == Occupied {
+			half.occupied++
 		}
 	}
-	t.entries = nil
+	lower.free, upper.free = t.free.split(ub.Lo)
+	t.entries, t.free = nil, nil
 	return lower, upper, nil
 }
 
@@ -322,7 +361,13 @@ func (t *Table) Absorb(other *Table) error {
 	if err != nil {
 		return err
 	}
+	if t.block.Lo < other.block.Lo {
+		t.free = t.free.join(other.free)
+	} else {
+		t.free = other.free.join(t.free)
+	}
 	t.block = merged
+	t.occupied += other.occupied
 	for a, e := range other.entries {
 		t.entries[a] = e
 	}

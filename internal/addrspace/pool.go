@@ -148,21 +148,11 @@ func (p *Pool) FirstFreeAfter(a Addr) (Addr, bool) {
 		return 0, false
 	}
 	for _, t := range p.tables {
-		b := t.Block()
-		if b.Hi <= a {
+		if t.Block().Hi <= a {
 			continue // no addresses strictly above a in this table
 		}
-		start := b.Lo
-		if a+1 > start {
-			start = a + 1
-		}
-		for c := start; ; c++ {
-			if e, _ := t.Get(c); e.Status != Occupied {
-				return c, true
-			}
-			if c == b.Hi {
-				break
-			}
+		if c, ok := t.NextFree(a + 1); ok {
+			return c, true
 		}
 	}
 	return 0, false

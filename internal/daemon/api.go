@@ -343,7 +343,8 @@ func (d *Daemon) handleV1Allocate(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	res := make(chan allocResult, 1)
-	d.post(func() { d.allocateLocal(res) })
+	var span uint64 // written and read on the event loop only
+	d.post(func() { span = d.allocateLocal(res) })
 	select {
 	case out := <-res:
 		if !out.ok {
@@ -353,6 +354,7 @@ func (d *Daemon) handleV1Allocate(w http.ResponseWriter, r *http.Request) {
 		d.hists.Observe(obs.HistConfigLatency, 1e-6, time.Since(start).Microseconds())
 		writeJSON(w, http.StatusOK, AllocateResponse{Addr: out.addr.String(), Value: uint32(out.addr), Node: req.Node})
 	case <-time.After(d.cfg.AllocTimeout):
+		d.post(func() { d.takeAllocWaiter(span) }) // a late grant is returned by onGrant
 		writeError(w, http.StatusServiceUnavailable, "allocation timed out")
 	case <-d.done:
 		writeError(w, http.StatusServiceUnavailable, "daemon stopped")
@@ -401,7 +403,8 @@ func (d *Daemon) handleV1Trace(w http.ResponseWriter, r *http.Request) {
 
 // handleV1Metrics serves the collector in Prometheus text exposition
 // format: every counter as quorumd_<name>, per-category traffic as two
-// labelled counters, uptime as a gauge.
+// labelled counters, the latency histograms, and pool occupancy and uptime
+// as gauges.
 func (d *Daemon) handleV1Metrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
@@ -437,6 +440,26 @@ func (d *Daemon) handleV1Metrics(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		writePromHistogram(&b, "quorumd_"+sanitizeMetricName(name), s)
+	}
+	// Pool occupancy, read on the event loop (two counter reads, unlike
+	// /v1/status's per-address Holders map). Absent until the daemon has a
+	// table; a wedged or stopped loop has already answered 503.
+	type occupancy struct {
+		known          bool
+		occupied, free uint32
+	}
+	occ, ok := onLoop(d, w, func() (o occupancy) {
+		if d.table != nil {
+			o = occupancy{true, d.table.OccupiedCount(), d.table.FreeCount()}
+		}
+		return o
+	})
+	if !ok {
+		return
+	}
+	if occ.known {
+		fmt.Fprintf(&b, "# TYPE quorumd_addresses_occupied gauge\nquorumd_addresses_occupied %d\n", occ.occupied)
+		fmt.Fprintf(&b, "# TYPE quorumd_addresses_free gauge\nquorumd_addresses_free %d\n", occ.free)
 	}
 	fmt.Fprintf(&b, "# TYPE quorumd_uptime_seconds gauge\nquorumd_uptime_seconds %g\n",
 		time.Since(d.started).Seconds())

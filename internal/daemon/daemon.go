@@ -203,6 +203,7 @@ type ballot struct {
 	addr      addrspace.Addr
 	requestor radio.NodeID
 	agent     radio.NodeID // non-zero: reply travels back through this relay
+	lease     bool         // a member's lease: commit announces its holder (UPDATE_LOC)
 	span      uint64       // causal trace of the allocation this ballot serves
 	openedAt  time.Time    // current round's open time (ballot RTT histogram)
 	votes     map[radio.NodeID]msg.QuorumCfm
@@ -281,7 +282,7 @@ type Daemon struct {
 	reclaims     map[radio.NodeID]*reclaimRun
 	joinInFlight map[radio.NodeID]bool
 	joinTries    int
-	allocWaiters []chan allocResult
+	allocWaiters map[uint64]chan allocResult // forwarded /allocate callers, by span
 }
 
 type allocResult struct {
@@ -322,6 +323,7 @@ func New(cfg Config) (*Daemon, error) {
 		grants:       make(map[addrspace.Addr]voteGrant),
 		reclaims:     make(map[radio.NodeID]*reclaimRun),
 		joinInFlight: make(map[radio.NodeID]bool),
+		allocWaiters: make(map[uint64]chan allocResult),
 	}, nil
 }
 

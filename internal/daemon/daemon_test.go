@@ -260,7 +260,8 @@ func TestFiveDaemonLifecycle(t *testing.T) {
 }
 
 // TestStatusAndAllocateBeforeJoin: a daemon whose seeds never answer serves
-// /status as "joining" and refuses /allocate.
+// /status as "joining", refuses /allocate, and has no pool occupancy to
+// report on /v1/metrics.
 func TestStatusAndAllocateBeforeJoin(t *testing.T) {
 	cfg := Config{
 		ID:         7,
@@ -285,6 +286,9 @@ func TestStatusAndAllocateBeforeJoin(t *testing.T) {
 	}
 	if _, code := allocate(t, d); code != http.StatusConflict {
 		t.Errorf("allocate before join: HTTP %d, want %d", code, http.StatusConflict)
+	}
+	if occ, free, present := occupancyGauges(t, d); present {
+		t.Errorf("unjoined daemon reports %d occupied / %d free", occ, free)
 	}
 	if resp, err := http.Get("http://" + d.HTTPAddr() + "/allocate"); err == nil {
 		resp.Body.Close()

@@ -4,6 +4,7 @@ package daemon
 // Everything in this file runs on the event-loop goroutine.
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -31,7 +32,7 @@ func (d *Daemon) handle(env *wire.Envelope) {
 	case msg.ComCfg:
 		d.onGrant(env.Src, p, env.Span)
 	case msg.CfgNack:
-		d.onNack()
+		d.onNack(env.Span)
 	case msg.ReplicaDist:
 		d.onReplicaDist(env.Src, p)
 	case msg.ReplicaAck:
@@ -90,7 +91,7 @@ func (d *Daemon) onJoinRequest(requestor, agent radio.NodeID, span uint64) {
 		return
 	}
 	d.joinInFlight[requestor] = true
-	d.startBallot(requestor, span, func(addr addrspace.Addr, ok bool) {
+	d.startBallot(requestor, span, false, func(addr addrspace.Addr, ok bool) {
 		delete(d.joinInFlight, requestor)
 		if !ok {
 			d.coll.Inc("daemon.join_fail")
@@ -150,27 +151,40 @@ func (d *Daemon) onGrant(src radio.NodeID, g msg.ComCfg, span uint64) {
 		d.checkJoined()
 		return
 	}
+	if g.Addr == d.selfIP {
+		return // our join grant again: the owner re-sends it on a retried CH_REQ
+	}
+	w, waiting := d.takeAllocWaiter(span)
+	if !waiting {
+		// The HTTP caller gave up before the grant arrived, so nobody will
+		// ever use this address: hand it straight back.
+		d.coll.Inc("daemon.alloc_orphan_grants")
+		d.sendSpan(src, msg.TReturnAddr, metrics.CatConfig, span,
+			msg.ReturnAddr{Configurer: d.cfg.ID, ConfigurerIP: d.selfIP, Addr: g.Addr})
+		return
+	}
 	d.holders[g.Addr] = d.cfg.ID
 	d.trace(obs.Event{Kind: obs.EvAllocGrant, Peer: src, Addr: g.Addr, Span: span})
 	d.sendTo(src, msg.TComAck, metrics.CatConfig, msg.ComAck{Addr: g.Addr})
-	d.popAllocWaiter(allocResult{addr: g.Addr, ok: true})
+	w <- allocResult{addr: g.Addr, ok: true} // buffered
 }
 
-// onNack: an allocation we forwarded failed (space exhausted or no quorum).
-// Join failures need no handling — the join retry timer covers them.
-func (d *Daemon) onNack() {
-	if d.joined {
-		d.popAllocWaiter(allocResult{})
+// onNack: the allocation we forwarded under span failed (space exhausted or
+// no quorum). A join's CFG_NACK finds no waiter — the join retry timer
+// covers it.
+func (d *Daemon) onNack(span uint64) {
+	if w, waiting := d.takeAllocWaiter(span); waiting {
+		w <- allocResult{} // buffered
 	}
 }
 
-func (d *Daemon) popAllocWaiter(res allocResult) {
-	if len(d.allocWaiters) == 0 {
-		return
-	}
-	w := d.allocWaiters[0]
-	d.allocWaiters = d.allocWaiters[1:]
-	w <- res // buffered; a timed-out HTTP waiter never blocks the loop
+// takeAllocWaiter removes and returns the HTTP caller waiting on the
+// forwarded allocation span; false when there is none (any more). It is
+// also how a caller that times out withdraws.
+func (d *Daemon) takeAllocWaiter(span uint64) (chan allocResult, bool) {
+	w, ok := d.allocWaiters[span]
+	delete(d.allocWaiters, span)
+	return w, ok
 }
 
 // onReplicaDist adopts the owner's authoritative view: electorate, owner
@@ -223,31 +237,33 @@ func (d *Daemon) checkJoined() {
 // --- allocation ballots --------------------------------------------------
 
 // allocateLocal serves one HTTP /allocate: the owner ballots directly,
-// members forward a COM_REQ to the owner and queue the waiter. Either way
-// the request mints a fresh span here — this daemon is the causal origin.
-func (d *Daemon) allocateLocal(res chan allocResult) {
+// members forward a COM_REQ to the owner and file the waiter under the
+// request's span, which COM_CFG and CFG_NACK carry back. Either way the
+// request mints a fresh span here — this daemon is the causal origin — and
+// returns it, so that a caller that gives up can take its waiter back.
+func (d *Daemon) allocateLocal(res chan allocResult) uint64 {
 	if !d.joined {
 		res <- allocResult{}
-		return
+		return 0
 	}
 	span := d.mintSpan()
 	if d.owner {
 		d.trace(obs.Event{Kind: obs.EvAllocRequest, Span: span, Detail: "local"})
-		d.startBallot(d.cfg.ID, span, func(addr addrspace.Addr, ok bool) {
+		d.startBallot(d.cfg.ID, span, true, func(addr addrspace.Addr, ok bool) {
 			if ok {
 				d.holders[addr] = d.cfg.ID
 				d.trace(obs.Event{Kind: obs.EvAllocGrant, Addr: addr, Span: span, Detail: "local"})
-				d.broadcastHolder(d.cfg.ID, d.selfIP, addr)
 			} else {
 				d.coll.Inc("daemon.alloc_fail")
 			}
 			res <- allocResult{addr: addr, ok: ok}
 		})
-		return
+		return span
 	}
 	d.trace(obs.Event{Kind: obs.EvAllocRequest, Peer: d.ownerID, Span: span, Detail: "forward"})
-	d.allocWaiters = append(d.allocWaiters, res)
+	d.allocWaiters[span] = res
 	d.sendSpan(d.ownerID, msg.TComReq, metrics.CatConfig, span, msg.ComReq{PathHops: 1})
+	return span
 }
 
 // onAllocRequest is the owner leg of a member-forwarded /allocate.
@@ -255,40 +271,45 @@ func (d *Daemon) onAllocRequest(requestor radio.NodeID, span uint64) {
 	if !d.owner {
 		return // stale owner view at the sender; its failure detector catches up
 	}
-	d.startBallot(requestor, span, func(addr addrspace.Addr, ok bool) {
+	d.startBallot(requestor, span, true, func(addr addrspace.Addr, ok bool) {
 		if !ok {
 			d.coll.Inc("daemon.alloc_fail")
 			d.sendSpan(requestor, msg.TNack, metrics.CatConfig, span, msg.CfgNack{})
 			return
 		}
 		d.holders[addr] = requestor
-		d.broadcastHolder(requestor, d.memberIPs[requestor], addr)
 		d.sendSpan(requestor, msg.TComCfg, metrics.CatConfig, span, msg.ComCfg{Addr: addr, NetworkID: d.networkID, Configurer: d.cfg.ID, PathHops: 1})
 	})
-}
-
-// broadcastHolder tells every member who administers addr now.
-func (d *Daemon) broadcastHolder(holder radio.NodeID, holderIP, addr addrspace.Addr) {
-	for _, id := range d.members() {
-		d.sendTo(id, msg.TUpdateLoc, metrics.CatSync, msg.UpdateLoc{Configurer: holder, ConfigurerIP: holderIP, Addr: addr})
-	}
 }
 
 // startBallot begins the quorum vote for one fresh address on behalf of
 // requestor; reply fires exactly once with the outcome. span ties the
 // ballot (and every vote it collects) to the allocation that caused it.
-func (d *Daemon) startBallot(requestor radio.NodeID, span uint64, reply func(addr addrspace.Addr, ok bool)) {
-	d.propose(&ballot{requestor: requestor, span: span, reply: reply})
+// lease marks an address a configured member will administer (as opposed
+// to a joiner's own): the commit then tells every member who holds it.
+func (d *Daemon) startBallot(requestor radio.NodeID, span uint64, lease bool, reply func(addr addrspace.Addr, ok bool)) {
+	d.propose(&ballot{requestor: requestor, span: span, lease: lease, reply: reply})
 }
 
-// propose starts (or restarts, after an abort) one voting round.
+// propose starts (or restarts, after an abort) one voting round. A restart
+// moves on to the next candidate above the aborted one, which the voters
+// that granted the aborted round keep answering Busy for until their grant
+// expires.
 func (d *Daemon) propose(b *ballot) {
 	if b.attempts >= d.cfg.MaxProposals {
 		b.reply(0, false)
 		return
 	}
+	from := d.table.Block().Lo
+	if b.attempts > 0 {
+		if b.addr == d.table.Block().Hi {
+			b.reply(0, false) // nothing above the aborted candidate
+			return
+		}
+		from = b.addr + 1
+	}
 	b.attempts++
-	cand, ok := d.pickCandidate()
+	cand, ok := d.pickCandidate(from)
 	if !ok {
 		b.reply(0, false) // space exhausted
 		return
@@ -314,16 +335,18 @@ func (d *Daemon) propose(b *ballot) {
 	d.evalBallot(b) // a single-member electorate commits immediately
 }
 
-// pickCandidate returns the lowest free address with no ballot in flight.
-func (d *Daemon) pickCandidate() (addrspace.Addr, bool) {
-	b := d.table.Block()
-	for a := b.Lo; ; a++ {
-		if e, _ := d.table.Get(a); e.Status == addrspace.Free && !d.pendingAddrs[a] {
-			return a, true
+// pickCandidate returns the lowest free address at or above from with no
+// ballot in flight.
+func (d *Daemon) pickCandidate(from addrspace.Addr) (addrspace.Addr, bool) {
+	for {
+		a, ok := d.table.NextFree(from)
+		if !ok || !d.pendingAddrs[a] {
+			return a, ok
 		}
-		if a == b.Hi {
+		if a == d.table.Block().Hi {
 			return 0, false
 		}
+		from = a + 1
 	}
 }
 
@@ -415,8 +438,8 @@ func (d *Daemon) evalBallot(b *ballot) {
 }
 
 // commitBallot marks the address occupied with a version stamp strictly
-// above everything any voter reported, and pushes the update to the
-// electorate.
+// above everything any voter reported, and pushes the update — and, for a
+// lease, who administers the address now — to the electorate.
 func (d *Daemon) commitBallot(b *ballot, maxVer uint64) {
 	d.clearBallot(b)
 	_ = d.table.Set(b.addr, addrspace.Entry{Status: addrspace.Free, Version: maxVer})
@@ -427,8 +450,19 @@ func (d *Daemon) commitBallot(b *ballot, maxVer uint64) {
 	}
 	d.hists.Observe(obs.HistBallotRTT, 1e-6, time.Since(b.openedAt).Microseconds())
 	d.trace(obs.Event{Kind: obs.EvBallotCommit, Peer: b.requestor, Addr: b.addr, MsgID: b.id, Span: b.span})
-	for _, id := range d.members() {
+	// One peer at a time, the requestor last: what a peer gets out of this
+	// commit — QUORUM_UPD, the holder's UPDATE_LOC and, from reply below,
+	// the requestor's COM_CFG — is queued back to back, so it leaves as one
+	// frame even when the peer's transport worker wakes at the first send.
+	peers := d.members()
+	if i := slices.Index(peers, b.requestor); i >= 0 {
+		peers = append(slices.Delete(peers, i, i+1), b.requestor)
+	}
+	for _, id := range peers {
 		d.sendSpan(id, msg.TQuorumUpd, metrics.CatConfig, b.span, msg.QuorumUpd{Owner: d.cfg.ID, Addr: b.addr, Entry: e})
+		if b.lease {
+			d.sendTo(id, msg.TUpdateLoc, metrics.CatSync, msg.UpdateLoc{Configurer: b.requestor, ConfigurerIP: d.memberIPs[b.requestor], Addr: b.addr})
+		}
 	}
 	d.coll.Inc("daemon.allocs")
 	b.reply(b.addr, true)
