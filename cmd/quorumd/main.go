@@ -14,7 +14,8 @@
 //	        -listen 127.0.0.1:7403 -http 127.0.0.1:8403 \
 //	        -peers "1=127.0.0.1:7401,2=127.0.0.1:7402"
 //
-// Then: GET /status, POST /allocate, GET /metrics on any node's HTTP port.
+// Then: GET /v1/status, POST /v1/allocate, GET /v1/metrics on any node's
+// HTTP port.
 // The daemon runs until SIGINT or SIGTERM.
 package main
 

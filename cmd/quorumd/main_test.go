@@ -169,7 +169,7 @@ func TestRunTwoNodeSmoke(t *testing.T) {
 
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + addr(http2) + "/status")
+		resp, err := http.Get("http://" + addr(http2) + "/v1/status")
 		if err == nil {
 			var v struct {
 				Joined bool   `json:"joined"`

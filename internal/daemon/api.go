@@ -1,11 +1,8 @@
 package daemon
 
-// Versioned HTTP control API. Everything a client should program against
-// lives under /v1/ with the typed request/response structs below; the
-// legacy unversioned routes (/status, /allocate, /metrics) are aliases that
-// answer with a Deprecation header pointing at their successor. Handlers
-// run on net/http goroutines and only talk to protocol state by posting
-// closures to the event loop.
+// Versioned HTTP control API: every route lives under /v1/ with the typed
+// request/response structs below. Handlers run on net/http goroutines and
+// only talk to protocol state by posting closures to the event loop.
 
 import (
 	"bytes"
@@ -162,22 +159,7 @@ func (d *Daemon) httpMux() *http.ServeMux {
 	mux.HandleFunc("/v1/drain", d.handleV1Drain)
 	mux.HandleFunc("/v1/depart", d.handleV1Depart)
 	mux.HandleFunc("/v1/health", d.handleV1Health)
-	// Pre-v1 routes, kept for old clients. /metrics keeps its JSON shape;
-	// the Prometheus exposition lives only under /v1/metrics.
-	mux.HandleFunc("/status", deprecated("/v1/status", d.handleV1Status))
-	mux.HandleFunc("/allocate", deprecated("/v1/allocate", d.handleV1Allocate))
-	mux.HandleFunc("/metrics", deprecated("/v1/metrics", d.handleMetricsJSON))
 	return mux
-}
-
-// deprecated wraps a legacy route: RFC 8594 Deprecation header plus a Link
-// to the successor, then the real handler.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }
 
 // onLoop runs view on the event loop and returns its result, answering w

@@ -39,57 +39,18 @@ func newSoloOwner(t *testing.T) *Daemon {
 	return d
 }
 
-// TestLegacyAliases: the unversioned routes answer with the same body as
-// their /v1 successors plus a Deprecation header and a successor Link.
-func TestLegacyAliases(t *testing.T) {
+// TestUnversionedRoutesGone: the pre-v1 paths are not routed.
+func TestUnversionedRoutesGone(t *testing.T) {
 	d := newSoloOwner(t)
-	base := "http://" + d.HTTPAddr()
-
-	for _, c := range []struct{ legacy, v1 string }{
-		{"/status", "/v1/status"},
-		{"/metrics", "/v1/metrics"},
-	} {
-		resp, err := http.Get(base + c.legacy)
+	for _, path := range []string{"/status", "/allocate", "/metrics"} {
+		resp, err := http.Get("http://" + d.HTTPAddr() + path)
 		if err != nil {
 			t.Fatal(err)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: HTTP %d", c.legacy, resp.StatusCode)
-		}
-		if got := resp.Header.Get("Deprecation"); got != "true" {
-			t.Errorf("GET %s Deprecation = %q, want \"true\"", c.legacy, got)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, c.v1) ||
-			!strings.Contains(link, "successor-version") {
-			t.Errorf("GET %s Link = %q, want successor %s", c.legacy, link, c.v1)
-		}
-		vresp, err := http.Get(base + c.v1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h := vresp.Header.Get("Deprecation"); h != "" {
-			t.Errorf("GET %s carries Deprecation header %q", c.v1, h)
-		}
-		vresp.Body.Close()
-	}
-
-	// /status and /v1/status decode to the same struct with the same core
-	// fields (uptime differs between the two requests).
-	var legacy, v1 StatusResponse
-	for path, dst := range map[string]*StatusResponse{"/status": &legacy, "/v1/status": &v1} {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
-			t.Fatalf("decode %s: %v", path, err)
 		}
 		resp.Body.Close()
-	}
-	if legacy.ID != v1.ID || legacy.Role != v1.Role || legacy.IP != v1.IP || legacy.Space != v1.Space {
-		t.Errorf("legacy status %+v != v1 status %+v", legacy, v1)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: HTTP %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 

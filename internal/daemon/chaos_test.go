@@ -159,3 +159,43 @@ func TestChaosMaliciousDaemonDefeated(t *testing.T) {
 		victim.Metrics().Counter(udptransport.CtrRateLimited),
 		len(seen))
 }
+
+// TestForgedSourcesDoNotGrowLiveness: without -auth-key the transport
+// delivers any decodable frame, so liveness and death bookkeeping must be
+// keyed by the electorate, not by whatever node IDs a raw socket invents.
+func TestForgedSourcesDoNotGrowLiveness(t *testing.T) {
+	d := newSoloOwner(t)
+	atk, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer atk.Close()
+
+	const forged = 2000
+	before := counter(d, udptransport.CtrDelivered)
+	for i := 0; i < forged; i++ {
+		env := &wire.Envelope{MsgID: uint64(i + 1), Type: msg.TRepRsp, Src: radio.NodeID(1000 + i), Dst: d.ID(), Payload: msg.RepRsp{}}
+		if i%2 == 1 {
+			env.Type, env.Payload = msg.TAddrRec, msg.AddrRec{Target: radio.NodeID(100000 + i)}
+		}
+		frame, err := wire.AppendEncode([]byte{'D'}, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := atk.WriteToUDP(frame, d.UDPAddr()); err != nil {
+			t.Fatal(err)
+		}
+		if i%100 == 99 {
+			time.Sleep(2 * time.Millisecond) // stay inside the socket buffer
+		}
+	}
+	waitFor(t, 10*time.Second, "forged frames delivered", func() bool {
+		return counter(d, udptransport.CtrDelivered)-before >= forged/2
+	})
+	onLoopSync(t, d, func() {
+		if len(d.lastSeen) > len(d.electorate) || len(d.dead) != 0 {
+			t.Errorf("electorate of %d, yet %d liveness and %d death entries after %d forged sources",
+				len(d.electorate), len(d.lastSeen), len(d.dead), forged)
+		}
+	})
+}

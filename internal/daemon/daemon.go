@@ -78,7 +78,7 @@ type Config struct {
 	ReclaimSettle time.Duration
 	// JoinRetry is the joiner's re-request period (default 700ms).
 	JoinRetry time.Duration
-	// AllocTimeout bounds one HTTP /allocate request (default 5s).
+	// AllocTimeout bounds one HTTP /v1/allocate request (default 5s).
 	AllocTimeout time.Duration
 	// MaxProposals bounds candidate addresses per allocation (default 16).
 	MaxProposals int
@@ -282,7 +282,7 @@ type Daemon struct {
 	reclaims     map[radio.NodeID]*reclaimRun
 	joinInFlight map[radio.NodeID]bool
 	joinTries    int
-	allocWaiters map[uint64]chan allocResult // forwarded /allocate callers, by span
+	allocWaiters map[uint64]chan allocResult // forwarded /v1/allocate callers, by span
 }
 
 type allocResult struct {

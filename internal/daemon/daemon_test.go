@@ -3,6 +3,7 @@ package daemon
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -91,7 +92,7 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-func getStatus(t *testing.T, d *Daemon) StatusView {
+func getStatus(t *testing.T, d *Daemon) StatusResponse {
 	t.Helper()
 	v, err := tryStatus(d)
 	if err != nil {
@@ -100,27 +101,27 @@ func getStatus(t *testing.T, d *Daemon) StatusView {
 	return v
 }
 
-func tryStatus(d *Daemon) (StatusView, error) {
-	resp, err := http.Get("http://" + d.HTTPAddr() + "/status")
+func tryStatus(d *Daemon) (StatusResponse, error) {
+	resp, err := http.Get("http://" + d.HTTPAddr() + "/v1/status")
 	if err != nil {
-		return StatusView{}, err
+		return StatusResponse{}, err
 	}
 	defer resp.Body.Close()
-	var v StatusView
+	var v StatusResponse
 	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return StatusView{}, err
+		return StatusResponse{}, err
 	}
 	return v, nil
 }
 
-func allocate(t *testing.T, d *Daemon) (AllocateView, int) {
+func allocate(t *testing.T, d *Daemon) (AllocateResponse, int) {
 	t.Helper()
-	resp, err := http.Post("http://"+d.HTTPAddr()+"/allocate", "application/json", nil)
+	resp, err := http.Post("http://"+d.HTTPAddr()+"/v1/allocate", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var v AllocateView
+	var v AllocateResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 			t.Fatal(err)
@@ -129,7 +130,7 @@ func allocate(t *testing.T, d *Daemon) (AllocateView, int) {
 	return v, resp.StatusCode
 }
 
-func electorateIs(v StatusView, want ...int) bool {
+func electorateIs(v StatusResponse, want ...int) bool {
 	if len(v.Electorate) != len(want) {
 		return false
 	}
@@ -260,7 +261,7 @@ func TestFiveDaemonLifecycle(t *testing.T) {
 }
 
 // TestStatusAndAllocateBeforeJoin: a daemon whose seeds never answer serves
-// /status as "joining", refuses /allocate, and has no pool occupancy to
+// /v1/status as "joining", refuses /v1/allocate, and has no pool occupancy to
 // report on /v1/metrics.
 func TestStatusAndAllocateBeforeJoin(t *testing.T) {
 	cfg := Config{
@@ -290,35 +291,34 @@ func TestStatusAndAllocateBeforeJoin(t *testing.T) {
 	if occ, free, present := occupancyGauges(t, d); present {
 		t.Errorf("unjoined daemon reports %d occupied / %d free", occ, free)
 	}
-	if resp, err := http.Get("http://" + d.HTTPAddr() + "/allocate"); err == nil {
+	if resp, err := http.Get("http://" + d.HTTPAddr() + "/v1/allocate"); err == nil {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("GET /allocate: HTTP %d, want 405", resp.StatusCode)
+			t.Errorf("GET /v1/allocate: HTTP %d, want 405", resp.StatusCode)
 		}
 	}
 }
 
-// TestMetricsEndpoint: /metrics exposes transport and daemon counters.
+// TestMetricsEndpoint: /v1/metrics exposes transport and daemon counters.
 func TestMetricsEndpoint(t *testing.T) {
 	ds := newCluster(t, 2)
 	waitFor(t, 20*time.Second, "two-daemon formation", func() bool {
 		v, err := tryStatus(ds[1])
 		return err == nil && v.Joined
 	})
-	resp, err := http.Get("http://" + ds[0].HTTPAddr() + "/metrics")
+	resp, err := http.Get("http://" + ds[0].HTTPAddr() + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var v MetricsView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Counters["daemon.joins"] < 1 {
-		t.Errorf("owner counters missing joins: %v", v.Counters)
-	}
-	if v.Counters["transport.delivered"] < 1 {
-		t.Errorf("owner counters missing transport activity: %v", v.Counters)
+	for _, name := range []string{"quorumd_daemon_joins", "quorumd_transport_delivered"} {
+		if promSample(t, string(body), name) < 1 {
+			t.Errorf("owner metrics carry no positive %s:\n%s", name, body)
+		}
 	}
 }
 
@@ -421,7 +421,7 @@ func TestDuplicateAddressesNeverGranted(t *testing.T) {
 	for _, d := range ds {
 		for i := 0; i < 5; i++ {
 			go func(d *Daemon) {
-				resp, err := http.Post("http://"+d.HTTPAddr()+"/allocate", "application/json", nil)
+				resp, err := http.Post("http://"+d.HTTPAddr()+"/v1/allocate", "application/json", nil)
 				if err != nil {
 					results <- grant{}
 					return
@@ -431,7 +431,7 @@ func TestDuplicateAddressesNeverGranted(t *testing.T) {
 					results <- grant{}
 					return
 				}
-				var v AllocateView
+				var v AllocateResponse
 				if json.NewDecoder(resp.Body).Decode(&v) != nil {
 					results <- grant{}
 					return
@@ -463,8 +463,8 @@ func TestDuplicateAddressesNeverGranted(t *testing.T) {
 	t.Logf("%d/15 concurrent allocations granted, all unique", granted)
 }
 
-func ExampleStatusView() {
-	v := StatusView{ID: 1, Role: "owner", Joined: true, Space: testSpace.String()}
+func ExampleStatusResponse() {
+	v := StatusResponse{ID: 1, Role: "owner", Joined: true, Space: testSpace.String()}
 	fmt.Println(v.Role, v.Space)
 	// Output: owner 10.0.0.1-10.0.0.64
 }

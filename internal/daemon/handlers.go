@@ -17,9 +17,15 @@ import (
 	"quorumconf/internal/radio"
 )
 
-// handle dispatches one received envelope. Any message is proof of life.
+// handle dispatches one received envelope. A message from a member of the
+// electorate is proof of life; any other source — a joiner not yet
+// admitted, an ID a raw socket invented — leaves no liveness state behind
+// (the owner stamps a joiner when it admits it, and tick grants grace on
+// first sight of a new electorate).
 func (d *Daemon) handle(env *wire.Envelope) {
-	d.lastSeen[env.Src] = time.Now()
+	if d.inElectorate(env.Src) {
+		d.lastSeen[env.Src] = time.Now()
+	}
 	switch p := env.Payload.(type) {
 	case msg.ChReq:
 		d.onJoinRequest(env.Src, 0, env.Span)
@@ -236,7 +242,7 @@ func (d *Daemon) checkJoined() {
 
 // --- allocation ballots --------------------------------------------------
 
-// allocateLocal serves one HTTP /allocate: the owner ballots directly,
+// allocateLocal serves one HTTP /v1/allocate: the owner ballots directly,
 // members forward a COM_REQ to the owner and file the waiter under the
 // request's span, which COM_CFG and CFG_NACK carry back. Either way the
 // request mints a fresh span here — this daemon is the causal origin — and
@@ -266,7 +272,7 @@ func (d *Daemon) allocateLocal(res chan allocResult) uint64 {
 	return span
 }
 
-// onAllocRequest is the owner leg of a member-forwarded /allocate.
+// onAllocRequest is the owner leg of a member-forwarded /v1/allocate.
 func (d *Daemon) onAllocRequest(requestor radio.NodeID, span uint64) {
 	if !d.owner {
 		return // stale owner view at the sender; its failure detector catches up
@@ -561,7 +567,9 @@ func (d *Daemon) onAddrRec(src radio.NodeID, p msg.AddrRec, span uint64) {
 	if p.Target == d.cfg.ID {
 		return // we are alive; our heartbeats are the real rebuttal
 	}
-	d.dead[p.Target] = true
+	if d.inElectorate(p.Target) {
+		d.dead[p.Target] = true
+	}
 	for addr, h := range d.holders {
 		if h == d.cfg.ID {
 			d.sendSpan(src, msg.TRecRep, metrics.CatReclamation, span, msg.RecRep{Target: p.Target, Addr: addr})

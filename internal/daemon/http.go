@@ -1,7 +1,7 @@
 package daemon
 
-// Legacy JSON views and the shared response helpers. The route table and
-// the /v1/ handlers live in api.go.
+// Event-loop snapshots behind the /v1/ views and the shared response
+// helpers. The route table and the handlers live in api.go.
 
 import (
 	"encoding/json"
@@ -11,33 +11,8 @@ import (
 	"time"
 
 	"quorumconf/internal/health"
-	"quorumconf/internal/metrics"
 	"quorumconf/internal/radio"
 )
-
-// StatusView is the legacy name of the /status response shape.
-//
-// Deprecated: use StatusResponse (GET /v1/status).
-type StatusView = StatusResponse
-
-// AllocateView is the legacy name of the /allocate response shape.
-//
-// Deprecated: use AllocateResponse (POST /v1/allocate).
-type AllocateView = AllocateResponse
-
-// MetricsView is the JSON /metrics response shape (legacy route only; the
-// /v1/metrics route serves Prometheus text format instead).
-type MetricsView struct {
-	Counters map[string]int64           `json:"counters"`
-	Traffic  map[string]TrafficView     `json:"traffic"`
-	Samples  map[string]metrics.Summary `json:"samples,omitempty"`
-}
-
-// TrafficView is one category's message and hop totals.
-type TrafficView struct {
-	Messages int64 `json:"messages"`
-	Hops     int64 `json:"hops"`
-}
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -168,24 +143,4 @@ func (d *Daemon) healthView() HealthResponse {
 		v.Holders = append(v.Holders, h)
 	}
 	return v
-}
-
-// handleMetricsJSON is the legacy /metrics body.
-func (d *Daemon) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	snap := d.coll.Snapshot()
-	view := MetricsView{
-		Counters: snap.Counters(),
-		Traffic:  make(map[string]TrafficView),
-	}
-	for _, cat := range metrics.Categories() {
-		if snap.Messages(cat) == 0 && snap.Hops(cat) == 0 {
-			continue
-		}
-		view.Traffic[cat.String()] = TrafficView{Messages: snap.Messages(cat), Hops: snap.Hops(cat)}
-	}
-	writeJSON(w, http.StatusOK, view)
 }

@@ -1,11 +1,11 @@
 // Package transport abstracts how protocol nodes exchange wire envelopes.
 //
-// The simulator's netstack and the real UDP transport both present the same
-// narrow surface: send an envelope to a peer, receive envelopes through a
-// handler. Protocol code written against Transport runs unchanged inside
-// the discrete-event simulation (internal/transport/simtransport) and on
-// real sockets (internal/transport/udptransport) — the bridge the ROADMAP
-// needs between reproduction and deployment.
+// Transport is the narrow surface the daemon is written against: send an
+// envelope to a peer, receive envelopes through a handler. The one
+// implementation is internal/transport/udptransport (real sockets); the
+// simulator drives internal/core over netstack directly, and
+// wire.TestSimulatedTrafficRoundTrips puts every message a simulated run
+// delivers through the codec.
 package transport
 
 import (
@@ -17,9 +17,9 @@ import (
 )
 
 // Handler consumes envelopes delivered to the local node. Implementations
-// invoke it from their own delivery context (the simulator goroutine for
-// simtransport, the socket read loop for udptransport), so handlers must
-// be fast and must not block; hand off to a channel for real work.
+// invoke it from their own delivery context (udptransport: the socket read
+// loop), so handlers must be fast and must not block; hand off to a channel
+// for real work.
 type Handler func(env *wire.Envelope)
 
 // Sentinel errors shared by implementations. Match them with errors.Is;
@@ -27,9 +27,6 @@ type Handler func(env *wire.Envelope)
 var (
 	// ErrUnknownPeer reports a destination with no known address.
 	ErrUnknownPeer = errors.New("transport: unknown peer")
-	// ErrUnreachable reports a destination with no route (simtransport:
-	// no path in the connectivity snapshot).
-	ErrUnreachable = errors.New("transport: destination unreachable")
 	// ErrClosed reports use after Close.
 	ErrClosed = errors.New("transport: closed")
 	// ErrQueueFull reports backpressure: the per-destination send queue

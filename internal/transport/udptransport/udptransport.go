@@ -14,7 +14,7 @@
 //     at a random offset, so a restarted endpoint does not collide with its
 //     previous life in its peers' windows);
 //   - counters for every event, recorded into a metrics.SyncCollector and
-//     served by quorumd's /metrics endpoint.
+//     served by quorumd's /v1/metrics endpoint.
 //
 // Frames on the socket are one byte of kind followed by the body:
 //

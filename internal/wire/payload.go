@@ -10,894 +10,456 @@ import (
 	"quorumconf/internal/radio"
 )
 
-// Payload bodies are encoded field-by-field in declaration order with the
-// primitives below. Collections carry a uvarint length prefix; optional
-// pointers (tables, pools) carry a presence byte. Table entries are emitted
-// in ascending address order and re-validated on decode, which keeps the
-// encoding canonical.
+// Payload bodies are their fields in declaration order. Collections carry a
+// uvarint length prefix; optional pointers (tables, pools) carry a presence
+// byte. Table entries are emitted in ascending address order and
+// re-validated on decode, which keeps the encoding canonical.
+//
+// coder walks a payload's fields in wire order and either appends them to b
+// (encode) or fills them from d (decode), so coder.payload lists each
+// message type's fields exactly once and the two directions cannot drift.
+// The first error sticks: after it the coder reads no more input, allocates
+// nothing and keeps its error.
+//
+// payload is a switch and not a map of per-type closures on purpose: a call
+// through a func value makes the coder escape, which costs an allocation
+// per encode and two per decode (DESIGN.md Appendix A).
+type coder struct {
+	b   []byte
+	d   decoder
+	dec bool
+	err error
+}
 
-// --- encode primitives ---------------------------------------------------
-
-func encID(b []byte, id radio.NodeID) []byte { return binary.AppendVarint(b, int64(id)) }
-
-func encInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
-
-func encAddr(b []byte, a addrspace.Addr) []byte { return binary.AppendUvarint(b, uint64(a)) }
-
-func encBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+func (c *coder) fail(sentinel error, format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: %s", sentinel, fmt.Sprintf(format, args...))
 	}
-	return append(b, 0)
 }
 
-func encTag(b []byte, t msg.NetTag) []byte {
-	b = encAddr(b, t.Addr)
-	return binary.AppendUvarint(b, uint64(t.Nonce))
-}
+// --- primitives, each doing both directions --------------------------------
 
-func encBlock(b []byte, blk addrspace.Block) []byte {
-	b = encAddr(b, blk.Lo)
-	return encAddr(b, blk.Hi)
-}
-
-func encEntry(b []byte, e addrspace.Entry) []byte {
-	b = append(b, byte(e.Status))
-	return binary.AppendUvarint(b, e.Version)
-}
-
-func encIDs(b []byte, ids []radio.NodeID) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ids)))
-	for _, id := range ids {
-		b = encID(b, id)
+func (c *coder) u8(v *byte) {
+	if !c.dec {
+		c.b = append(c.b, *v)
+	} else if c.err == nil {
+		*v, c.err = c.d.byte()
 	}
-	return b
 }
 
-func encTable(b []byte, t *addrspace.Table) ([]byte, error) {
-	if t == nil {
-		return append(b, 0), nil
+func (c *coder) u64(v *uint64) {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, *v)
+	} else if c.err == nil {
+		*v, c.err = c.d.uvarint()
 	}
-	b = append(b, 1)
-	b = encBlock(b, t.Block())
-	entries := t.Entries()
-	b = binary.AppendUvarint(b, uint64(len(entries)))
-	for _, ae := range entries {
-		b = encAddr(b, ae.Addr)
-		b = encEntry(b, ae.Entry)
-	}
-	return b, nil
 }
 
-func encPool(b []byte, p *addrspace.Pool) ([]byte, error) {
-	if p == nil {
-		return append(b, 0), nil
+// u32 is a uvarint that must fit 32 bits on the way in.
+func (c *coder) u32(v uint32, what string) uint32 {
+	x := uint64(v)
+	c.u64(&x)
+	if x > math.MaxUint32 {
+		c.fail(ErrInvalid, "%s %d out of range", what, x)
 	}
-	b = append(b, 1)
-	tables := p.Tables()
-	b = binary.AppendUvarint(b, uint64(len(tables)))
-	var err error
-	for _, t := range tables {
-		if t == nil {
-			return nil, fmt.Errorf("%w: nil table inside pool", ErrInvalid)
-		}
-		if b, err = encTable(b, t); err != nil {
-			return nil, err
+	return uint32(x)
+}
+
+// i32 is a zigzag varint that must fit 32 bits on the way in.
+func (c *coder) i32(v int64, what string) int64 {
+	if !c.dec {
+		c.b = binary.AppendVarint(c.b, v)
+	} else if c.err == nil {
+		if v, c.err = c.d.varint(); v > math.MaxInt32 || v < math.MinInt32 {
+			c.fail(ErrInvalid, "%s %d out of range", what, v)
 		}
 	}
-	return b, nil
+	return v
 }
 
-func encHolderInfo(b []byte, h msg.HolderInfo) ([]byte, error) {
-	b = encID(b, h.Owner)
-	b = encAddr(b, h.OwnerIP)
-	b, err := encPool(b, h.Pool)
-	if err != nil {
-		return nil, err
+// The typed primitives store only when decoding: a payload being encoded
+// shares its slices and tables with the sender, which may be reading them.
+
+func (c *coder) id(v *radio.NodeID) {
+	if x := c.i32(int64(*v), "node ID"); c.dec {
+		*v = radio.NodeID(x)
 	}
-	return encIDs(b, h.Holders), nil
 }
 
-func encComCfg(b []byte, g msg.ComCfg) []byte {
-	b = encAddr(b, g.Addr)
-	b = encTag(b, g.NetworkID)
-	b = encID(b, g.Configurer)
-	return encInt(b, g.PathHops)
+func (c *coder) int(v *int) {
+	if x := c.i32(int64(*v), "int"); c.dec {
+		*v = int(x)
+	}
 }
 
-// --- decode primitives ---------------------------------------------------
-
-func (d *decoder) id() (radio.NodeID, error) {
-	v, err := d.varint()
-	if err != nil {
-		return 0, err
+func (c *coder) addr(v *addrspace.Addr) {
+	if x := c.u32(uint32(*v), "address"); c.dec {
+		*v = addrspace.Addr(x)
 	}
-	if v > math.MaxInt32 || v < math.MinInt32 {
-		return 0, fmt.Errorf("%w: node ID %d out of range", ErrInvalid, v)
-	}
-	return radio.NodeID(v), nil
 }
 
-func (d *decoder) int() (int, error) {
-	v, err := d.varint()
-	if err != nil {
-		return 0, err
+func (c *coder) bool(v *bool) {
+	var b byte
+	if *v {
+		b = 1
 	}
-	if v > math.MaxInt32 || v < math.MinInt32 {
-		return 0, fmt.Errorf("%w: int %d out of range", ErrInvalid, v)
+	c.u8(&b)
+	if b > 1 {
+		c.fail(ErrInvalid, "bool byte %d", b)
 	}
-	return int(v), nil
+	if c.dec {
+		*v = b == 1
+	}
 }
 
-func (d *decoder) addr() (addrspace.Addr, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
+func (c *coder) tag(t *msg.NetTag) {
+	c.addr(&t.Addr)
+	if x := c.u32(t.Nonce, "uint32"); c.dec {
+		t.Nonce = x
 	}
-	if v > math.MaxUint32 {
-		return 0, fmt.Errorf("%w: address %d out of range", ErrInvalid, v)
-	}
-	return addrspace.Addr(v), nil
 }
 
-func (d *decoder) u32() (uint32, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxUint32 {
-		return 0, fmt.Errorf("%w: uint32 %d out of range", ErrInvalid, v)
-	}
-	return uint32(v), nil
+func (c *coder) block(b *addrspace.Block) {
+	c.addr(&b.Lo)
+	c.addr(&b.Hi)
 }
 
-func (d *decoder) tag() (msg.NetTag, error) {
-	a, err := d.addr()
-	if err != nil {
-		return msg.NetTag{}, err
-	}
-	nonce, err := d.u32()
-	if err != nil {
-		return msg.NetTag{}, err
-	}
-	return msg.NetTag{Addr: a, Nonce: nonce}, nil
-}
-
-func (d *decoder) block() (addrspace.Block, error) {
-	lo, err := d.addr()
-	if err != nil {
-		return addrspace.Block{}, err
-	}
-	hi, err := d.addr()
-	if err != nil {
-		return addrspace.Block{}, err
-	}
-	return addrspace.Block{Lo: lo, Hi: hi}, nil
-}
-
-func (d *decoder) entry() (addrspace.Entry, error) {
-	st, err := d.byte()
-	if err != nil {
-		return addrspace.Entry{}, err
-	}
-	if st > byte(addrspace.Occupied) {
-		return addrspace.Entry{}, fmt.Errorf("%w: status %d", ErrInvalid, st)
-	}
-	ver, err := d.uvarint()
-	if err != nil {
-		return addrspace.Entry{}, err
-	}
-	return addrspace.Entry{Status: addrspace.Status(st), Version: ver}, nil
-}
-
-func (d *decoder) ids() ([]radio.NodeID, error) {
-	n, err := d.count(1)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]radio.NodeID, n)
-	for i := range out {
-		if out[i], err = d.id(); err != nil {
-			return nil, err
+func (c *coder) entry(e *addrspace.Entry) {
+	st := byte(e.Status)
+	c.u8(&st)
+	if c.dec {
+		if st > byte(addrspace.Occupied) {
+			c.fail(ErrInvalid, "status %d", st)
 		}
+		e.Status = addrspace.Status(st)
 	}
-	return out, nil
+	c.u64(&e.Version)
 }
 
-func (d *decoder) table() (*addrspace.Table, error) {
-	present, err := d.bool()
-	if err != nil {
-		return nil, err
+// count carries a collection length. On the way in it is checked against
+// the bytes left in the frame (every element costs at least perElem bytes),
+// so a hostile length prefix cannot trigger a huge allocation; after an
+// error it is 0.
+func (c *coder) count(n, perElem int) int {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, uint64(n))
+		return n
 	}
+	if c.err == nil {
+		n, c.err = c.d.count(perElem)
+	}
+	return n
+}
+
+func (c *coder) ids(v *[]radio.NodeID) {
+	n := c.count(len(*v), 1)
+	if c.dec && n > 0 {
+		*v = make([]radio.NodeID, n)
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		c.id(&(*v)[i])
+	}
+}
+
+func (c *coder) members(v *[]msg.MemberRecord) {
+	n := c.count(len(*v), 2)
+	if c.dec && n > 0 {
+		*v = make([]msg.MemberRecord, n)
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		c.id(&(*v)[i].Node)
+		c.addr(&(*v)[i].Addr)
+	}
+}
+
+// table is asymmetric past the block: Entries() on the way out, NewTable +
+// Set on the way in, with the block validated before the count is read and
+// each address checked to ascend before its entry is read.
+func (c *coder) table(pt **addrspace.Table) {
+	present := *pt != nil
+	c.bool(&present)
 	if !present {
-		return nil, nil
+		return
 	}
-	blk, err := d.block()
-	if err != nil {
-		return nil, err
+	if !c.dec {
+		blk := (*pt).Block()
+		c.block(&blk)
+		entries := (*pt).Entries()
+		c.count(len(entries), 3)
+		for i := range entries {
+			c.addr(&entries[i].Addr)
+			c.entry(&entries[i].Entry)
+		}
+		return
+	}
+	var blk addrspace.Block
+	c.block(&blk)
+	if c.err != nil {
+		return
 	}
 	t, err := addrspace.NewTable(blk)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+		c.fail(ErrInvalid, "%v", err)
+		return
 	}
-	n, err := d.count(3) // addr + status + version: >= 3 bytes each
-	if err != nil {
-		return nil, err
-	}
-	prev := addrspace.Addr(0)
-	for i := 0; i < n; i++ {
-		a, err := d.addr()
-		if err != nil {
-			return nil, err
+	var prev addrspace.Addr
+	for i, n := 0, c.count(0, 3); i < n; i++ { // addr + status + version: >= 3 bytes each
+		var ae addrspace.AddrEntry
+		c.addr(&ae.Addr)
+		if i > 0 && c.err == nil && ae.Addr <= prev {
+			c.fail(ErrInvalid, "table entries not strictly ascending at %v", ae.Addr)
 		}
-		if i > 0 && a <= prev {
-			return nil, fmt.Errorf("%w: table entries not strictly ascending at %v", ErrInvalid, a)
+		prev = ae.Addr
+		c.entry(&ae.Entry)
+		if c.err != nil {
+			return
 		}
-		prev = a
-		e, err := d.entry()
-		if err != nil {
-			return nil, err
-		}
-		if err := t.Set(a, e); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+		if err := t.Set(ae.Addr, ae.Entry); err != nil {
+			c.fail(ErrInvalid, "%v", err)
+			return
 		}
 	}
-	return t, nil
+	if c.err == nil {
+		*pt = t
+	}
 }
 
-func (d *decoder) pool() (*addrspace.Pool, error) {
-	present, err := d.bool()
-	if err != nil {
-		return nil, err
-	}
+// pool walks Tables() on the way out and rebuilds with NewPool on the way
+// in; a nil table inside a pool is invalid in both directions.
+func (c *coder) pool(pp **addrspace.Pool) {
+	present := *pp != nil
+	c.bool(&present)
 	if !present {
-		return nil, nil
+		return
 	}
-	n, err := d.count(4)
-	if err != nil {
-		return nil, err
+	var tables []*addrspace.Table
+	if !c.dec {
+		tables = (*pp).Tables()
 	}
-	tables := make([]*addrspace.Table, 0, n)
-	for i := 0; i < n; i++ {
-		t, err := d.table()
-		if err != nil {
-			return nil, err
-		}
+	n := c.count(len(tables), 4)
+	if c.dec {
+		tables = make([]*addrspace.Table, n)
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		t := tables[i]
+		c.table(&t)
 		if t == nil {
-			return nil, fmt.Errorf("%w: nil table inside pool", ErrInvalid)
+			c.fail(ErrInvalid, "nil table inside pool")
 		}
-		tables = append(tables, t)
+		if c.dec {
+			tables[i] = t // never when encoding: Tables() is the pool's own slice
+		}
 	}
-	return addrspace.NewPool(tables...), nil
+	if c.dec && c.err == nil {
+		*pp = addrspace.NewPool(tables...)
+	}
 }
 
-func (d *decoder) holderInfo() (msg.HolderInfo, error) {
-	var h msg.HolderInfo
-	var err error
-	if h.Owner, err = d.id(); err != nil {
-		return h, err
-	}
-	if h.OwnerIP, err = d.addr(); err != nil {
-		return h, err
-	}
-	if h.Pool, err = d.pool(); err != nil {
-		return h, err
-	}
-	if h.Holders, err = d.ids(); err != nil {
-		return h, err
-	}
-	return h, nil
+func (c *coder) holderInfo(h *msg.HolderInfo) {
+	c.id(&h.Owner)
+	c.addr(&h.OwnerIP)
+	c.pool(&h.Pool)
+	c.ids(&h.Holders)
 }
 
-func (d *decoder) comCfg() (msg.ComCfg, error) {
-	var g msg.ComCfg
-	var err error
-	if g.Addr, err = d.addr(); err != nil {
-		return g, err
-	}
-	if g.NetworkID, err = d.tag(); err != nil {
-		return g, err
-	}
-	if g.Configurer, err = d.id(); err != nil {
-		return g, err
-	}
-	if g.PathHops, err = d.int(); err != nil {
-		return g, err
-	}
-	return g, nil
+func (c *coder) comCfg(g *msg.ComCfg) {
+	c.addr(&g.Addr)
+	c.tag(&g.NetworkID)
+	c.id(&g.Configurer)
+	c.int(&g.PathHops)
 }
 
-// --- per-type payload codecs ---------------------------------------------
+// --- the message vocabulary -------------------------------------------------
 
-// appendPayload serializes a typed payload; the concrete type of p must
-// match typ.
-func appendPayload(b []byte, typ string, p any) ([]byte, error) {
-	mismatch := func() ([]byte, error) {
-		return nil, fmt.Errorf("%w: %T for %s", ErrPayload, p, typ)
+// in yields the struct a case walks: the payload itself when encoding (its
+// concrete type must be T), the zero T to fill when decoding.
+func in[T any](c *coder, p any) (v T) {
+	if c.dec {
+		return v
 	}
+	v, ok := p.(T)
+	if !ok {
+		c.fail(ErrPayload, "%T, want %T", p, v)
+	}
+	return v
+}
+
+// out boxes the filled struct when decoding; encoding has no result.
+func out[T any](c *coder, v T) any {
+	if !c.dec || c.err != nil {
+		return nil
+	}
+	return v
+}
+
+// payload encodes p as, or decodes, the body of a typ message. This switch
+// is the one place that lists each message type's fields.
+func (c *coder) payload(typ string, p any) any {
 	switch typ {
 	case msg.TFirstBcast:
-		v, ok := p.(msg.FirstBcast)
-		if !ok {
-			return mismatch()
-		}
-		return encInt(b, v.Tries), nil
+		v := in[msg.FirstBcast](c, p)
+		c.int(&v.Tries)
+		return out(c, v)
 	case msg.TFirstResp:
-		v, ok := p.(msg.FirstResp)
-		if !ok {
-			return mismatch()
-		}
-		b = encAddr(b, v.IP)
-		b = encTag(b, v.NetworkID)
-		return encBool(b, v.IsHead), nil
+		v := in[msg.FirstResp](c, p)
+		c.addr(&v.IP)
+		c.tag(&v.NetworkID)
+		c.bool(&v.IsHead)
+		return out(c, v)
 	case msg.TComReq:
-		v, ok := p.(msg.ComReq)
-		if !ok {
-			return mismatch()
-		}
-		return encInt(b, v.PathHops), nil
+		v := in[msg.ComReq](c, p)
+		c.int(&v.PathHops)
+		return out(c, v)
 	case msg.TComCfg:
-		v, ok := p.(msg.ComCfg)
-		if !ok {
-			return mismatch()
-		}
-		return encComCfg(b, v), nil
+		v := in[msg.ComCfg](c, p)
+		c.comCfg(&v)
+		return out(c, v)
 	case msg.TComAck:
-		v, ok := p.(msg.ComAck)
-		if !ok {
-			return mismatch()
-		}
-		b = encAddr(b, v.Addr)
-		return encInt(b, v.PathHops), nil
+		v := in[msg.ComAck](c, p)
+		c.addr(&v.Addr)
+		c.int(&v.PathHops)
+		return out(c, v)
 	case msg.TNack:
-		v, ok := p.(msg.CfgNack)
-		if !ok {
-			return mismatch()
-		}
-		return encInt(b, v.PathHops), nil
+		v := in[msg.CfgNack](c, p)
+		c.int(&v.PathHops)
+		return out(c, v)
 	case msg.TChReq:
-		v, ok := p.(msg.ChReq)
-		if !ok {
-			return mismatch()
-		}
-		return encInt(b, v.PathHops), nil
+		v := in[msg.ChReq](c, p)
+		c.int(&v.PathHops)
+		return out(c, v)
 	case msg.TChPrp:
-		v, ok := p.(msg.ChPrp)
-		if !ok {
-			return mismatch()
-		}
-		b = encBlock(b, v.Block)
-		return encInt(b, v.PathHops), nil
+		v := in[msg.ChPrp](c, p)
+		c.block(&v.Block)
+		c.int(&v.PathHops)
+		return out(c, v)
 	case msg.TChCnf:
-		v, ok := p.(msg.ChCnf)
-		if !ok {
-			return mismatch()
-		}
-		b = encBlock(b, v.Block)
-		return encInt(b, v.PathHops), nil
+		v := in[msg.ChCnf](c, p)
+		c.block(&v.Block)
+		c.int(&v.PathHops)
+		return out(c, v)
 	case msg.TChCfg:
-		v, ok := p.(msg.ChCfg)
-		if !ok {
-			return mismatch()
-		}
-		b, err := encTable(b, v.Table)
-		if err != nil {
-			return nil, err
-		}
-		b = encTag(b, v.NetworkID)
-		b = encID(b, v.Configurer)
-		return encInt(b, v.PathHops), nil
+		v := in[msg.ChCfg](c, p)
+		c.table(&v.Table)
+		c.tag(&v.NetworkID)
+		c.id(&v.Configurer)
+		c.int(&v.PathHops)
+		return out(c, v)
 	case msg.TChAck:
-		v, ok := p.(msg.ChAck)
-		if !ok {
-			return mismatch()
-		}
-		return encInt(b, v.PathHops), nil
+		v := in[msg.ChAck](c, p)
+		c.int(&v.PathHops)
+		return out(c, v)
 	case msg.TQuorumClt:
-		v, ok := p.(msg.QuorumClt)
-		if !ok {
-			return mismatch()
-		}
-		b = binary.AppendUvarint(b, v.BallotID)
-		b = encID(b, v.Owner)
-		b = encAddr(b, v.Addr)
-		b = encBool(b, v.Split)
-		return encID(b, v.Allocator), nil
+		v := in[msg.QuorumClt](c, p)
+		c.u64(&v.BallotID)
+		c.id(&v.Owner)
+		c.addr(&v.Addr)
+		c.bool(&v.Split)
+		c.id(&v.Allocator)
+		return out(c, v)
 	case msg.TQuorumCfm:
-		v, ok := p.(msg.QuorumCfm)
-		if !ok {
-			return mismatch()
-		}
-		b = binary.AppendUvarint(b, v.BallotID)
-		b = encEntry(b, v.Entry)
-		b = encBool(b, v.HasReplica)
-		return encBool(b, v.Busy), nil
+		v := in[msg.QuorumCfm](c, p)
+		c.u64(&v.BallotID)
+		c.entry(&v.Entry)
+		c.bool(&v.HasReplica)
+		c.bool(&v.Busy)
+		return out(c, v)
 	case msg.TQuorumUpd:
-		v, ok := p.(msg.QuorumUpd)
-		if !ok {
-			return mismatch()
-		}
-		b = encID(b, v.Owner)
-		b = encAddr(b, v.Addr)
-		return encEntry(b, v.Entry), nil
+		v := in[msg.QuorumUpd](c, p)
+		c.id(&v.Owner)
+		c.addr(&v.Addr)
+		c.entry(&v.Entry)
+		return out(c, v)
 	case msg.TSplitUpd:
-		v, ok := p.(msg.SplitUpd)
-		if !ok {
-			return mismatch()
-		}
-		b = encID(b, v.Owner)
-		b, err := encPool(b, v.NewPool)
-		if err != nil {
-			return nil, err
-		}
-		return encID(b, v.NewHead), nil
+		v := in[msg.SplitUpd](c, p)
+		c.id(&v.Owner)
+		c.pool(&v.NewPool)
+		c.id(&v.NewHead)
+		return out(c, v)
 	case msg.TReplicaDist:
-		v, ok := p.(msg.ReplicaDist)
-		if !ok {
-			return mismatch()
-		}
-		return encHolderInfo(b, v.Info)
+		v := in[msg.ReplicaDist](c, p)
+		c.holderInfo(&v.Info)
+		return out(c, v)
 	case msg.TReplicaAck:
-		v, ok := p.(msg.ReplicaAck)
-		if !ok {
-			return mismatch()
-		}
-		return encHolderInfo(b, v.Info)
+		v := in[msg.ReplicaAck](c, p)
+		c.holderInfo(&v.Info)
+		return out(c, v)
 	case msg.TAgentFwd:
-		v, ok := p.(msg.AgentFwd)
-		if !ok {
-			return mismatch()
-		}
-		b = encID(b, v.Requestor)
-		return encInt(b, v.PathHops), nil
+		v := in[msg.AgentFwd](c, p)
+		c.id(&v.Requestor)
+		c.int(&v.PathHops)
+		return out(c, v)
 	case msg.TAgentCfg:
-		v, ok := p.(msg.AgentCfg)
-		if !ok {
-			return mismatch()
-		}
-		b = encID(b, v.Requestor)
-		return encComCfg(b, v.Grant), nil
+		v := in[msg.AgentCfg](c, p)
+		c.id(&v.Requestor)
+		c.comCfg(&v.Grant)
+		return out(c, v)
 	case msg.TUpdateLoc:
-		v, ok := p.(msg.UpdateLoc)
-		if !ok {
-			return mismatch()
-		}
-		b = encID(b, v.Configurer)
-		b = encAddr(b, v.ConfigurerIP)
-		return encAddr(b, v.Addr), nil
+		v := in[msg.UpdateLoc](c, p)
+		c.id(&v.Configurer)
+		c.addr(&v.ConfigurerIP)
+		c.addr(&v.Addr)
+		return out(c, v)
 	case msg.TReturnAddr:
-		v, ok := p.(msg.ReturnAddr)
-		if !ok {
-			return mismatch()
-		}
-		b = encID(b, v.Configurer)
-		b = encAddr(b, v.ConfigurerIP)
-		return encAddr(b, v.Addr), nil
+		v := in[msg.ReturnAddr](c, p)
+		c.id(&v.Configurer)
+		c.addr(&v.ConfigurerIP)
+		c.addr(&v.Addr)
+		return out(c, v)
 	case msg.TDepartAck:
-		if _, ok := p.(msg.DepartAck); !ok {
-			return mismatch()
-		}
-		return b, nil
+		return out(c, in[msg.DepartAck](c, p))
 	case msg.TReturnFwd:
-		v, ok := p.(msg.ReturnFwd)
-		if !ok {
-			return mismatch()
-		}
-		b = encID(b, v.Owner)
-		return encAddr(b, v.Addr), nil
+		v := in[msg.ReturnFwd](c, p)
+		c.id(&v.Owner)
+		c.addr(&v.Addr)
+		return out(c, v)
 	case msg.TVacate:
-		v, ok := p.(msg.Vacate)
-		if !ok {
-			return mismatch()
-		}
-		b = encID(b, v.Owner)
-		b = encAddr(b, v.Addr)
-		return encInt(b, v.TTL), nil
+		v := in[msg.Vacate](c, p)
+		c.id(&v.Owner)
+		c.addr(&v.Addr)
+		c.int(&v.TTL)
+		return out(c, v)
 	case msg.TChReturn:
-		v, ok := p.(msg.ChReturn)
-		if !ok {
-			return mismatch()
-		}
-		b, err := encPool(b, v.Pool)
-		if err != nil {
-			return nil, err
-		}
-		b = binary.AppendUvarint(b, uint64(len(v.Members)))
-		for _, m := range v.Members {
-			b = encID(b, m.Node)
-			b = encAddr(b, m.Addr)
-		}
-		return b, nil
+		v := in[msg.ChReturn](c, p)
+		c.pool(&v.Pool)
+		c.members(&v.Members)
+		return out(c, v)
 	case msg.TChReturnAck:
-		if _, ok := p.(msg.ChReturnAck); !ok {
-			return mismatch()
-		}
-		return b, nil
+		return out(c, in[msg.ChReturnAck](c, p))
 	case msg.TChResign:
-		if _, ok := p.(msg.ChResign); !ok {
-			return mismatch()
-		}
-		return b, nil
+		return out(c, in[msg.ChResign](c, p))
 	case msg.TReassign:
-		v, ok := p.(msg.Reassign)
-		if !ok {
-			return mismatch()
-		}
-		b = encID(b, v.NewAllocator)
-		return encAddr(b, v.NewAllocatorIP), nil
+		v := in[msg.Reassign](c, p)
+		c.id(&v.NewAllocator)
+		c.addr(&v.NewAllocatorIP)
+		return out(c, v)
 	case msg.TPoolUpd:
-		v, ok := p.(msg.PoolUpd)
-		if !ok {
-			return mismatch()
-		}
-		b = encID(b, v.Owner)
-		return encPool(b, v.Pool)
+		v := in[msg.PoolUpd](c, p)
+		c.id(&v.Owner)
+		c.pool(&v.Pool)
+		return out(c, v)
 	case msg.TRepReq:
-		if _, ok := p.(msg.RepReq); !ok {
-			return mismatch()
-		}
-		return b, nil
+		return out(c, in[msg.RepReq](c, p))
 	case msg.TRepRsp:
-		if _, ok := p.(msg.RepRsp); !ok {
-			return mismatch()
-		}
-		return b, nil
+		return out(c, in[msg.RepRsp](c, p))
 	case msg.TAddrRec:
-		v, ok := p.(msg.AddrRec)
-		if !ok {
-			return mismatch()
-		}
-		b = encID(b, v.Target)
-		return encAddr(b, v.TargetIP), nil
+		v := in[msg.AddrRec](c, p)
+		c.id(&v.Target)
+		c.addr(&v.TargetIP)
+		return out(c, v)
 	case msg.TRecRep:
-		v, ok := p.(msg.RecRep)
-		if !ok {
-			return mismatch()
-		}
-		b = encID(b, v.Target)
-		return encAddr(b, v.Addr), nil
+		v := in[msg.RecRep](c, p)
+		c.id(&v.Target)
+		c.addr(&v.Addr)
+		return out(c, v)
 	case msg.TRecFwd:
-		v, ok := p.(msg.RecFwd)
-		if !ok {
-			return mismatch()
-		}
-		b = encID(b, v.Target)
-		b = encAddr(b, v.Addr)
-		return encInt(b, v.TTL), nil
+		v := in[msg.RecFwd](c, p)
+		c.id(&v.Target)
+		c.addr(&v.Addr)
+		c.int(&v.TTL)
+		return out(c, v)
 	case msg.TReconfig:
-		if _, ok := p.(msg.Reconfig); !ok {
-			return mismatch()
-		}
-		return b, nil
+		return out(c, in[msg.Reconfig](c, p))
 	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownType, typ)
-}
-
-// decodePayload parses the typed payload for typ.
-func decodePayload(d *decoder, typ string) (any, error) {
-	switch typ {
-	case msg.TFirstBcast:
-		tries, err := d.int()
-		if err != nil {
-			return nil, err
-		}
-		return msg.FirstBcast{Tries: tries}, nil
-	case msg.TFirstResp:
-		var v msg.FirstResp
-		var err error
-		if v.IP, err = d.addr(); err != nil {
-			return nil, err
-		}
-		if v.NetworkID, err = d.tag(); err != nil {
-			return nil, err
-		}
-		if v.IsHead, err = d.bool(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TComReq:
-		hops, err := d.int()
-		if err != nil {
-			return nil, err
-		}
-		return msg.ComReq{PathHops: hops}, nil
-	case msg.TComCfg:
-		return d.comCfg()
-	case msg.TComAck:
-		var v msg.ComAck
-		var err error
-		if v.Addr, err = d.addr(); err != nil {
-			return nil, err
-		}
-		if v.PathHops, err = d.int(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TNack:
-		hops, err := d.int()
-		if err != nil {
-			return nil, err
-		}
-		return msg.CfgNack{PathHops: hops}, nil
-	case msg.TChReq:
-		hops, err := d.int()
-		if err != nil {
-			return nil, err
-		}
-		return msg.ChReq{PathHops: hops}, nil
-	case msg.TChPrp:
-		var v msg.ChPrp
-		var err error
-		if v.Block, err = d.block(); err != nil {
-			return nil, err
-		}
-		if v.PathHops, err = d.int(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TChCnf:
-		var v msg.ChCnf
-		var err error
-		if v.Block, err = d.block(); err != nil {
-			return nil, err
-		}
-		if v.PathHops, err = d.int(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TChCfg:
-		var v msg.ChCfg
-		var err error
-		if v.Table, err = d.table(); err != nil {
-			return nil, err
-		}
-		if v.NetworkID, err = d.tag(); err != nil {
-			return nil, err
-		}
-		if v.Configurer, err = d.id(); err != nil {
-			return nil, err
-		}
-		if v.PathHops, err = d.int(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TChAck:
-		hops, err := d.int()
-		if err != nil {
-			return nil, err
-		}
-		return msg.ChAck{PathHops: hops}, nil
-	case msg.TQuorumClt:
-		var v msg.QuorumClt
-		var err error
-		if v.BallotID, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if v.Owner, err = d.id(); err != nil {
-			return nil, err
-		}
-		if v.Addr, err = d.addr(); err != nil {
-			return nil, err
-		}
-		if v.Split, err = d.bool(); err != nil {
-			return nil, err
-		}
-		if v.Allocator, err = d.id(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TQuorumCfm:
-		var v msg.QuorumCfm
-		var err error
-		if v.BallotID, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if v.Entry, err = d.entry(); err != nil {
-			return nil, err
-		}
-		if v.HasReplica, err = d.bool(); err != nil {
-			return nil, err
-		}
-		if v.Busy, err = d.bool(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TQuorumUpd:
-		var v msg.QuorumUpd
-		var err error
-		if v.Owner, err = d.id(); err != nil {
-			return nil, err
-		}
-		if v.Addr, err = d.addr(); err != nil {
-			return nil, err
-		}
-		if v.Entry, err = d.entry(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TSplitUpd:
-		var v msg.SplitUpd
-		var err error
-		if v.Owner, err = d.id(); err != nil {
-			return nil, err
-		}
-		if v.NewPool, err = d.pool(); err != nil {
-			return nil, err
-		}
-		if v.NewHead, err = d.id(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TReplicaDist:
-		info, err := d.holderInfo()
-		if err != nil {
-			return nil, err
-		}
-		return msg.ReplicaDist{Info: info}, nil
-	case msg.TReplicaAck:
-		info, err := d.holderInfo()
-		if err != nil {
-			return nil, err
-		}
-		return msg.ReplicaAck{Info: info}, nil
-	case msg.TAgentFwd:
-		var v msg.AgentFwd
-		var err error
-		if v.Requestor, err = d.id(); err != nil {
-			return nil, err
-		}
-		if v.PathHops, err = d.int(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TAgentCfg:
-		var v msg.AgentCfg
-		var err error
-		if v.Requestor, err = d.id(); err != nil {
-			return nil, err
-		}
-		if v.Grant, err = d.comCfg(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TUpdateLoc:
-		var v msg.UpdateLoc
-		var err error
-		if v.Configurer, err = d.id(); err != nil {
-			return nil, err
-		}
-		if v.ConfigurerIP, err = d.addr(); err != nil {
-			return nil, err
-		}
-		if v.Addr, err = d.addr(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TReturnAddr:
-		var v msg.ReturnAddr
-		var err error
-		if v.Configurer, err = d.id(); err != nil {
-			return nil, err
-		}
-		if v.ConfigurerIP, err = d.addr(); err != nil {
-			return nil, err
-		}
-		if v.Addr, err = d.addr(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TDepartAck:
-		return msg.DepartAck{}, nil
-	case msg.TReturnFwd:
-		var v msg.ReturnFwd
-		var err error
-		if v.Owner, err = d.id(); err != nil {
-			return nil, err
-		}
-		if v.Addr, err = d.addr(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TVacate:
-		var v msg.Vacate
-		var err error
-		if v.Owner, err = d.id(); err != nil {
-			return nil, err
-		}
-		if v.Addr, err = d.addr(); err != nil {
-			return nil, err
-		}
-		if v.TTL, err = d.int(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TChReturn:
-		var v msg.ChReturn
-		var err error
-		if v.Pool, err = d.pool(); err != nil {
-			return nil, err
-		}
-		n, err := d.count(2)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			var m msg.MemberRecord
-			if m.Node, err = d.id(); err != nil {
-				return nil, err
-			}
-			if m.Addr, err = d.addr(); err != nil {
-				return nil, err
-			}
-			v.Members = append(v.Members, m)
-		}
-		return v, nil
-	case msg.TChReturnAck:
-		return msg.ChReturnAck{}, nil
-	case msg.TChResign:
-		return msg.ChResign{}, nil
-	case msg.TReassign:
-		var v msg.Reassign
-		var err error
-		if v.NewAllocator, err = d.id(); err != nil {
-			return nil, err
-		}
-		if v.NewAllocatorIP, err = d.addr(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TPoolUpd:
-		var v msg.PoolUpd
-		var err error
-		if v.Owner, err = d.id(); err != nil {
-			return nil, err
-		}
-		if v.Pool, err = d.pool(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TRepReq:
-		return msg.RepReq{}, nil
-	case msg.TRepRsp:
-		return msg.RepRsp{}, nil
-	case msg.TAddrRec:
-		var v msg.AddrRec
-		var err error
-		if v.Target, err = d.id(); err != nil {
-			return nil, err
-		}
-		if v.TargetIP, err = d.addr(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TRecRep:
-		var v msg.RecRep
-		var err error
-		if v.Target, err = d.id(); err != nil {
-			return nil, err
-		}
-		if v.Addr, err = d.addr(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TRecFwd:
-		var v msg.RecFwd
-		var err error
-		if v.Target, err = d.id(); err != nil {
-			return nil, err
-		}
-		if v.Addr, err = d.addr(); err != nil {
-			return nil, err
-		}
-		if v.TTL, err = d.int(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	case msg.TReconfig:
-		return msg.Reconfig{}, nil
-	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownType, typ)
+	c.fail(ErrUnknownType, "%q", typ)
+	return nil
 }

@@ -141,12 +141,15 @@ func AppendEncode(b []byte, env *Envelope) ([]byte, error) {
 	if env.Span != 0 {
 		b = binary.AppendUvarint(b, env.Span)
 	}
-	return appendPayload(b, env.Type, env.Payload)
+	c := coder{b: b}
+	if c.payload(env.Type, env.Payload); c.err != nil {
+		return nil, c.err
+	}
+	return c.b, nil
 }
 
 // Decode parses one envelope, which must occupy the whole buffer.
 func Decode(b []byte) (*Envelope, error) {
-	d := &decoder{buf: b}
 	if len(b) < 4 {
 		return nil, fmt.Errorf("%w: %d-byte frame", ErrTruncated, len(b))
 	}
@@ -160,7 +163,8 @@ func Decode(b []byte) (*Envelope, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: code %d", ErrUnknownType, b[3])
 	}
-	d.pos = 4
+	c := coder{d: decoder{buf: b, pos: 4}, dec: true}
+	d := &c.d
 	env := &Envelope{Type: typ}
 	var err error
 	if env.MsgID, err = d.uvarint(); err != nil {
@@ -196,8 +200,8 @@ func Decode(b []byte) (*Envelope, error) {
 			return nil, fmt.Errorf("%w: version %d frame with zero span", ErrInvalid, VersionSpan)
 		}
 	}
-	if env.Payload, err = decodePayload(d, typ); err != nil {
-		return nil, err
+	if env.Payload = c.payload(typ, nil); c.err != nil {
+		return nil, c.err
 	}
 	if d.pos != len(d.buf) {
 		return nil, fmt.Errorf("%w: %d bytes after payload", ErrTrailing, len(d.buf)-d.pos)
@@ -238,21 +242,6 @@ func (d *decoder) varint() (int64, error) {
 	}
 	d.pos += n
 	return v, nil
-}
-
-func (d *decoder) bool() (bool, error) {
-	b, err := d.byte()
-	if err != nil {
-		return false, err
-	}
-	switch b {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	default:
-		return false, fmt.Errorf("%w: bool byte %d", ErrInvalid, b)
-	}
 }
 
 // count reads a collection length and sanity-checks it against the bytes

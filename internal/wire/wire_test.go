@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"quorumconf/internal/addrspace"
@@ -185,6 +186,26 @@ func TestEncodeErrors(t *testing.T) {
 	if _, err := Encode(&Envelope{Type: msg.TComReq, Hops: -1, Payload: msg.ComReq{}}); !errors.Is(err, ErrInvalid) {
 		t.Errorf("negative hops: got %v", err)
 	}
+
+	// A nil table inside a pool is invalid going out ...
+	holed := samplePool(t)
+	holed.Tables()[0] = nil
+	if _, err := Encode(&Envelope{Type: msg.TPoolUpd, Payload: msg.PoolUpd{Owner: 3, Pool: holed}}); !errors.Is(err, ErrInvalid) {
+		t.Errorf("nil table inside pool, encode: got %v", err)
+	}
+	// ... and coming in: a pool-less REPLICA_DIST ends [pool absent, 3 holders];
+	// splice in [pool present, 1 table, table absent].
+	b, err := Encode(&Envelope{Type: msg.TReplicaDist, Payload: msg.ReplicaDist{
+		Info: msg.HolderInfo{Owner: 3, OwnerIP: 11, Holders: []radio.NodeID{3, 5, 9}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := len(b) - 5
+	b = append(b[:at:at], append([]byte{1, 1, 0}, b[at+1:]...)...)
+	if _, err := Decode(b); !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "nil table") {
+		t.Errorf("nil table inside pool, decode: got %v", err)
+	}
 }
 
 func TestTypeCodeStability(t *testing.T) {
@@ -206,4 +227,26 @@ func TestTypeCodeStability(t *testing.T) {
 	if len(msg.Types()) != 35 {
 		t.Errorf("type table has %d entries, want 35 — appending is fine, reordering is not", len(msg.Types()))
 	}
+}
+
+// TestEncodeDoesNotWritePayload: senders keep using the slices, tables and
+// pools of a payload they hand to Encode, so encoding must only read them.
+// The coder's primitives take pointers in both directions; under -race two
+// concurrent encodes of the same envelopes catch one that stores on the way
+// out.
+func TestEncodeDoesNotWritePayload(t *testing.T) {
+	envs := sampleEnvelopes(t)
+	done := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for _, env := range envs {
+				if _, err := Encode(env); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	<-done
+	<-done
 }
