@@ -47,16 +47,12 @@ func BenchmarkConfigure50Nodes(b *testing.B) {
 }
 
 // benchConfigure runs the 50-node configure workload once per iteration
-// with the given extra runtime options — the seam the tracer-overhead
-// benchmarks below use to compare a nil tracer against an attached one.
-func benchConfigure(b *testing.B, opts ...protocol.Option) {
+// with the given tracer — the seam the tracer-overhead benchmarks below use
+// to compare a nil tracer against an attached one.
+func benchConfigure(b *testing.B, tracer *obs.Tracer) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		all := append([]protocol.Option{
-			protocol.WithSeed(int64(i + 1)),
-			protocol.WithTransmissionRange(200),
-		}, opts...)
-		rt, err := protocol.New(all...)
+		rt, err := protocol.NewRuntime(protocol.RuntimeConfig{Seed: int64(i + 1), TransmissionRange: 200, Tracer: tracer})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,7 +86,7 @@ func benchConfigure(b *testing.B, opts ...protocol.Option) {
 // seam fills an Event struct and takes one branch in Runtime.Trace. The
 // acceptance bar is <5% overhead versus BenchmarkConfigure50Nodes.
 func BenchmarkTracerDisabled(b *testing.B) {
-	benchConfigure(b)
+	benchConfigure(b, nil)
 }
 
 // BenchmarkTracerEnabledRing measures the same workload with a tracer
@@ -99,5 +95,5 @@ func BenchmarkTracerDisabled(b *testing.B) {
 // BENCH_sweeps.json as tracer_event_ring.
 func BenchmarkTracerEnabledRing(b *testing.B) {
 	ring := obs.NewRing(obs.DefaultRingSize)
-	benchConfigure(b, protocol.WithTracer(obs.NewTracer(nil, ring)))
+	benchConfigure(b, obs.NewTracer(nil, ring))
 }

@@ -16,6 +16,7 @@ package core
 import (
 	"quorumconf/internal/addrspace"
 	"quorumconf/internal/metrics"
+	"quorumconf/internal/msg"
 	"quorumconf/internal/obs"
 	"quorumconf/internal/radio"
 )
@@ -59,7 +60,7 @@ func (p *Protocol) byzHas(id radio.NodeID, b ByzantineBehavior) bool {
 // address is free with a version fresher than the local entry, so the
 // forged vote wins the freshest-timestamp decision against honest
 // "occupied" votes. Returns true when the poll was answered dishonestly.
-func (p *Protocol) byzVoteLie(nd *node, src radio.NodeID, cat metrics.Category, pl quorumClt) bool {
+func (p *Protocol) byzVoteLie(nd *node, src radio.NodeID, cat metrics.Category, pl msg.QuorumClt) bool {
 	if !p.byzHas(nd.id, ByzVoteLiar) || !nd.isHead() || pl.Split {
 		return false
 	}
@@ -69,7 +70,7 @@ func (p *Protocol) byzVoteLie(nd *node, src radio.NodeID, cat metrics.Category, 
 	}
 	p.rt.Coll.Inc(CounterByzantineActs)
 	p.rt.Trace(obs.Event{Kind: obs.EvByzantineVoteLie, Node: nd.id, Peer: src, Addr: pl.Addr, MsgID: pl.BallotID})
-	_, _ = p.send(nd.id, src, msgQuorumCfm, cat, quorumCfm{
+	_, _ = p.send(nd.id, src, msg.TQuorumCfm, cat, msg.QuorumCfm{
 		BallotID:   pl.BallotID,
 		Entry:      addrspace.Entry{Status: addrspace.Free, Version: cur.Version + 1},
 		HasReplica: true,
@@ -91,7 +92,7 @@ func (p *Protocol) byzDupClaim(alloc *node, requestor radio.NodeID, pathHops int
 	}
 	p.rt.Coll.Inc(CounterByzantineActs)
 	p.rt.Trace(obs.Event{Kind: obs.EvByzantineDupClaim, Node: alloc.id, Peer: requestor, Addr: addr})
-	_, _ = p.send(alloc.id, requestor, msgComCfg, metrics.CatConfig, comCfg{
+	_, _ = p.send(alloc.id, requestor, msg.TComCfg, metrics.CatConfig, msg.ComCfg{
 		Addr:       addr,
 		NetworkID:  alloc.networkID,
 		Configurer: alloc.id,
@@ -105,7 +106,7 @@ func (p *Protocol) byzDupClaim(alloc *node, requestor radio.NodeID, pathHops int
 // existence reports for every occupied address it knows of the target's
 // space, so the honest holders refresh everything and free nothing.
 // Returns true when the broadcast was handled dishonestly.
-func (p *Protocol) byzSabotageReclaim(nd *node, pl addrRec) bool {
+func (p *Protocol) byzSabotageReclaim(nd *node, pl msg.AddrRec) bool {
 	if !p.byzHas(nd.id, ByzVoteLiar) || !nd.isHead() {
 		return false
 	}
@@ -142,7 +143,7 @@ func (p *Protocol) byzForgeReports(nd *node, target radio.NodeID) {
 	p.rt.Trace(obs.Event{Kind: obs.EvByzantineVoteLie, Node: nd.id, Peer: target, Detail: "forge_rec_rep"})
 	for _, addr := range pool.Occupied() {
 		for _, h := range sortedIDs(nd.qdset) {
-			_, _ = p.send(nd.id, h, msgRecFwd, metrics.CatReclamation, recFwd{
+			_, _ = p.send(nd.id, h, msg.TRecFwd, metrics.CatReclamation, msg.RecFwd{
 				Target: target,
 				Addr:   addr,
 				TTL:    1,

@@ -8,6 +8,7 @@ import (
 	"quorumconf/internal/cluster"
 	"quorumconf/internal/health"
 	"quorumconf/internal/metrics"
+	"quorumconf/internal/msg"
 	"quorumconf/internal/netstack"
 	"quorumconf/internal/obs"
 	"quorumconf/internal/quorum"
@@ -91,33 +92,33 @@ func (p *Protocol) dispatch(id radio.NodeID, m netstack.Message) {
 		return
 	}
 	switch pl := m.Payload.(type) {
-	case firstBcast:
+	case msg.FirstBcast:
 		p.onFirstBcast(nd, m)
-	case firstResp:
+	case msg.FirstResp:
 		nd.heardIPs = append(nd.heardIPs, pl.IP)
-	case comReq:
+	case msg.ComReq:
 		p.allocate(nd, m.Src, pl.PathHops+m.Hops, false, 0, m.Span)
-	case comCfg:
+	case msg.ComCfg:
 		p.onComCfg(nd, m, pl)
-	case comAck:
+	case msg.ComAck:
 		p.onConfiguredAck(nd, pl.PathHops+m.Hops, false)
-	case cfgNack:
+	case msg.CfgNack:
 		p.onCfgNack(nd)
-	case chReq:
+	case msg.ChReq:
 		p.onChReq(nd, m, pl)
-	case chPrp:
+	case msg.ChPrp:
 		p.onChPrp(nd, m, pl)
-	case chCnf:
+	case msg.ChCnf:
 		p.onChCnf(nd, m, pl)
-	case chCfg:
+	case msg.ChCfg:
 		p.onChCfg(nd, m, pl)
-	case chAck:
+	case msg.ChAck:
 		p.onConfiguredAck(nd, pl.PathHops+m.Hops, true)
-	case quorumClt:
+	case msg.QuorumClt:
 		p.onQuorumClt(nd, m, pl)
-	case quorumCfm:
+	case msg.QuorumCfm:
 		p.onQuorumCfm(nd, m, pl)
-	case quorumUpd:
+	case msg.QuorumUpd:
 		// The write committed: release any vote grant for the address.
 		if nd.grants != nil {
 			delete(nd.grants, pl.Addr)
@@ -133,47 +134,47 @@ func (p *Protocol) dispatch(id radio.NodeID, m netstack.Message) {
 		if before > 0 && nd.voteCache.size() == 0 {
 			p.rt.Trace(obs.Event{Kind: obs.EvVoteCacheInvalidate, Node: nd.id, Peer: m.Src, Addr: pl.Addr, Detail: "remote_update"})
 		}
-	case splitUpd:
+	case msg.SplitUpd:
 		p.onSplitUpd(nd, pl)
-	case replicaDist:
+	case msg.ReplicaDist:
 		p.onReplicaDist(nd, m, pl)
-	case replicaAck:
+	case msg.ReplicaAck:
 		p.storeReplica(nd, pl.Info)
-	case agentFwd:
+	case msg.AgentFwd:
 		p.onAgentFwd(nd, m, pl)
-	case agentCfg:
+	case msg.AgentCfg:
 		p.onAgentCfg(nd, m, pl)
-	case updateLoc:
+	case msg.UpdateLoc:
 		p.onUpdateLoc(nd, m, pl)
-	case returnAddr:
+	case msg.ReturnAddr:
 		p.onReturnAddr(nd, m, pl)
-	case departAck:
+	case msg.DepartAck:
 		p.onDepartAck(nd)
-	case returnFwd:
+	case msg.ReturnFwd:
 		p.onReturnFwd(nd, pl)
-	case vacate:
+	case msg.Vacate:
 		p.onVacate(nd, pl)
-	case chReturn:
+	case msg.ChReturn:
 		p.onChReturn(nd, m, pl)
-	case chReturnAck:
+	case msg.ChReturnAck:
 		p.onChReturnAck(nd)
-	case chResign:
+	case msg.ChResign:
 		p.onChResign(nd, m)
-	case reassign:
+	case msg.Reassign:
 		p.onReassign(nd, pl)
-	case poolUpd:
+	case msg.PoolUpd:
 		p.onPoolUpd(nd, pl)
-	case repReq:
+	case msg.RepReq:
 		p.onRepReq(nd, m)
-	case repRsp:
+	case msg.RepRsp:
 		p.onRepRsp(nd, m)
-	case addrRec:
+	case msg.AddrRec:
 		p.onAddrRec(nd, m.Span, pl)
-	case recRep:
+	case msg.RecRep:
 		p.onRecRep(nd, m.Span, pl)
-	case recFwd:
+	case msg.RecFwd:
 		p.onRecFwd(nd, m.Span, pl)
-	case reconfig:
+	case msg.Reconfig:
 		p.onReconfig(nd)
 	}
 }
@@ -199,14 +200,14 @@ func (p *Protocol) attemptConfigure(nd *node) {
 		alloc := p.chooseAllocator(nd, snap, heads2)
 		span := p.mintSpan(nd.id)
 		p.rt.Trace(obs.Event{Kind: obs.EvAllocRequest, Node: nd.id, Peer: alloc, Span: span, Detail: "common"})
-		if _, ok := p.sendSpan(nd.id, alloc, msgComReq, metrics.CatConfig, span, comReq{}); ok {
+		if _, ok := p.sendSpan(nd.id, alloc, msg.TComReq, metrics.CatConfig, span, msg.ComReq{}); ok {
 			p.armCfgTimeout(nd)
 			return
 		}
 	} else if head, _, ok := cluster.Nearest(snap, nd.id, p.isHeadFn); ok {
 		span := p.mintSpan(nd.id)
 		p.rt.Trace(obs.Event{Kind: obs.EvAllocRequest, Node: nd.id, Peer: head, Span: span, Detail: "head"})
-		if _, ok := p.sendSpan(nd.id, head, msgChReq, metrics.CatConfig, span, chReq{}); ok {
+		if _, ok := p.sendSpan(nd.id, head, msg.TChReq, metrics.CatConfig, span, msg.ChReq{}); ok {
 			p.armCfgTimeout(nd)
 			return
 		}
@@ -280,9 +281,9 @@ func (p *Protocol) retryConfigureLater(nd *node) {
 func (p *Protocol) firstNodeStep(nd *node) {
 	nd.firstTries++
 	p.rt.Net.LocalBroadcast(nd.id, netstack.Message{
-		Type:     msgFirstBcast,
+		Type:     msg.TFirstBcast,
 		Category: metrics.CatConfig,
-		Payload:  firstBcast{Tries: nd.firstTries},
+		Payload:  msg.FirstBcast{Tries: nd.firstTries},
 	})
 	p.rt.Sim.Schedule(p.p.Te, func() {
 		if !nd.alive || nd.hasIP {
@@ -303,7 +304,7 @@ func (p *Protocol) onFirstBcast(nd *node, m netstack.Message) {
 	if !nd.hasIP {
 		return
 	}
-	_, _ = p.send(nd.id, m.Src, msgFirstResp, metrics.CatConfig, firstResp{
+	_, _ = p.send(nd.id, m.Src, msg.TFirstResp, metrics.CatConfig, msg.FirstResp{
 		IP:        nd.ip,
 		NetworkID: nd.networkID,
 		IsHead:    nd.role == RoleHead,
@@ -330,7 +331,7 @@ func (p *Protocol) becomeFirstHead(nd *node) {
 	}
 	_, _ = pool.Mark(ip, addrspace.Occupied)
 	// Network ID: lowest IP of the new network plus a founder nonce.
-	tag := NetTag{Addr: ip, Nonce: p.rt.Sim.Rand().Uint32()}
+	tag := msg.NetTag{Addr: ip, Nonce: p.rt.Sim.Rand().Uint32()}
 	p.initHead(nd, pool, ip, tag, 0, false)
 	nd.configuring = false
 	p.rt.Coll.Observe(SampleConfigLatency, float64(nd.firstTries))
@@ -340,7 +341,7 @@ func (p *Protocol) becomeFirstHead(nd *node) {
 }
 
 // initHead installs head state on a node.
-func (p *Protocol) initHead(nd *node, pool *addrspace.Pool, ip addrspace.Addr, networkID NetTag, configurer radio.NodeID, hasConfigurer bool) {
+func (p *Protocol) initHead(nd *node, pool *addrspace.Pool, ip addrspace.Addr, networkID msg.NetTag, configurer radio.NodeID, hasConfigurer bool) {
 	nd.role = RoleHead
 	nd.pools = pool
 	nd.ip = ip
@@ -397,7 +398,7 @@ func (p *Protocol) distributeReplicas(nd *node, cat metrics.Category) {
 	holders := nd.electorate(nd.id)
 	for _, h := range sortedIDs(nd.qdset) {
 		p.rt.Trace(obs.Event{Kind: obs.EvReplicaSync, Node: nd.id, Peer: h, Addr: nd.ip})
-		_, _ = p.send(nd.id, h, msgReplicaDist, cat, replicaDist{Info: holderInfo{
+		_, _ = p.send(nd.id, h, msg.TReplicaDist, cat, msg.ReplicaDist{Info: msg.HolderInfo{
 			Owner:   nd.id,
 			OwnerIP: nd.ip,
 			Pool:    nd.pools.Clone(),
@@ -406,7 +407,7 @@ func (p *Protocol) distributeReplicas(nd *node, cat metrics.Category) {
 	}
 }
 
-func (p *Protocol) onReplicaDist(nd *node, m netstack.Message, pl replicaDist) {
+func (p *Protocol) onReplicaDist(nd *node, m netstack.Message, pl msg.ReplicaDist) {
 	if !nd.isHead() {
 		return
 	}
@@ -414,7 +415,7 @@ func (p *Protocol) onReplicaDist(nd *node, m netstack.Message, pl replicaDist) {
 	p.storeReplica(nd, pl.Info)
 	if !known {
 		// Reciprocate so the new adjacent head builds its QuorumSpace.
-		_, _ = p.send(nd.id, m.Src, msgReplicaAck, m.Category, replicaAck{Info: holderInfo{
+		_, _ = p.send(nd.id, m.Src, msg.TReplicaAck, m.Category, msg.ReplicaAck{Info: msg.HolderInfo{
 			Owner:   nd.id,
 			OwnerIP: nd.ip,
 			Pool:    nd.pools.Clone(),
@@ -424,7 +425,7 @@ func (p *Protocol) onReplicaDist(nd *node, m netstack.Message, pl replicaDist) {
 }
 
 // storeReplica records another head's replica and QDSet membership.
-func (p *Protocol) storeReplica(nd *node, info holderInfo) {
+func (p *Protocol) storeReplica(nd *node, info msg.HolderInfo) {
 	if !nd.isHead() || info.Owner == nd.id || info.Pool == nil {
 		return
 	}
@@ -442,7 +443,7 @@ func (p *Protocol) storeReplica(nd *node, info holderInfo) {
 	}
 }
 
-func (p *Protocol) onSplitUpd(nd *node, pl splitUpd) {
+func (p *Protocol) onSplitUpd(nd *node, pl msg.SplitUpd) {
 	if !nd.isHead() || pl.NewPool == nil {
 		return
 	}
@@ -480,7 +481,7 @@ func (p *Protocol) allocate(alloc *node, requestor radio.NodeID, pathHops int, v
 		p.maybeSelfReclaim(alloc)
 		if !viaAgent && alloc.hasConfigurer && p.isHeadFn(alloc.configurer) {
 			p.rt.Coll.Inc(CounterAgentForwards)
-			if _, sent := p.sendSpan(alloc.id, alloc.configurer, msgAgentFwd, metrics.CatConfig, span, agentFwd{
+			if _, sent := p.sendSpan(alloc.id, alloc.configurer, msg.TAgentFwd, metrics.CatConfig, span, msg.AgentFwd{
 				Requestor: requestor,
 				PathHops:  pathHops,
 			}); sent {
@@ -507,7 +508,7 @@ func (p *Protocol) nack(alloc *node, requestor radio.NodeID, viaAgent bool, agen
 	p.rt.Coll.Inc(CounterConfigNacks)
 	_ = viaAgent // refusals go straight to the requestor; the agent has nothing to add
 	_ = agent
-	_, _ = p.send(alloc.id, requestor, msgNack, metrics.CatConfig, cfgNack{PathHops: pathHops})
+	_, _ = p.send(alloc.id, requestor, msg.TNack, metrics.CatConfig, msg.CfgNack{PathHops: pathHops})
 }
 
 // openCommonBallots counts the allocator's in-flight common ballots —
@@ -720,7 +721,7 @@ func (p *Protocol) startBallot(alloc *node, pb *pendingBallot) {
 				p.rt.Trace(obs.Event{Kind: obs.EvVoteCacheInvalidate, Node: alloc.id, Peer: m, Addr: pb.addr, Detail: "ttl"})
 			}
 		}
-		if hops, ok := p.sendSpan(alloc.id, m, msgQuorumClt, metrics.CatConfig, pb.span, quorumClt{
+		if hops, ok := p.sendSpan(alloc.id, m, msg.TQuorumClt, metrics.CatConfig, pb.span, msg.QuorumClt{
 			BallotID:  pb.id,
 			Owner:     pb.owner,
 			Addr:      pb.addr,
@@ -734,7 +735,7 @@ func (p *Protocol) startBallot(alloc *node, pb *pendingBallot) {
 	p.checkBallot(alloc, pb)
 }
 
-func (p *Protocol) onQuorumClt(nd *node, m netstack.Message, pl quorumClt) {
+func (p *Protocol) onQuorumClt(nd *node, m netstack.Message, pl msg.QuorumClt) {
 	if p.byzVoteLie(nd, m.Src, m.Category, pl) {
 		return
 	}
@@ -759,7 +760,7 @@ func (p *Protocol) onQuorumClt(nd *node, m netstack.Message, pl quorumClt) {
 			}
 		}
 	}
-	_, _ = p.sendSpan(nd.id, m.Src, msgQuorumCfm, m.Category, m.Span, quorumCfm{
+	_, _ = p.sendSpan(nd.id, m.Src, msg.TQuorumCfm, m.Category, m.Span, msg.QuorumCfm{
 		BallotID:   pl.BallotID,
 		Entry:      entry,
 		HasReplica: has,
@@ -767,7 +768,7 @@ func (p *Protocol) onQuorumClt(nd *node, m netstack.Message, pl quorumClt) {
 	})
 }
 
-func (p *Protocol) onQuorumCfm(alloc *node, m netstack.Message, pl quorumCfm) {
+func (p *Protocol) onQuorumCfm(alloc *node, m netstack.Message, pl msg.QuorumCfm) {
 	if alloc.ballots == nil {
 		return
 	}
@@ -989,7 +990,7 @@ func (p *Protocol) finishCommonBallot(alloc *node, pb *pendingBallot, dec quorum
 		if h == alloc.id {
 			continue
 		}
-		if _, ok := p.sendSpan(alloc.id, h, msgQuorumUpd, metrics.CatConfig, pb.span, quorumUpd{
+		if _, ok := p.sendSpan(alloc.id, h, msg.TQuorumUpd, metrics.CatConfig, pb.span, msg.QuorumUpd{
 			Owner: pb.owner,
 			Addr:  pb.addr,
 			Entry: newEntry,
@@ -1001,25 +1002,25 @@ func (p *Protocol) finishCommonBallot(alloc *node, pb *pendingBallot, dec quorum
 		p.rt.Coll.Inc(CounterBorrowed)
 	}
 	alloc.members[pb.requestor] = pb.addr
-	grant := comCfg{
+	grant := msg.ComCfg{
 		Addr:       pb.addr,
 		NetworkID:  alloc.networkID,
 		Configurer: alloc.id,
 		PathHops:   pb.reqPathHops + pb.maxRTT,
 	}
 	if pb.viaAgent {
-		_, _ = p.sendSpan(alloc.id, pb.agent, msgAgentCfg, metrics.CatConfig, pb.span, agentCfg{
+		_, _ = p.sendSpan(alloc.id, pb.agent, msg.TAgentCfg, metrics.CatConfig, pb.span, msg.AgentCfg{
 			Requestor: pb.requestor,
 			Grant:     grant,
 		})
 		return
 	}
-	_, _ = p.sendSpan(alloc.id, pb.requestor, msgComCfg, metrics.CatConfig, pb.span, grant)
+	_, _ = p.sendSpan(alloc.id, pb.requestor, msg.TComCfg, metrics.CatConfig, pb.span, grant)
 }
 
 // --- common node configuration (requestor side) --------------------------
 
-func (p *Protocol) onComCfg(nd *node, m netstack.Message, pl comCfg) {
+func (p *Protocol) onComCfg(nd *node, m netstack.Message, pl msg.ComCfg) {
 	if nd.hasIP || !nd.alive {
 		return
 	}
@@ -1037,7 +1038,7 @@ func (p *Protocol) onComCfg(nd *node, m netstack.Message, pl comCfg) {
 	}
 	p.rt.Trace(obs.Event{Kind: obs.EvAllocGrant, Node: nd.id, Peer: pl.Configurer, Addr: pl.Addr, Span: m.Span})
 	p.rt.Trace(obs.Event{Kind: obs.EvNodeConfigured, Node: nd.id, Peer: pl.Configurer, Addr: pl.Addr, Span: m.Span})
-	_, _ = p.sendSpan(nd.id, pl.Configurer, msgComAck, metrics.CatConfig, m.Span, comAck{
+	_, _ = p.sendSpan(nd.id, pl.Configurer, msg.TComAck, metrics.CatConfig, m.Span, msg.ComAck{
 		Addr:     pl.Addr,
 		PathHops: pl.PathHops + m.Hops,
 	})
@@ -1066,7 +1067,7 @@ func (p *Protocol) onCfgNack(nd *node) {
 
 // --- cluster head configuration (Table 1) --------------------------------
 
-func (p *Protocol) onChReq(alloc *node, m netstack.Message, pl chReq) {
+func (p *Protocol) onChReq(alloc *node, m netstack.Message, pl msg.ChReq) {
 	if !alloc.isHead() || alloc.pools == nil {
 		p.nack(alloc, m.Src, false, 0, pl.PathHops+m.Hops)
 		return
@@ -1091,23 +1092,23 @@ func (p *Protocol) onChReq(alloc *node, m netstack.Message, pl chReq) {
 		p.nack(alloc, m.Src, false, 0, pl.PathHops+m.Hops)
 		return
 	}
-	_, _ = p.sendSpan(alloc.id, m.Src, msgChPrp, metrics.CatConfig, m.Span, chPrp{
+	_, _ = p.sendSpan(alloc.id, m.Src, msg.TChPrp, metrics.CatConfig, m.Span, msg.ChPrp{
 		Block:    proposal,
 		PathHops: pl.PathHops + m.Hops,
 	})
 }
 
-func (p *Protocol) onChPrp(nd *node, m netstack.Message, pl chPrp) {
+func (p *Protocol) onChPrp(nd *node, m netstack.Message, pl msg.ChPrp) {
 	if nd.hasIP || !nd.alive {
 		return
 	}
-	_, _ = p.sendSpan(nd.id, m.Src, msgChCnf, metrics.CatConfig, m.Span, chCnf{
+	_, _ = p.sendSpan(nd.id, m.Src, msg.TChCnf, metrics.CatConfig, m.Span, msg.ChCnf{
 		Block:    pl.Block,
 		PathHops: pl.PathHops + m.Hops,
 	})
 }
 
-func (p *Protocol) onChCnf(alloc *node, m netstack.Message, pl chCnf) {
+func (p *Protocol) onChCnf(alloc *node, m netstack.Message, pl msg.ChCnf) {
 	if !alloc.isHead() {
 		return
 	}
@@ -1132,13 +1133,13 @@ func (p *Protocol) finishSplitBallot(alloc *node, pb *pendingBallot) {
 	}
 	p.rt.Trace(obs.Event{Kind: obs.EvBallotCommit, Node: alloc.id, Peer: pb.requestor, Addr: pb.addr, MsgID: pb.id, Span: pb.span, Detail: "split"})
 	for _, h := range sortedIDs(alloc.qdset) {
-		_, _ = p.sendSpan(alloc.id, h, msgSplitUpd, metrics.CatConfig, pb.span, splitUpd{
+		_, _ = p.sendSpan(alloc.id, h, msg.TSplitUpd, metrics.CatConfig, pb.span, msg.SplitUpd{
 			Owner:   alloc.id,
 			NewPool: alloc.pools.Clone(),
 			NewHead: pb.requestor,
 		})
 	}
-	_, _ = p.sendSpan(alloc.id, pb.requestor, msgChCfg, metrics.CatConfig, pb.span, chCfg{
+	_, _ = p.sendSpan(alloc.id, pb.requestor, msg.TChCfg, metrics.CatConfig, pb.span, msg.ChCfg{
 		Table:      upper,
 		NetworkID:  alloc.networkID,
 		Configurer: alloc.id,
@@ -1146,7 +1147,7 @@ func (p *Protocol) finishSplitBallot(alloc *node, pb *pendingBallot) {
 	})
 }
 
-func (p *Protocol) onChCfg(nd *node, m netstack.Message, pl chCfg) {
+func (p *Protocol) onChCfg(nd *node, m netstack.Message, pl msg.ChCfg) {
 	if nd.hasIP || !nd.alive || pl.Table == nil {
 		return
 	}
@@ -1159,7 +1160,7 @@ func (p *Protocol) onChCfg(nd *node, m netstack.Message, pl chCfg) {
 	p.initHead(nd, pool, ip, pl.NetworkID, pl.Configurer, true)
 	nd.configuring = false
 	p.rt.Trace(obs.Event{Kind: obs.EvAllocGrant, Node: nd.id, Peer: pl.Configurer, Addr: nd.ip, Span: m.Span, Detail: "head"})
-	_, _ = p.sendSpan(nd.id, pl.Configurer, msgChAck, metrics.CatConfig, m.Span, chAck{
+	_, _ = p.sendSpan(nd.id, pl.Configurer, msg.TChAck, metrics.CatConfig, m.Span, msg.ChAck{
 		PathHops: pl.PathHops + m.Hops,
 	})
 	p.completeHeadSetup(nd)
@@ -1167,12 +1168,12 @@ func (p *Protocol) onChCfg(nd *node, m netstack.Message, pl chCfg) {
 
 // --- agent relay (§V-A) ---------------------------------------------------
 
-func (p *Protocol) onAgentFwd(cfgr *node, m netstack.Message, pl agentFwd) {
+func (p *Protocol) onAgentFwd(cfgr *node, m netstack.Message, pl msg.AgentFwd) {
 	p.allocate(cfgr, pl.Requestor, pl.PathHops+m.Hops, true, m.Src, m.Span)
 }
 
-func (p *Protocol) onAgentCfg(agent *node, m netstack.Message, pl agentCfg) {
+func (p *Protocol) onAgentCfg(agent *node, m netstack.Message, pl msg.AgentCfg) {
 	grant := pl.Grant
 	grant.PathHops += m.Hops
-	_, _ = p.sendSpan(agent.id, pl.Requestor, msgComCfg, metrics.CatConfig, m.Span, grant)
+	_, _ = p.sendSpan(agent.id, pl.Requestor, msg.TComCfg, metrics.CatConfig, m.Span, grant)
 }

@@ -186,11 +186,6 @@ func (p *Params) setDefaults() {
 	}
 }
 
-// NetTag identifies a network (partition). See msg.NetTag for the
-// definition; it is aliased here because the protocol's public API
-// (quorumconf.NetTag) predates the internal/msg split.
-type NetTag = msg.NetTag
-
 // adminRecord is what an administrator head remembers about a common node
 // that registered via UPDATE_LOC.
 type adminRecord struct {
@@ -214,7 +209,7 @@ type node struct {
 
 	ip        addrspace.Addr
 	hasIP     bool
-	networkID NetTag
+	networkID msg.NetTag
 
 	configurer    radio.NodeID
 	hasConfigurer bool
@@ -457,11 +452,11 @@ func (p *Protocol) NetworkID(id radio.NodeID) (addrspace.Addr, bool) {
 }
 
 // NetworkTag returns the full partition tag, including the founder nonce.
-func (p *Protocol) NetworkTag(id radio.NodeID) (NetTag, bool) {
+func (p *Protocol) NetworkTag(id radio.NodeID) (msg.NetTag, bool) {
 	if nd, ok := p.nodes[id]; ok && nd.alive && nd.hasIP {
 		return nd.networkID, true
 	}
-	return NetTag{}, false
+	return msg.NetTag{}, false
 }
 
 // Heads returns the alive cluster heads in ascending order.

@@ -4,6 +4,7 @@ import (
 	"quorumconf/internal/addrspace"
 	"quorumconf/internal/cluster"
 	"quorumconf/internal/metrics"
+	"quorumconf/internal/msg"
 	"quorumconf/internal/netstack"
 	"quorumconf/internal/obs"
 	"quorumconf/internal/radio"
@@ -93,7 +94,7 @@ func (p *Protocol) departCommon(nd *node) {
 		p.killNode(nd) // nobody to return the address to
 		return
 	}
-	if _, sent := p.send(nd.id, head, msgReturnAddr, metrics.CatDeparture, returnAddr{
+	if _, sent := p.send(nd.id, head, msg.TReturnAddr, metrics.CatDeparture, msg.ReturnAddr{
 		Configurer:   nd.configurer,
 		ConfigurerIP: p.ipOf(nd.configurer),
 		Addr:         nd.ip,
@@ -105,11 +106,11 @@ func (p *Protocol) departCommon(nd *node) {
 	p.rt.Sim.Schedule(p.p.ConfigTimeout, func() { p.killNode(nd) })
 }
 
-func (p *Protocol) onReturnAddr(nd *node, m netstack.Message, pl returnAddr) {
+func (p *Protocol) onReturnAddr(nd *node, m netstack.Message, pl msg.ReturnAddr) {
 	if !nd.isHead() {
 		return
 	}
-	_, _ = p.send(nd.id, m.Src, msgDepartAck, metrics.CatDeparture, departAck{})
+	_, _ = p.send(nd.id, m.Src, msg.TDepartAck, metrics.CatDeparture, msg.DepartAck{})
 	delete(nd.administered, m.Src)
 	if owner := pl.Configurer; owner == nd.id {
 		delete(nd.members, m.Src)
@@ -138,7 +139,7 @@ func (p *Protocol) routeVacate(nd *node, owner radio.NodeID, addr addrspace.Addr
 			if h == nd.id {
 				continue
 			}
-			_, _ = p.send(nd.id, h, msgQuorumUpd, metrics.CatDeparture, quorumUpd{
+			_, _ = p.send(nd.id, h, msg.TQuorumUpd, metrics.CatDeparture, msg.QuorumUpd{
 				Owner: owner,
 				Addr:  addr,
 				Entry: freed,
@@ -150,7 +151,7 @@ func (p *Protocol) routeVacate(nd *node, owner radio.NodeID, addr addrspace.Addr
 	// with no local entry means the address left this head's pool (block
 	// split or return), so only the broadcast below can find the holder.
 	if owner != nd.id && p.isHeadFn(owner) {
-		if _, sent := p.send(nd.id, owner, msgReturnFwd, metrics.CatDeparture, returnFwd{
+		if _, sent := p.send(nd.id, owner, msg.TReturnFwd, metrics.CatDeparture, msg.ReturnFwd{
 			Owner: owner,
 			Addr:  addr,
 		}); sent {
@@ -160,7 +161,7 @@ func (p *Protocol) routeVacate(nd *node, owner radio.NodeID, addr addrspace.Addr
 	// Allocator gone or unreachable: broadcast the vacate to adjacent
 	// heads; whichever holds a replica commits it.
 	for _, h := range sortedIDs(nd.qdset) {
-		_, _ = p.send(nd.id, h, msgVacate, metrics.CatDeparture, vacate{
+		_, _ = p.send(nd.id, h, msg.TVacate, metrics.CatDeparture, msg.Vacate{
 			Owner: owner,
 			Addr:  addr,
 			TTL:   1,
@@ -168,14 +169,14 @@ func (p *Protocol) routeVacate(nd *node, owner radio.NodeID, addr addrspace.Addr
 	}
 }
 
-func (p *Protocol) onReturnFwd(nd *node, pl returnFwd) {
+func (p *Protocol) onReturnFwd(nd *node, pl msg.ReturnFwd) {
 	if !nd.isHead() {
 		return
 	}
 	p.routeVacate(nd, pl.Owner, pl.Addr)
 }
 
-func (p *Protocol) onVacate(nd *node, pl vacate) {
+func (p *Protocol) onVacate(nd *node, pl msg.Vacate) {
 	if !nd.isHead() {
 		return
 	}
@@ -189,7 +190,7 @@ func (p *Protocol) onVacate(nd *node, pl vacate) {
 		return
 	}
 	for _, h := range sortedIDs(nd.qdset) {
-		_, _ = p.send(nd.id, h, msgVacate, metrics.CatDeparture, vacate{
+		_, _ = p.send(nd.id, h, msg.TVacate, metrics.CatDeparture, msg.Vacate{
 			Owner: pl.Owner,
 			Addr:  pl.Addr,
 			TTL:   pl.TTL - 1,
@@ -235,11 +236,11 @@ func (p *Protocol) departHead(nd *node) {
 			delete(p.ipOwner, nd.ip)
 		}
 	}
-	members := make([]memberRecord, 0, len(nd.members))
+	members := make([]msg.MemberRecord, 0, len(nd.members))
 	for _, id := range sortedIDs(nd.members) {
-		members = append(members, memberRecord{Node: id, Addr: nd.members[id]})
+		members = append(members, msg.MemberRecord{Node: id, Addr: nd.members[id]})
 	}
-	_, sent := p.send(nd.id, target, msgChReturn, metrics.CatDeparture, chReturn{
+	_, sent := p.send(nd.id, target, msg.TChReturn, metrics.CatDeparture, msg.ChReturn{
 		Pool:    nd.pools,
 		Members: members,
 	})
@@ -251,17 +252,17 @@ func (p *Protocol) departHead(nd *node) {
 	// Resign from every QDSet (§IV-C2).
 	for _, h := range sortedIDs(nd.qdset) {
 		if h != target {
-			_, _ = p.send(nd.id, h, msgChResign, metrics.CatDeparture, chResign{})
+			_, _ = p.send(nd.id, h, msg.TChResign, metrics.CatDeparture, msg.ChResign{})
 		}
 	}
 	p.rt.Sim.Schedule(p.p.ConfigTimeout, func() { p.killNode(nd) })
 }
 
-func (p *Protocol) onChReturn(nd *node, m netstack.Message, pl chReturn) {
+func (p *Protocol) onChReturn(nd *node, m netstack.Message, pl msg.ChReturn) {
 	if !nd.isHead() {
 		return
 	}
-	_, _ = p.send(nd.id, m.Src, msgChReturnAck, metrics.CatDeparture, chReturnAck{})
+	_, _ = p.send(nd.id, m.Src, msg.TChReturnAck, metrics.CatDeparture, msg.ChReturnAck{})
 	if pl.Pool != nil {
 		for _, t := range pl.Pool.Tables() {
 			nd.pools.Add(t)
@@ -285,14 +286,14 @@ func (p *Protocol) onChReturn(nd *node, m netstack.Message, pl chReturn) {
 			continue
 		}
 		nd.members[rec.Node] = rec.Addr
-		_, _ = p.send(nd.id, rec.Node, msgReassign, metrics.CatDeparture, reassign{
+		_, _ = p.send(nd.id, rec.Node, msg.TReassign, metrics.CatDeparture, msg.Reassign{
 			NewAllocator:   nd.id,
 			NewAllocatorIP: nd.ip,
 		})
 	}
 	// The pool grew: refresh replicas at this head's own holders.
 	for _, h := range sortedIDs(nd.qdset) {
-		_, _ = p.send(nd.id, h, msgPoolUpd, metrics.CatDeparture, poolUpd{
+		_, _ = p.send(nd.id, h, msg.TPoolUpd, metrics.CatDeparture, msg.PoolUpd{
 			Owner: nd.id,
 			Pool:  nd.pools.Clone(),
 		})
@@ -318,7 +319,7 @@ func (p *Protocol) onChResign(nd *node, m netstack.Message) {
 	p.maintainReplicationLevel(nd)
 }
 
-func (p *Protocol) onReassign(nd *node, pl reassign) {
+func (p *Protocol) onReassign(nd *node, pl msg.Reassign) {
 	if !nd.isCommon() {
 		return
 	}
@@ -327,7 +328,7 @@ func (p *Protocol) onReassign(nd *node, pl reassign) {
 	nd.hasAdmin = false
 }
 
-func (p *Protocol) onPoolUpd(nd *node, pl poolUpd) {
+func (p *Protocol) onPoolUpd(nd *node, pl msg.PoolUpd) {
 	if !nd.isHead() || pl.Pool == nil {
 		return
 	}

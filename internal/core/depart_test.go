@@ -6,6 +6,7 @@ import (
 
 	"quorumconf/internal/addrspace"
 	"quorumconf/internal/metrics"
+	"quorumconf/internal/msg"
 	"quorumconf/internal/radio"
 )
 
@@ -149,9 +150,9 @@ func TestReassignAfterHeadReturnKeepsMemberWorking(t *testing.T) {
 }
 
 func TestNetTagSemantics(t *testing.T) {
-	a := NetTag{Addr: 1, Nonce: 5}
-	b := NetTag{Addr: 1, Nonce: 9}
-	c := NetTag{Addr: 2, Nonce: 0}
+	a := msg.NetTag{Addr: 1, Nonce: 5}
+	b := msg.NetTag{Addr: 1, Nonce: 9}
+	c := msg.NetTag{Addr: 2, Nonce: 0}
 	if !a.Less(b) || b.Less(a) {
 		t.Error("nonce ordering wrong")
 	}
@@ -161,7 +162,7 @@ func TestNetTagSemantics(t *testing.T) {
 	if a.Less(a) {
 		t.Error("tag less than itself")
 	}
-	var zero NetTag
+	var zero msg.NetTag
 	if !zero.IsZero() || a.IsZero() {
 		t.Error("IsZero wrong")
 	}

@@ -7,6 +7,7 @@ import (
 	"quorumconf/internal/cluster"
 	"quorumconf/internal/health"
 	"quorumconf/internal/metrics"
+	"quorumconf/internal/msg"
 	"quorumconf/internal/netstack"
 	"quorumconf/internal/obs"
 	"quorumconf/internal/radio"
@@ -122,7 +123,7 @@ func (p *Protocol) evaluateHealth(nd *node) {
 	check := nd.healthMon.Evaluate(simEpoch.Add(p.rt.Sim.Now()), nd.id, peers)
 	for _, h := range check.Refresh {
 		p.rt.Trace(obs.Event{Kind: obs.EvReplicaSync, Node: nd.id, Peer: h, Addr: nd.ip})
-		_, _ = p.send(nd.id, h, msgReplicaDist, metrics.CatSync, replicaDist{Info: holderInfo{
+		_, _ = p.send(nd.id, h, msg.TReplicaDist, metrics.CatSync, msg.ReplicaDist{Info: msg.HolderInfo{
 			Owner:   nd.id,
 			OwnerIP: nd.ip,
 			Pool:    nd.pools.Clone(),
@@ -200,7 +201,7 @@ func (p *Protocol) onTdExpired(nd *node, m radio.NodeID) {
 	// reachable, so one transmission is charged either way. Probes are
 	// quorum-adjustment maintenance (§V-B), not reclamation traffic.
 	p.rt.Trace(obs.Event{Kind: obs.EvQuorumProbe, Node: nd.id, Peer: m})
-	if _, ok := p.send(nd.id, m, msgRepReq, metrics.CatSync, repReq{}); !ok {
+	if _, ok := p.send(nd.id, m, msg.TRepReq, metrics.CatSync, msg.RepReq{}); !ok {
 		p.rt.Coll.AddTransmissions(metrics.CatSync, 1)
 	}
 	if t, ok := nd.probing[m]; ok {
@@ -216,7 +217,7 @@ func (p *Protocol) onRepReq(nd *node, m netstack.Message) {
 	if !nd.alive {
 		return
 	}
-	_, _ = p.send(nd.id, m.Src, msgRepRsp, metrics.CatSync, repRsp{})
+	_, _ = p.send(nd.id, m.Src, msg.TRepRsp, metrics.CatSync, msg.RepRsp{})
 }
 
 func (p *Protocol) onRepRsp(nd *node, m netstack.Message) {
@@ -282,7 +283,7 @@ func (p *Protocol) maintainReplicationLevel(nd *node) {
 		recruited = true
 		p.rt.Coll.Inc(CounterQuorumRecruits)
 		p.rt.Trace(obs.Event{Kind: obs.EvQuorumRecruit, Node: nd.id, Peer: h})
-		_, _ = p.send(nd.id, h, msgReplicaDist, metrics.CatSync, replicaDist{Info: holderInfo{
+		_, _ = p.send(nd.id, h, msg.TReplicaDist, metrics.CatSync, msg.ReplicaDist{Info: msg.HolderInfo{
 			Owner:   nd.id,
 			OwnerIP: nd.ip,
 			Pool:    nd.pools.Clone(),
@@ -319,7 +320,7 @@ func (p *Protocol) runLocationUpdates() {
 		if !ok || head == anchor {
 			continue
 		}
-		if _, sent := p.send(nd.id, head, msgUpdateLoc, metrics.CatMovement, updateLoc{
+		if _, sent := p.send(nd.id, head, msg.TUpdateLoc, metrics.CatMovement, msg.UpdateLoc{
 			Configurer:   nd.configurer,
 			ConfigurerIP: p.ipOf(nd.configurer),
 			Addr:         nd.ip,
@@ -341,7 +342,7 @@ func (p *Protocol) ipOf(id radio.NodeID) addrspace.Addr {
 	return 0
 }
 
-func (p *Protocol) onUpdateLoc(nd *node, m netstack.Message, pl updateLoc) {
+func (p *Protocol) onUpdateLoc(nd *node, m netstack.Message, pl msg.UpdateLoc) {
 	if !nd.isHead() {
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"quorumconf/internal/addrspace"
 	"quorumconf/internal/metrics"
 	"quorumconf/internal/mobility"
+	"quorumconf/internal/msg"
 	"quorumconf/internal/netstack"
 	"quorumconf/internal/radio"
 )
@@ -100,10 +101,10 @@ func TestAgentRelayTrace(t *testing.T) {
 	}
 
 	joined := strings.Join(kinds, " ")
-	if !strings.Contains(joined, msgAgentFwd) {
+	if !strings.Contains(joined, msg.TAgentFwd) {
 		t.Error("no AGENT_FWD in trace")
 	}
-	if !strings.Contains(joined, msgAgentCfg) {
+	if !strings.Contains(joined, msg.TAgentCfg) {
 		t.Error("no AGENT_CFG in trace")
 	}
 }

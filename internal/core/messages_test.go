@@ -10,8 +10,7 @@ import (
 )
 
 // messageShapes pins the wire contract message by message: the type name,
-// the payload struct (through the core alias, proving the alias still
-// resolves to the exported definition), and the exact field set. The table
+// the payload struct, and the exact field set. The table
 // is grouped by protocol category and its order matches msg.Types(), which
 // is what the wire codec derives its type codes from — reordering or
 // reshaping anything here is a wire-format break and must fail loudly.
@@ -22,51 +21,51 @@ var messageShapes = []struct {
 	fields   []string
 }{
 	// Network discovery (§IV-A).
-	{"discovery", msgFirstBcast, firstBcast{}, []string{"Tries"}},
-	{"discovery", msgFirstResp, firstResp{}, []string{"IP", "NetworkID", "IsHead"}},
+	{"discovery", msg.TFirstBcast, msg.FirstBcast{}, []string{"Tries"}},
+	{"discovery", msg.TFirstResp, msg.FirstResp{}, []string{"IP", "NetworkID", "IsHead"}},
 	// Common-node configuration (§IV-B).
-	{"configuration", msgComReq, comReq{}, []string{"PathHops"}},
-	{"configuration", msgComCfg, comCfg{}, []string{"Addr", "NetworkID", "Configurer", "PathHops"}},
-	{"configuration", msgComAck, comAck{}, []string{"Addr", "PathHops"}},
-	{"configuration", msgNack, cfgNack{}, []string{"PathHops"}},
+	{"configuration", msg.TComReq, msg.ComReq{}, []string{"PathHops"}},
+	{"configuration", msg.TComCfg, msg.ComCfg{}, []string{"Addr", "NetworkID", "Configurer", "PathHops"}},
+	{"configuration", msg.TComAck, msg.ComAck{}, []string{"Addr", "PathHops"}},
+	{"configuration", msg.TNack, msg.CfgNack{}, []string{"PathHops"}},
 	// Cluster-head configuration and block splitting (§IV-B).
-	{"cluster-head", msgChReq, chReq{}, []string{"PathHops"}},
-	{"cluster-head", msgChPrp, chPrp{}, []string{"Block", "PathHops"}},
-	{"cluster-head", msgChCnf, chCnf{}, []string{"Block", "PathHops"}},
-	{"cluster-head", msgChCfg, chCfg{}, []string{"Table", "NetworkID", "Configurer", "PathHops"}},
-	{"cluster-head", msgChAck, chAck{}, []string{"PathHops"}},
+	{"cluster-head", msg.TChReq, msg.ChReq{}, []string{"PathHops"}},
+	{"cluster-head", msg.TChPrp, msg.ChPrp{}, []string{"Block", "PathHops"}},
+	{"cluster-head", msg.TChCnf, msg.ChCnf{}, []string{"Block", "PathHops"}},
+	{"cluster-head", msg.TChCfg, msg.ChCfg{}, []string{"Table", "NetworkID", "Configurer", "PathHops"}},
+	{"cluster-head", msg.TChAck, msg.ChAck{}, []string{"PathHops"}},
 	// Quorum ballots (§IV-C).
-	{"quorum", msgQuorumClt, quorumClt{}, []string{"BallotID", "Owner", "Addr", "Split", "Allocator"}},
-	{"quorum", msgQuorumCfm, quorumCfm{}, []string{"BallotID", "Entry", "HasReplica", "Busy"}},
-	{"quorum", msgQuorumUpd, quorumUpd{}, []string{"Owner", "Addr", "Entry"}},
-	{"quorum", msgSplitUpd, splitUpd{}, []string{"Owner", "NewPool", "NewHead"}},
+	{"quorum", msg.TQuorumClt, msg.QuorumClt{}, []string{"BallotID", "Owner", "Addr", "Split", "Allocator"}},
+	{"quorum", msg.TQuorumCfm, msg.QuorumCfm{}, []string{"BallotID", "Entry", "HasReplica", "Busy"}},
+	{"quorum", msg.TQuorumUpd, msg.QuorumUpd{}, []string{"Owner", "Addr", "Entry"}},
+	{"quorum", msg.TSplitUpd, msg.SplitUpd{}, []string{"Owner", "NewPool", "NewHead"}},
 	// Replica distribution (§IV-C).
-	{"replication", msgReplicaDist, replicaDist{}, []string{"Info"}},
-	{"replication", msgReplicaAck, replicaAck{}, []string{"Info"}},
+	{"replication", msg.TReplicaDist, msg.ReplicaDist{}, []string{"Info"}},
+	{"replication", msg.TReplicaAck, msg.ReplicaAck{}, []string{"Info"}},
 	// Agent relay (§IV-B).
-	{"agent", msgAgentFwd, agentFwd{}, []string{"Requestor", "PathHops"}},
-	{"agent", msgAgentCfg, agentCfg{}, []string{"Requestor", "Grant"}},
+	{"agent", msg.TAgentFwd, msg.AgentFwd{}, []string{"Requestor", "PathHops"}},
+	{"agent", msg.TAgentCfg, msg.AgentCfg{}, []string{"Requestor", "Grant"}},
 	// Movement (§IV-D).
-	{"movement", msgUpdateLoc, updateLoc{}, []string{"Configurer", "ConfigurerIP", "Addr"}},
+	{"movement", msg.TUpdateLoc, msg.UpdateLoc{}, []string{"Configurer", "ConfigurerIP", "Addr"}},
 	// Graceful departure (§IV-D).
-	{"departure", msgReturnAddr, returnAddr{}, []string{"Configurer", "ConfigurerIP", "Addr"}},
-	{"departure", msgDepartAck, departAck{}, nil},
-	{"departure", msgReturnFwd, returnFwd{}, []string{"Owner", "Addr"}},
-	{"departure", msgVacate, vacate{}, []string{"Owner", "Addr", "TTL"}},
-	{"departure", msgChReturn, chReturn{}, []string{"Pool", "Members"}},
-	{"departure", msgChReturnAck, chReturnAck{}, nil},
-	{"departure", msgChResign, chResign{}, nil},
-	{"departure", msgReassign, reassign{}, []string{"NewAllocator", "NewAllocatorIP"}},
-	{"departure", msgPoolUpd, poolUpd{}, []string{"Owner", "Pool"}},
+	{"departure", msg.TReturnAddr, msg.ReturnAddr{}, []string{"Configurer", "ConfigurerIP", "Addr"}},
+	{"departure", msg.TDepartAck, msg.DepartAck{}, nil},
+	{"departure", msg.TReturnFwd, msg.ReturnFwd{}, []string{"Owner", "Addr"}},
+	{"departure", msg.TVacate, msg.Vacate{}, []string{"Owner", "Addr", "TTL"}},
+	{"departure", msg.TChReturn, msg.ChReturn{}, []string{"Pool", "Members"}},
+	{"departure", msg.TChReturnAck, msg.ChReturnAck{}, nil},
+	{"departure", msg.TChResign, msg.ChResign{}, nil},
+	{"departure", msg.TReassign, msg.Reassign{}, []string{"NewAllocator", "NewAllocatorIP"}},
+	{"departure", msg.TPoolUpd, msg.PoolUpd{}, []string{"Owner", "Pool"}},
 	// Existence synchronization (§IV-D).
-	{"sync", msgRepReq, repReq{}, nil},
-	{"sync", msgRepRsp, repRsp{}, nil},
+	{"sync", msg.TRepReq, msg.RepReq{}, nil},
+	{"sync", msg.TRepRsp, msg.RepRsp{}, nil},
 	// Address reclamation (§IV-D).
-	{"reclamation", msgAddrRec, addrRec{}, []string{"Target", "TargetIP"}},
-	{"reclamation", msgRecRep, recRep{}, []string{"Target", "Addr"}},
-	{"reclamation", msgRecFwd, recFwd{}, []string{"Target", "Addr", "TTL"}},
+	{"reclamation", msg.TAddrRec, msg.AddrRec{}, []string{"Target", "TargetIP"}},
+	{"reclamation", msg.TRecRep, msg.RecRep{}, []string{"Target", "Addr"}},
+	{"reclamation", msg.TRecFwd, msg.RecFwd{}, []string{"Target", "Addr", "TTL"}},
 	// Partition handling (§V).
-	{"partition", msgReconfig, reconfig{}, nil},
+	{"partition", msg.TReconfig, msg.Reconfig{}, nil},
 }
 
 // TestMessageTableIsComplete: one shape per wire type, in wire-code order.
@@ -149,9 +148,9 @@ func TestMessageEqualitySemantics(t *testing.T) {
 	// is pointer identity there, which is why the protocol compares those
 	// by content instead. Only slice-bearing payloads lose == entirely.
 	wantUncomparable := map[string]bool{
-		msgReplicaDist: true, // HolderInfo carries []NodeID
-		msgReplicaAck:  true,
-		msgChReturn:    true, // []MemberRecord
+		msg.TReplicaDist: true, // HolderInfo carries []NodeID
+		msg.TReplicaAck:  true,
+		msg.TChReturn:    true, // []MemberRecord
 	}
 	for _, s := range messageShapes {
 		comparable := reflect.TypeOf(s.zero).Comparable()
@@ -159,12 +158,12 @@ func TestMessageEqualitySemantics(t *testing.T) {
 			t.Errorf("%s comparable = %v, want %v", s.name, comparable, want)
 		}
 	}
-	// memberRecord rides inside CH_RETURN and must stay comparable so
+	// MemberRecord rides inside CH_RETURN and must stay comparable so
 	// member sets can be deduplicated by value.
-	if !reflect.TypeOf(memberRecord{}).Comparable() {
+	if !reflect.TypeOf(msg.MemberRecord{}).Comparable() {
 		t.Error("MemberRecord must be comparable")
 	}
-	if !reflect.TypeOf(holderInfo{}.Owner).Comparable() {
+	if !reflect.TypeOf(msg.HolderInfo{}.Owner).Comparable() {
 		t.Error("HolderInfo.Owner must be comparable")
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"quorumconf/internal/addrspace"
 	"quorumconf/internal/metrics"
+	"quorumconf/internal/msg"
 	"quorumconf/internal/obs"
 	"quorumconf/internal/radio"
 )
@@ -75,7 +76,7 @@ func (p *Protocol) checkPartitions() {
 // lowestNetworkID scans the head's component for the lowest network tag
 // any configured node carries, reporting whether some node carries a tag
 // different from the head's own.
-func (p *Protocol) lowestNetworkID(snap *radio.Snapshot, nd *node) (NetTag, bool) {
+func (p *Protocol) lowestNetworkID(snap *radio.Snapshot, nd *node) (msg.NetTag, bool) {
 	lowest := nd.networkID
 	foreign := false
 	for _, other := range snap.Component(nd.id) {
@@ -131,7 +132,7 @@ func (p *Protocol) mergeRejoin(snap *radio.Snapshot, nd *node) {
 		if !p.Alive(m) || !snap.Reachable(nd.id, m) {
 			continue
 		}
-		_, _ = p.send(nd.id, m, msgReconfig, metrics.CatPartition, reconfig{})
+		_, _ = p.send(nd.id, m, msg.TReconfig, metrics.CatPartition, msg.Reconfig{})
 	}
 	p.rt.Coll.Inc(CounterMergeRejoins)
 	p.rt.Trace(obs.Event{Kind: obs.EvPartitionMerge, Node: nd.id, Addr: nd.ip, Detail: "head"})
@@ -183,7 +184,7 @@ func (p *Protocol) resetToUnconfigured(nd *node) {
 	nd.isolatedObserved = false
 	nd.hasIP = false
 	nd.ip = 0
-	nd.networkID = NetTag{}
+	nd.networkID = msg.NetTag{}
 	nd.hasConfigurer = false
 	nd.hasAdmin = false
 	nd.configuring = false
@@ -236,7 +237,7 @@ func (p *Protocol) isolatedRestart(nd *node) {
 	if hadIP {
 		delete(p.ipOwner, oldIP)
 	}
-	p.initHead(nd, pool, ip, NetTag{Addr: ip, Nonce: p.rt.Sim.Rand().Uint32()}, 0, false)
+	p.initHead(nd, pool, ip, msg.NetTag{Addr: ip, Nonce: p.rt.Sim.Rand().Uint32()}, 0, false)
 	// Reconfigure the surviving common nodes with new addresses.
 	for _, m := range members {
 		if m == nd.id {
@@ -246,6 +247,6 @@ func (p *Protocol) isolatedRestart(nd *node) {
 		if !ok || !mn.alive || !mn.hasIP {
 			continue
 		}
-		_, _ = p.send(nd.id, m, msgReconfig, metrics.CatPartition, reconfig{})
+		_, _ = p.send(nd.id, m, msg.TReconfig, metrics.CatPartition, msg.Reconfig{})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"quorumconf/internal/addrspace"
 	"quorumconf/internal/cluster"
 	"quorumconf/internal/metrics"
+	"quorumconf/internal/msg"
 	"quorumconf/internal/netstack"
 	"quorumconf/internal/obs"
 	"quorumconf/internal/radio"
@@ -42,10 +43,10 @@ func (p *Protocol) initiateReclamation(initiator *node, target radio.NodeID, tar
 	span := p.mintSpan(initiator.id)
 	p.rt.Trace(obs.Event{Kind: obs.EvReclaimStart, Node: initiator.id, Peer: target, Addr: targetIP, Span: span})
 	p.rt.Net.Flood(initiator.id, netstack.Message{
-		Type:     msgAddrRec,
+		Type:     msg.TAddrRec,
 		Category: metrics.CatReclamation,
 		Span:     span,
-		Payload:  addrRec{Target: target, TargetIP: targetIP},
+		Payload:  msg.AddrRec{Target: target, TargetIP: targetIP},
 	})
 	// The initiator processes the broadcast locally too.
 	p.beginReclaimWindow(initiator, target, span)
@@ -74,7 +75,7 @@ func (p *Protocol) beginReclaimWindow(nd *node, target radio.NodeID, span uint64
 	nd.reclaims[target] = rs
 }
 
-func (p *Protocol) onAddrRec(nd *node, span uint64, pl addrRec) {
+func (p *Protocol) onAddrRec(nd *node, span uint64, pl msg.AddrRec) {
 	if !nd.alive {
 		return
 	}
@@ -95,17 +96,17 @@ func (p *Protocol) onAddrRec(nd *node, span uint64, pl addrRec) {
 	if !ok {
 		return
 	}
-	_, _ = p.sendSpan(nd.id, head, msgRecRep, metrics.CatReclamation, span, recRep{
+	_, _ = p.sendSpan(nd.id, head, msg.TRecRep, metrics.CatReclamation, span, msg.RecRep{
 		Target: pl.Target,
 		Addr:   nd.ip,
 	})
 }
 
-func (p *Protocol) onRecRep(nd *node, span uint64, pl recRep) {
+func (p *Protocol) onRecRep(nd *node, span uint64, pl msg.RecRep) {
 	p.applyRecReport(nd, span, pl.Target, pl.Addr, 1)
 }
 
-func (p *Protocol) onRecFwd(nd *node, span uint64, pl recFwd) {
+func (p *Protocol) onRecFwd(nd *node, span uint64, pl msg.RecFwd) {
 	p.applyRecReport(nd, span, pl.Target, pl.Addr, pl.TTL)
 }
 
@@ -129,7 +130,7 @@ func (p *Protocol) applyRecReport(nd *node, span uint64, target radio.NodeID, ad
 		return
 	}
 	for _, h := range sortedIDs(nd.qdset) {
-		_, _ = p.sendSpan(nd.id, h, msgRecFwd, metrics.CatReclamation, span, recFwd{
+		_, _ = p.sendSpan(nd.id, h, msg.TRecFwd, metrics.CatReclamation, span, msg.RecFwd{
 			Target: target,
 			Addr:   addr,
 			TTL:    ttl - 1,

@@ -7,6 +7,7 @@ import (
 
 	"quorumconf/internal/addrspace"
 	"quorumconf/internal/mobility"
+	"quorumconf/internal/msg"
 	"quorumconf/internal/protocol"
 	"quorumconf/internal/radio"
 	"quorumconf/internal/workload"
@@ -146,7 +147,7 @@ func TestStressRepeatedPartitionCycles(t *testing.T) {
 		t.Errorf("oscillating node unconfigured at the end (role %v)", h.p.Role(3))
 	}
 	// All nodes in the final single component share one network tag.
-	tags := map[NetTag]bool{}
+	tags := map[msg.NetTag]bool{}
 	for i := radio.NodeID(0); i <= 3; i++ {
 		if tag, ok := h.p.NetworkTag(i); ok {
 			tags[tag] = true

@@ -16,11 +16,11 @@ import (
 func newTracedHarness(t *testing.T, params Params) (*harness, *obs.Ring) {
 	t.Helper()
 	ring := obs.NewRing(16384)
-	rt, err := protocol.New(
-		protocol.WithSeed(1),
-		protocol.WithTransmissionRange(150),
-		protocol.WithTracer(obs.NewTracer(nil, ring)),
-	)
+	rt, err := protocol.NewRuntime(protocol.RuntimeConfig{
+		Seed:              1,
+		TransmissionRange: 150,
+		Tracer:            obs.NewTracer(nil, ring),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

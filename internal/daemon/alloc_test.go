@@ -36,15 +36,7 @@ func waitFormed(t *testing.T, ds []*Daemon) {
 	for i := range ds {
 		want[i] = i + 1
 	}
-	waitFor(t, 30*time.Second, "cluster formation", func() bool {
-		for _, d := range ds {
-			v, err := tryStatus(d)
-			if err != nil || !v.Joined || !electorateIs(v, want...) {
-				return false
-			}
-		}
-		return true
-	})
+	waitElectorate(t, "cluster formation", ds, want...)
 }
 
 // TestCandidatesLowestFirstSkipPending: the owner grants the lowest free

@@ -197,7 +197,7 @@ func (d *Daemon) handleV1Members(w http.ResponseWriter, r *http.Request) {
 		}
 	case http.MethodPost:
 		var req AddMemberRequest
-		if !readJSON(w, r, &req) {
+		if !readJSON(w, r, &req, false) {
 			return
 		}
 		if req.Node <= 0 {
@@ -260,16 +260,19 @@ func (d *Daemon) handleV1Health(w http.ResponseWriter, r *http.Request) {
 }
 
 // readJSON decodes a strict JSON body into dst, answering 400 and
-// returning false on malformed input.
-func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+// returning false on malformed input. An empty body leaves dst untouched
+// when optional, and is malformed otherwise.
+func readJSON(w http.ResponseWriter, r *http.Request, dst any, optional bool) bool {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return false
 	}
 	if len(bytes.TrimSpace(body)) == 0 {
-		writeError(w, http.StatusBadRequest, "request body is required")
-		return false
+		if !optional {
+			writeError(w, http.StatusBadRequest, "request body is required")
+		}
+		return optional
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -290,36 +293,19 @@ func (d *Daemon) handleV1Allocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AllocateRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+	if !readJSON(w, r, &req, true) {
 		return
 	}
-	if len(bytes.TrimSpace(body)) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
+	if req.Node != 0 {
+		known, ok := onLoop(d, w, func() bool {
+			id := radio.NodeID(req.Node)
+			return id == d.cfg.ID || d.member(id) != nil
+		})
+		if !ok {
 			return
 		}
-	}
-	if req.Node != 0 {
-		known := make(chan bool, 1)
-		d.post(func() {
-			id := radio.NodeID(req.Node)
-			known <- id == d.cfg.ID || d.inElectorate(id)
-		})
-		select {
-		case ok := <-known:
-			if !ok {
-				writeError(w, http.StatusNotFound, "unknown node %d", req.Node)
-				return
-			}
-		case <-time.After(2 * time.Second):
-			writeError(w, http.StatusServiceUnavailable, "daemon unresponsive")
-			return
-		case <-d.done:
-			writeError(w, http.StatusServiceUnavailable, "daemon stopped")
+		if !known {
+			writeError(w, http.StatusNotFound, "unknown node %d", req.Node)
 			return
 		}
 	}

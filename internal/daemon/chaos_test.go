@@ -162,9 +162,14 @@ func TestChaosMaliciousDaemonDefeated(t *testing.T) {
 
 // TestForgedSourcesDoNotGrowLiveness: without -auth-key the transport
 // delivers any decodable frame, so liveness and death bookkeeping must be
-// keyed by the electorate, not by whatever node IDs a raw socket invents.
+// keyed by the electorate, not by whatever node IDs a raw socket invents,
+// and address attribution (UPDATE_LOC, REC_REP) by the space, not by
+// whatever addresses it invents.
 func TestForgedSourcesDoNotGrowLiveness(t *testing.T) {
 	d := newSoloOwner(t)
+	// A reclamation in progress, so that REC_REP has somewhere to write.
+	run := &reclaimRun{target: 7, refreshed: make(map[addrspace.Addr]bool)}
+	onLoopSync(t, d, func() { d.reclaims[run.target] = run })
 	atk, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +180,14 @@ func TestForgedSourcesDoNotGrowLiveness(t *testing.T) {
 	before := counter(d, udptransport.CtrDelivered)
 	for i := 0; i < forged; i++ {
 		env := &wire.Envelope{MsgID: uint64(i + 1), Type: msg.TRepRsp, Src: radio.NodeID(1000 + i), Dst: d.ID(), Payload: msg.RepRsp{}}
-		if i%2 == 1 {
+		outside := testSpace.Hi + 1 + addrspace.Addr(i)
+		switch i % 4 {
+		case 1:
 			env.Type, env.Payload = msg.TAddrRec, msg.AddrRec{Target: radio.NodeID(100000 + i)}
+		case 2:
+			env.Type, env.Payload = msg.TUpdateLoc, msg.UpdateLoc{Configurer: radio.NodeID(200000 + i), ConfigurerIP: outside, Addr: outside}
+		case 3:
+			env.Type, env.Payload = msg.TRecRep, msg.RecRep{Target: run.target, Addr: outside}
 		}
 		frame, err := wire.AppendEncode([]byte{'D'}, env)
 		if err != nil {
@@ -193,9 +204,12 @@ func TestForgedSourcesDoNotGrowLiveness(t *testing.T) {
 		return counter(d, udptransport.CtrDelivered)-before >= forged/2
 	})
 	onLoopSync(t, d, func() {
-		if len(d.lastSeen) > len(d.electorate) || len(d.dead) != 0 {
-			t.Errorf("electorate of %d, yet %d liveness and %d death entries after %d forged sources",
-				len(d.electorate), len(d.lastSeen), len(d.dead), forged)
+		if len(d.roster) != 1 || d.roster[0].dead {
+			t.Errorf("roster of a solo owner is %v after %d forged sources", d.electorate(), forged)
+		}
+		if size := int(testSpace.Size()); len(d.holders) > size || len(run.refreshed) > size {
+			t.Errorf("space of %d addresses, yet %d holder and %d defense entries after %d forged frames",
+				size, len(d.holders), len(run.refreshed), forged)
 		}
 	})
 }

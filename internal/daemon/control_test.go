@@ -260,6 +260,7 @@ func TestGracefulDepart(t *testing.T) {
 	} else if !strings.Contains(e.Error, "owner") {
 		t.Errorf("owner depart error = %q, want mention of owner", e.Error)
 	}
+	checkRoster(t, "after departure", ds...)
 }
 
 // TestDepartNotJoined: departure before configuration is a 409.

@@ -25,17 +25,21 @@
 //
 // All protocol state lives on a single event-loop goroutine; the
 // transport's receive callback, timers and HTTP handlers post closures to
-// it, so there is no protocol-level locking.
+// it, so there is no protocol-level locking. What a daemon knows about an
+// electorate member is one record in one roster sorted by ID (member,
+// admit, expel, adopt): a member that leaves takes all of its state with
+// it, and one that comes back starts fresh.
 package daemon
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -255,17 +259,11 @@ type Daemon struct {
 	hasIP          bool
 	networkID      msg.NetTag
 	table          *addrspace.Table
-	electorate     []radio.NodeID
+	roster         []*member // the electorate, self included, ascending by ID
 	holders        map[addrspace.Addr]radio.NodeID
-	memberIPs      map[radio.NodeID]addrspace.Addr
-	lastSeen       map[radio.NodeID]time.Time
-	dead           map[radio.NodeID]bool
 
-	// Replica health state (owner side): the designated holder set, the
-	// lease timestamps REPLICA_ACK refreshes, and the monitor judging them.
-	monitor      *health.Monitor
-	replicaSet   map[radio.NodeID]bool
-	replicaAcked map[radio.NodeID]time.Time
+	// monitor judges the replica leases the roster records (owner side).
+	monitor *health.Monitor
 
 	// Graceful departure state (member side).
 	departing     bool
@@ -312,12 +310,7 @@ func New(cfg Config) (*Daemon, error) {
 		done:         make(chan struct{}),
 		loopWG:       make(chan struct{}),
 		holders:      make(map[addrspace.Addr]radio.NodeID),
-		memberIPs:    make(map[radio.NodeID]addrspace.Addr),
-		lastSeen:     make(map[radio.NodeID]time.Time),
-		dead:         make(map[radio.NodeID]bool),
 		monitor:      health.New(health.Config{Target: cfg.ReplicationTarget, TTL: cfg.ReplicaTTL}, tracer),
-		replicaSet:   make(map[radio.NodeID]bool),
-		replicaAcked: make(map[radio.NodeID]time.Time),
 		ballots:      make(map[uint64]*ballot),
 		pendingAddrs: make(map[addrspace.Addr]bool),
 		grants:       make(map[addrspace.Addr]voteGrant),
@@ -530,9 +523,8 @@ func (d *Daemon) bootstrap() {
 	d.networkID = msg.NetTag{Addr: d.selfIP, Nonce: d.cfg.Nonce}
 	d.owner = true
 	d.ownerID = d.cfg.ID
-	d.electorate = []radio.NodeID{d.cfg.ID}
+	d.admit(d.cfg.ID)
 	d.holders[d.selfIP] = d.cfg.ID
-	d.memberIPs[d.cfg.ID] = d.selfIP
 	d.joined = true
 	d.coll.Inc("daemon.bootstrap")
 	d.trace(obs.Event{Kind: obs.EvHeadElected, Addr: d.selfIP, Detail: "bootstrap"})
@@ -584,17 +576,14 @@ func (d *Daemon) tick() {
 		return
 	}
 	now := time.Now()
-	for _, id := range d.electorate {
-		if id == d.cfg.ID || d.dead[id] {
+	for _, m := range d.peers() {
+		if m.lastSeen.IsZero() {
+			m.lastSeen = now // grace period starts on first sight of the member
+		} else if now.Sub(m.lastSeen) > d.cfg.SuspectAfter {
+			d.declareDead(m)
 			continue
 		}
-		if last, ok := d.lastSeen[id]; !ok {
-			d.lastSeen[id] = now // grace period starts on first sight of the electorate
-		} else if now.Sub(last) > d.cfg.SuspectAfter {
-			d.declareDead(id)
-			continue
-		}
-		d.sendTo(id, msg.TRepReq, metrics.CatHello, msg.RepReq{})
+		d.sendTo(m.id, msg.TRepReq, metrics.CatHello, msg.RepReq{})
 	}
 }
 
@@ -634,43 +623,101 @@ func (d *Daemon) trace(e obs.Event) {
 	d.tracer.Emit(e)
 }
 
-// members returns the electorate without self and without the dead.
-func (d *Daemon) members() []radio.NodeID {
-	out := make([]radio.NodeID, 0, len(d.electorate))
-	for _, id := range d.electorate {
-		if id != d.cfg.ID && !d.dead[id] {
-			out = append(out, id)
+// --- roster --------------------------------------------------------------
+
+// member is everything the daemon records about one electorate member. It
+// exists exactly as long as the ID is in the electorate: an ID that leaves
+// and later re-enters starts over — alive, unseen, not a holder, never
+// acknowledged.
+type member struct {
+	id       radio.NodeID
+	ip       addrspace.Addr // zero: not learned yet; self's lives in selfIP (see ipOf)
+	lastSeen time.Time      // last message from it; zero: never (tick then starts its grace)
+	dead     bool           // the failure detector's verdict
+	holder   bool           // designated into the replica set (owner side)
+	acked    time.Time      // its last REPLICA_ACK (owner side); zero: never
+}
+
+// member returns id's record, nil when id is not in the electorate.
+func (d *Daemon) member(id radio.NodeID) *member {
+	if i, ok := d.rosterIndex(id); ok {
+		return d.roster[i]
+	}
+	return nil
+}
+
+func (d *Daemon) rosterIndex(id radio.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(d.roster, id, func(m *member, id radio.NodeID) int { return cmp.Compare(m.id, id) })
+}
+
+// admit returns id's record, entering a fresh one into the roster when id
+// is not a member yet.
+func (d *Daemon) admit(id radio.NodeID) *member {
+	i, ok := d.rosterIndex(id)
+	if !ok {
+		d.roster = slices.Insert(d.roster, i, &member{id: id})
+	}
+	return d.roster[i]
+}
+
+// expel drops id from the roster, and with the record everything that was
+// known about it.
+func (d *Daemon) expel(id radio.NodeID) {
+	if i, ok := d.rosterIndex(id); ok {
+		d.roster = slices.Delete(d.roster, i, i+1)
+	}
+}
+
+// adopt makes the roster the set ids names (the electorate of a
+// REPLICA_DIST) — beside admit and expel the only writer of the roster. It
+// is a set difference: a member that stays keeps its record, a newcomer
+// gets a fresh one, and a member that is gone is dropped whole.
+func (d *Daemon) adopt(ids []radio.NodeID) {
+	ids = slices.Clone(ids)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	next := make([]*member, len(ids))
+	for i, id := range ids {
+		if next[i] = d.member(id); next[i] == nil {
+			next[i] = &member{id: id}
+		}
+	}
+	d.roster = next
+}
+
+// electorate lists the roster's IDs, ascending — the form the wire and the
+// logs use.
+func (d *Daemon) electorate() []radio.NodeID {
+	ids := make([]radio.NodeID, len(d.roster))
+	for i, m := range d.roster {
+		ids[i] = m.id
+	}
+	return ids
+}
+
+// peers returns the members not declared dead, without self: everyone a
+// broadcast goes to. The slice is the caller's, so the roster may change
+// under a loop over it.
+func (d *Daemon) peers() []*member {
+	out := make([]*member, 0, len(d.roster))
+	for _, m := range d.roster {
+		if m.id != d.cfg.ID && !m.dead {
+			out = append(out, m)
 		}
 	}
 	return out
 }
 
-func (d *Daemon) inElectorate(id radio.NodeID) bool {
-	for _, e := range d.electorate {
-		if e == id {
-			return true
-		}
+// ipOf returns the address id configured itself with, zero when unknown.
+func (d *Daemon) ipOf(id radio.NodeID) addrspace.Addr {
+	if id == d.cfg.ID {
+		return d.selfIP
 	}
-	return false
+	if m := d.member(id); m != nil {
+		return m.ip
+	}
+	return 0
 }
 
 // majority is the quorum threshold over the current electorate.
-func (d *Daemon) majority() int { return len(d.electorate)/2 + 1 }
-
-func (d *Daemon) addToElectorate(id radio.NodeID) {
-	if d.inElectorate(id) {
-		return
-	}
-	d.electorate = append(d.electorate, id)
-	sort.Slice(d.electorate, func(i, j int) bool { return d.electorate[i] < d.electorate[j] })
-}
-
-func (d *Daemon) removeFromElectorate(id radio.NodeID) {
-	out := d.electorate[:0]
-	for _, e := range d.electorate {
-		if e != id {
-			out = append(out, e)
-		}
-	}
-	d.electorate = out
-}
+func (d *Daemon) majority() int { return len(d.roster)/2 + 1 }

@@ -160,6 +160,7 @@ func TestFiveDaemonLifecycle(t *testing.T) {
 		}
 		return true
 	})
+	checkRoster(t, "formation", ds...)
 	ownerView := getStatus(t, owner)
 	if ownerView.Role != "owner" {
 		t.Fatalf("daemon 1 role = %q, want owner", ownerView.Role)
@@ -203,11 +204,13 @@ func TestFiveDaemonLifecycle(t *testing.T) {
 		v, err := tryStatus(owner)
 		return err == nil && v.Occupied == 9 // 5 selves + 4 leases
 	})
+	checkRoster(t, "allocation", ds...)
 
 	// Phase 3: kill daemon 5 without ceremony. It held its self IP and two
 	// leases; daemon 2's lease must survive reclamation.
 	victimIP := getStatus(t, ds[4]).IP
 	ds[4].Kill()
+	checkRoster(t, "crash", ds[:4]...)
 
 	waitFor(t, 30*time.Second, "reclamation to converge", func() bool {
 		v, err := tryStatus(owner)
@@ -245,6 +248,7 @@ func TestFiveDaemonLifecycle(t *testing.T) {
 		}
 		return true
 	})
+	checkRoster(t, "reclamation", ds[:4]...)
 
 	// Phase 4: the shrunken cluster still allocates.
 	v, code := allocate(t, ds[3])

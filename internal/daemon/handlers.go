@@ -5,7 +5,6 @@ package daemon
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"quorumconf/internal/addrspace"
@@ -19,12 +18,12 @@ import (
 
 // handle dispatches one received envelope. A message from a member of the
 // electorate is proof of life; any other source — a joiner not yet
-// admitted, an ID a raw socket invented — leaves no liveness state behind
-// (the owner stamps a joiner when it admits it, and tick grants grace on
-// first sight of a new electorate).
+// admitted, an ID a raw socket invented — has no record to leave liveness
+// in (the owner stamps a joiner when it admits it, and tick grants grace on
+// first sight of a new member).
 func (d *Daemon) handle(env *wire.Envelope) {
-	if d.inElectorate(env.Src) {
-		d.lastSeen[env.Src] = time.Now()
+	if m := d.member(env.Src); m != nil {
+		m.lastSeen = time.Now()
 	}
 	switch p := env.Payload.(type) {
 	case msg.ChReq:
@@ -86,12 +85,14 @@ func (d *Daemon) onJoinRequest(requestor, agent radio.NodeID, span uint64) {
 		return
 	}
 
-	delete(d.dead, requestor) // a reclaimed daemon may come back and rejoin
-	if ip, ok := d.memberIPs[requestor]; ok && d.inElectorate(requestor) {
-		// Duplicate CH_REQ: the previous grant was lost in flight. Re-send;
-		// every step of the grant is idempotent at the receiver.
-		d.sendJoinGrant(requestor, agent, ip, span)
-		return
+	if m := d.member(requestor); m != nil {
+		m.dead = false // a member asking again is alive, whatever the detector said
+		if m.ip != 0 {
+			// Duplicate CH_REQ: the previous grant was lost in flight. Re-send;
+			// every step of the grant is idempotent at the receiver.
+			d.sendJoinGrant(requestor, agent, m.ip, span)
+			return
+		}
 	}
 	if d.joinInFlight[requestor] {
 		return
@@ -106,13 +107,13 @@ func (d *Daemon) onJoinRequest(requestor, agent radio.NodeID, span uint64) {
 			}
 			return
 		}
-		d.addToElectorate(requestor)
-		d.memberIPs[requestor] = addr
+		m := d.admit(requestor)
+		m.ip = addr
+		m.lastSeen = time.Now()
 		d.holders[addr] = requestor
-		d.lastSeen[requestor] = time.Now()
 		d.coll.Inc("daemon.joins")
 		d.sendJoinGrant(requestor, agent, addr, span)
-		d.logf("admitted %d as %v; electorate %v", requestor, addr, d.electorate)
+		d.logf("admitted %d as %v; electorate %v", requestor, addr, d.electorate())
 	})
 }
 
@@ -128,7 +129,7 @@ func (d *Daemon) sendJoinGrant(requestor, agent radio.NodeID, ip addrspace.Addr,
 	}
 	d.broadcastReplica()
 	for addr, h := range d.holders {
-		d.sendTo(requestor, msg.TUpdateLoc, metrics.CatSync, msg.UpdateLoc{Configurer: h, ConfigurerIP: d.memberIPs[h], Addr: addr})
+		d.sendTo(requestor, msg.TUpdateLoc, metrics.CatSync, msg.UpdateLoc{Configurer: h, ConfigurerIP: d.ipOf(h), Addr: addr})
 	}
 }
 
@@ -150,7 +151,6 @@ func (d *Daemon) onGrant(src radio.NodeID, g msg.ComCfg, span uint64) {
 		d.hasIP = true
 		d.networkID = g.NetworkID
 		d.ownerID = g.Configurer
-		d.memberIPs[d.cfg.ID] = g.Addr
 		d.holders[g.Addr] = d.cfg.ID
 		d.trace(obs.Event{Kind: obs.EvAllocGrant, Peer: g.Configurer, Addr: g.Addr, Span: span, Detail: "join"})
 		d.sendTo(g.Configurer, msg.TChAck, metrics.CatConfig, msg.ChAck{})
@@ -193,21 +193,21 @@ func (d *Daemon) takeAllocWaiter(span uint64) (chan allocResult, bool) {
 	return w, ok
 }
 
-// onReplicaDist adopts the owner's authoritative view: electorate, owner
-// identity, and — for designated replica holders — any fresher table
-// entries, confirmed back with REPLICA_ACK so the owner's health monitor
-// can count this replica. Membership-only distributions (nil Pool, sent to
-// non-holders under a bounded ReplicationTarget) update the electorate
-// without touching the table and are not acknowledged as replicas.
+// onReplicaDist adopts the owner's authoritative view: electorate (as a set
+// difference against the roster, see adopt), owner identity, and — for
+// designated replica holders — any fresher table entries, confirmed back
+// with REPLICA_ACK so the owner's health monitor can count this replica.
+// Membership-only distributions (nil Pool, sent to non-holders under a
+// bounded ReplicationTarget) update the electorate without touching the
+// table and are not acknowledged as replicas.
 func (d *Daemon) onReplicaDist(src radio.NodeID, p msg.ReplicaDist) {
 	info := p.Info
 	d.ownerID = info.Owner
 	d.owner = info.Owner == d.cfg.ID
-	if info.OwnerIP != 0 {
-		d.memberIPs[info.Owner] = info.OwnerIP
+	d.adopt(info.Holders)
+	if m := d.member(info.Owner); m != nil && info.OwnerIP != 0 {
+		m.ip = info.OwnerIP
 	}
-	d.electorate = append(d.electorate[:0], info.Holders...)
-	sort.Slice(d.electorate, func(i, j int) bool { return d.electorate[i] < d.electorate[j] })
 	d.haveMembership = true
 	d.trace(obs.Event{Kind: obs.EvReplicaAdopt, Peer: info.Owner, Addr: info.OwnerIP})
 	if info.Pool != nil {
@@ -237,7 +237,7 @@ func (d *Daemon) checkJoined() {
 		d.hists.Observe(obs.HistConfigLatency, 1e-6, time.Since(d.joinStarted).Microseconds())
 	}
 	d.trace(obs.Event{Kind: obs.EvNodeConfigured, Peer: d.ownerID, Addr: d.selfIP, Span: d.joinSpan})
-	d.logf("joined: ip=%v owner=%d electorate=%v", d.selfIP, int(d.ownerID), d.electorate)
+	d.logf("joined: ip=%v owner=%d electorate=%v", d.selfIP, int(d.ownerID), d.electorate())
 }
 
 // --- allocation ballots --------------------------------------------------
@@ -333,8 +333,8 @@ func (d *Daemon) propose(b *ballot) {
 	// The allocator votes for itself with its own replica entry.
 	e, _ := d.table.Get(cand)
 	b.votes[d.cfg.ID] = msg.QuorumCfm{BallotID: b.id, Entry: e, HasReplica: true}
-	for _, id := range d.members() {
-		d.sendSpan(id, msg.TQuorumClt, metrics.CatConfig, b.span, msg.QuorumClt{BallotID: b.id, Owner: d.cfg.ID, Addr: cand, Allocator: d.cfg.ID})
+	for _, m := range d.peers() {
+		d.sendSpan(m.id, msg.TQuorumClt, metrics.CatConfig, b.span, msg.QuorumClt{BallotID: b.id, Owner: d.cfg.ID, Addr: cand, Allocator: d.cfg.ID})
 	}
 	ballotID := b.id
 	b.timer = d.after(d.cfg.QuorumTimeout, func() { d.ballotTimeout(ballotID) })
@@ -430,7 +430,7 @@ func (d *Daemon) evalBallot(b *ballot) {
 			d.abortBallot(b)
 			return
 		}
-		if d.inElectorate(id) || id == d.cfg.ID {
+		if id == d.cfg.ID || d.member(id) != nil {
 			votes++
 		}
 		if v.HasReplica && v.Entry.Version > maxVer {
@@ -460,14 +460,15 @@ func (d *Daemon) commitBallot(b *ballot, maxVer uint64) {
 	// commit — QUORUM_UPD, the holder's UPDATE_LOC and, from reply below,
 	// the requestor's COM_CFG — is queued back to back, so it leaves as one
 	// frame even when the peer's transport worker wakes at the first send.
-	peers := d.members()
-	if i := slices.Index(peers, b.requestor); i >= 0 {
-		peers = append(slices.Delete(peers, i, i+1), b.requestor)
+	peers := d.peers()
+	if i := slices.IndexFunc(peers, func(m *member) bool { return m.id == b.requestor }); i >= 0 {
+		requestor := peers[i]
+		peers = append(slices.Delete(peers, i, i+1), requestor)
 	}
-	for _, id := range peers {
-		d.sendSpan(id, msg.TQuorumUpd, metrics.CatConfig, b.span, msg.QuorumUpd{Owner: d.cfg.ID, Addr: b.addr, Entry: e})
+	for _, m := range peers {
+		d.sendSpan(m.id, msg.TQuorumUpd, metrics.CatConfig, b.span, msg.QuorumUpd{Owner: d.cfg.ID, Addr: b.addr, Entry: e})
 		if b.lease {
-			d.sendTo(id, msg.TUpdateLoc, metrics.CatSync, msg.UpdateLoc{Configurer: b.requestor, ConfigurerIP: d.memberIPs[b.requestor], Addr: b.addr})
+			d.sendTo(m.id, msg.TUpdateLoc, metrics.CatSync, msg.UpdateLoc{Configurer: b.requestor, ConfigurerIP: d.ipOf(b.requestor), Addr: b.addr})
 		}
 	}
 	d.coll.Inc("daemon.allocs")
@@ -489,75 +490,70 @@ func (d *Daemon) onQuorumUpd(p msg.QuorumUpd) {
 	}
 }
 
+// onUpdateLoc records who administers an address. Without an auth key any
+// socket can send one, so attribution is kept only inside the cluster's
+// space — d.holders can never outgrow it — and an IP only for a member.
 func (d *Daemon) onUpdateLoc(p msg.UpdateLoc) {
+	if !d.cfg.Space.Contains(p.Addr) {
+		return
+	}
 	d.holders[p.Addr] = p.Configurer
-	if p.ConfigurerIP != 0 {
-		d.memberIPs[p.Configurer] = p.ConfigurerIP
+	if m := d.member(p.Configurer); m != nil && p.ConfigurerIP != 0 {
+		m.ip = p.ConfigurerIP
 	}
 }
 
 // --- failure detection and reclamation -----------------------------------
 
 // declareDead handles one member going silent past SuspectAfter.
-func (d *Daemon) declareDead(id radio.NodeID) {
-	if d.dead[id] {
+func (d *Daemon) declareDead(m *member) {
+	if m.dead {
 		return
 	}
-	d.dead[id] = true
+	m.dead = true
 	d.coll.Inc("daemon.deaths_detected")
-	d.trace(obs.Event{Kind: obs.EvPeerDead, Peer: id, Addr: d.memberIPs[id], Detail: "heartbeat_miss"})
-	d.logf("peer %d declared dead", int(id))
+	d.trace(obs.Event{Kind: obs.EvPeerDead, Peer: m.id, Addr: m.ip, Detail: "heartbeat_miss"})
+	d.logf("peer %d declared dead", int(m.id))
 
-	if id == d.ownerID && !d.owner {
+	if m.id == d.ownerID && !d.owner {
 		// Owner failover: the lowest-ID survivor takes over the space; it
 		// holds a full replica, so ownership is a role change, not a copy.
-		alive := d.aliveElectorate()
-		if len(alive) > 0 {
-			d.ownerID = alive[0]
-			if alive[0] == d.cfg.ID {
+		if i := slices.IndexFunc(d.roster, func(s *member) bool { return !s.dead }); i >= 0 {
+			d.ownerID = d.roster[i].id
+			if d.ownerID == d.cfg.ID {
 				d.owner = true
 				d.coll.Inc("daemon.owner_promotions")
-				d.trace(obs.Event{Kind: obs.EvHeadElected, Peer: id, Addr: d.selfIP, Detail: "failover"})
+				d.trace(obs.Event{Kind: obs.EvHeadElected, Peer: m.id, Addr: d.selfIP, Detail: "failover"})
 				d.logf("promoted to owner after owner death")
 			}
 		}
 	}
 	if d.owner {
-		d.startReclaim(id)
+		d.startReclaim(m)
 	}
-}
-
-func (d *Daemon) aliveElectorate() []radio.NodeID {
-	out := make([]radio.NodeID, 0, len(d.electorate))
-	for _, id := range d.electorate {
-		if !d.dead[id] {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // startReclaim begins address reclamation for a dead member: announce
 // ADDR_REC, collect REC_REP defenses for ReclaimSettle, then free whatever
 // the dead daemon still holds.
-func (d *Daemon) startReclaim(target radio.NodeID) {
-	if d.reclaims[target] != nil || !d.inElectorate(target) {
+func (d *Daemon) startReclaim(target *member) {
+	if d.reclaims[target.id] != nil {
 		return
 	}
 	run := &reclaimRun{
-		target:    target,
+		target:    target.id,
 		span:      d.mintSpan(),
 		startedAt: time.Now(),
 		refreshed: make(map[addrspace.Addr]bool),
 	}
-	d.reclaims[target] = run
+	d.reclaims[target.id] = run
 	d.coll.Inc("daemon.reclaims")
-	d.trace(obs.Event{Kind: obs.EvReclaimStart, Peer: target, Addr: d.memberIPs[target], Span: run.span})
-	rec := msg.AddrRec{Target: target, TargetIP: d.memberIPs[target]}
-	for _, id := range d.members() {
-		d.sendSpan(id, msg.TAddrRec, metrics.CatReclamation, run.span, rec)
+	d.trace(obs.Event{Kind: obs.EvReclaimStart, Peer: target.id, Addr: target.ip, Span: run.span})
+	rec := msg.AddrRec{Target: target.id, TargetIP: target.ip}
+	for _, m := range d.peers() {
+		d.sendSpan(m.id, msg.TAddrRec, metrics.CatReclamation, run.span, rec)
 	}
-	d.after(d.cfg.ReclaimSettle, func() { d.finishReclaim(target) })
+	d.after(d.cfg.ReclaimSettle, func() { d.finishReclaim(target.id) })
 }
 
 // onAddrRec is the member side of reclamation: align with the reclaimer's
@@ -567,8 +563,8 @@ func (d *Daemon) onAddrRec(src radio.NodeID, p msg.AddrRec, span uint64) {
 	if p.Target == d.cfg.ID {
 		return // we are alive; our heartbeats are the real rebuttal
 	}
-	if d.inElectorate(p.Target) {
-		d.dead[p.Target] = true
+	if m := d.member(p.Target); m != nil {
+		m.dead = true
 	}
 	for addr, h := range d.holders {
 		if h == d.cfg.ID {
@@ -578,10 +574,11 @@ func (d *Daemon) onAddrRec(src radio.NodeID, p msg.AddrRec, span uint64) {
 }
 
 // onRecRep records a defense: src claims the address, so it is not the dead
-// daemon's to reclaim.
+// daemon's to reclaim. Like onUpdateLoc it keeps nothing about an address
+// outside the space.
 func (d *Daemon) onRecRep(src radio.NodeID, p msg.RecRep) {
 	run := d.reclaims[p.Target]
-	if run == nil {
+	if run == nil || !d.cfg.Space.Contains(p.Addr) {
 		return
 	}
 	run.refreshed[p.Addr] = true
@@ -592,7 +589,7 @@ func (d *Daemon) onRecRep(src radio.NodeID, p msg.RecRep) {
 }
 
 // finishReclaim frees every undefended address attributed to the dead
-// member, removes it from the electorate, and redistributes the replica.
+// member, expels it from the electorate, and redistributes the replica.
 func (d *Daemon) finishReclaim(target radio.NodeID) {
 	run := d.reclaims[target]
 	if run == nil {
@@ -606,7 +603,7 @@ func (d *Daemon) finishReclaim(target radio.NodeID) {
 			toFree = append(toFree, addr)
 		}
 	}
-	sort.Slice(toFree, func(i, j int) bool { return toFree[i] < toFree[j] })
+	slices.Sort(toFree)
 	for _, addr := range toFree {
 		e, ok := d.table.Get(addr)
 		if !ok {
@@ -616,15 +613,13 @@ func (d *Daemon) finishReclaim(target radio.NodeID) {
 		_ = d.table.Set(addr, ne)
 		delete(d.holders, addr)
 		d.trace(obs.Event{Kind: obs.EvReclaimFree, Peer: target, Addr: addr, Span: run.span})
-		for _, id := range d.members() {
-			d.sendSpan(id, msg.TQuorumUpd, metrics.CatReclamation, run.span, msg.QuorumUpd{Owner: d.cfg.ID, Addr: addr, Entry: ne})
+		for _, m := range d.peers() {
+			d.sendSpan(m.id, msg.TQuorumUpd, metrics.CatReclamation, run.span, msg.QuorumUpd{Owner: d.cfg.ID, Addr: addr, Entry: ne})
 		}
 	}
 	d.hists.Observe(obs.HistReclaimTime, 1e-6, time.Since(run.startedAt).Microseconds())
 	d.coll.Add("daemon.reclaimed_addrs", int64(len(toFree)))
-	d.removeFromElectorate(target)
-	delete(d.memberIPs, target)
-	delete(d.lastSeen, target)
+	d.expel(target)
 	d.broadcastReplica()
-	d.logf("reclaimed %d addresses from dead peer %d; electorate now %v", len(toFree), int(target), d.electorate)
+	d.logf("reclaimed %d addresses from dead peer %d; electorate now %v", len(toFree), int(target), d.electorate())
 }

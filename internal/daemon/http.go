@@ -7,11 +7,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"quorumconf/internal/health"
-	"quorumconf/internal/radio"
 )
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -32,7 +30,7 @@ func (d *Daemon) statusView() StatusResponse {
 		Joined:     d.joined,
 		Draining:   d.Draining(),
 		Space:      d.cfg.Space.String(),
-		Electorate: make([]int, 0, len(d.electorate)),
+		Electorate: make([]int, 0, len(d.roster)),
 		Holders:    make(map[string]int, len(d.holders)),
 		UptimeMS:   time.Since(d.started).Milliseconds(),
 	}
@@ -53,8 +51,8 @@ func (d *Daemon) statusView() StatusResponse {
 		v.Free = d.table.FreeCount()
 		v.Occupied = d.table.OccupiedCount()
 	}
-	for _, id := range d.electorate {
-		v.Electorate = append(v.Electorate, int(id))
+	for _, m := range d.roster {
+		v.Electorate = append(v.Electorate, int(m.id))
 	}
 	for addr, h := range d.holders {
 		v.Holders[addr.String()] = int(h)
@@ -68,12 +66,11 @@ func (d *Daemon) statusView() StatusResponse {
 		v.ReplicaFactor = factor
 		v.ReplicaTarget = target
 		v.QDSet = append(v.QDSet, int(d.cfg.ID))
-		holders := make([]int, 0, len(d.replicaSet))
-		for id := range d.replicaSet {
-			holders = append(holders, int(id))
+		for _, m := range d.roster {
+			if m.holder {
+				v.QDSet = append(v.QDSet, int(m.id))
+			}
 		}
-		sort.Ints(holders)
-		v.QDSet = append(v.QDSet, holders...)
 	}
 	return v
 }
@@ -86,29 +83,29 @@ func (d *Daemon) healthConfig() health.Config {
 // membersView snapshots the electorate; event-loop goroutine only.
 func (d *Daemon) membersView() MembersResponse {
 	now := time.Now()
-	v := MembersResponse{Owner: int(d.ownerID), Members: make([]MemberInfo, 0, len(d.electorate))}
+	v := MembersResponse{Owner: int(d.ownerID), Members: make([]MemberInfo, 0, len(d.roster))}
 	if !d.joined {
 		v.Owner = 0
 	}
-	for _, id := range d.electorate {
-		m := MemberInfo{Node: int(id), Self: id == d.cfg.ID, Dead: d.dead[id]}
-		if ip, ok := d.memberIPs[id]; ok {
-			m.IP = ip.String()
+	for _, m := range d.roster {
+		info := MemberInfo{Node: int(m.id), Self: m.id == d.cfg.ID, Dead: m.dead}
+		if ip := d.ipOf(m.id); ip != 0 {
+			info.IP = ip.String()
 		}
-		m.LastSeenMS = -1
-		if id == d.cfg.ID {
-			m.LastSeenMS = 0
-		} else if seen, ok := d.lastSeen[id]; ok {
-			m.LastSeenMS = now.Sub(seen).Milliseconds()
+		info.LastSeenMS = -1
+		if info.Self {
+			info.LastSeenMS = 0
+		} else if !m.lastSeen.IsZero() {
+			info.LastSeenMS = now.Sub(m.lastSeen).Milliseconds()
 		}
 		if d.owner {
-			m.ReplicaHolder = d.replicaSet[id]
-			m.ReplicaAgeMS = -1
-			if acked, ok := d.replicaAcked[id]; ok {
-				m.ReplicaAgeMS = now.Sub(acked).Milliseconds()
+			info.ReplicaHolder = m.holder
+			info.ReplicaAgeMS = -1
+			if !m.acked.IsZero() {
+				info.ReplicaAgeMS = now.Sub(m.acked).Milliseconds()
 			}
 		}
-		v.Members = append(v.Members, m)
+		v.Members = append(v.Members, info)
 	}
 	return v
 }
@@ -129,16 +126,14 @@ func (d *Daemon) healthView() HealthResponse {
 		Target:     target,
 		Under:      factor < target,
 	}
-	ids := make([]radio.NodeID, 0, len(d.replicaSet))
-	for id := range d.replicaSet {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		h := HealthHolder{Node: int(id), Dead: d.dead[id], AckAgeMS: -1}
-		if acked, ok := d.replicaAcked[id]; ok {
-			h.Fresh = cfg.Fresh(now, acked)
-			h.AckAgeMS = now.Sub(acked).Milliseconds()
+	for _, m := range d.roster {
+		if !m.holder {
+			continue
+		}
+		h := HealthHolder{Node: int(m.id), Dead: m.dead, AckAgeMS: -1}
+		if !m.acked.IsZero() {
+			h.Fresh = cfg.Fresh(now, m.acked)
+			h.AckAgeMS = now.Sub(m.acked).Milliseconds()
 		}
 		v.Holders = append(v.Holders, h)
 	}

@@ -30,35 +30,28 @@ import (
 func (d *Daemon) fullReplication() bool { return d.cfg.ReplicationTarget <= 0 }
 
 // refreshReplicaSet re-derives the designated holder set from the current
-// electorate: drop the dead and departed, then refill to target with the
-// lowest-ID live non-holders.
+// roster: demote the dead (the departed took their designation with them),
+// then refill to target with the lowest-ID live non-holders.
 func (d *Daemon) refreshReplicaSet() {
-	for id := range d.replicaSet {
-		if d.dead[id] || !d.inElectorate(id) {
-			delete(d.replicaSet, id)
-			delete(d.replicaAcked, id)
+	missing := d.cfg.ReplicationTarget - 1
+	for _, m := range d.roster {
+		if m.dead {
+			m.demote()
+		} else if m.holder {
+			missing--
 		}
 	}
-	if d.fullReplication() {
-		for _, id := range d.members() {
-			d.replicaSet[id] = true
-		}
-		return
-	}
-	missing := d.cfg.ReplicationTarget - 1 - len(d.replicaSet)
-	if missing <= 0 {
-		return
-	}
-	for _, id := range d.members() { // members() is ID-sorted
-		if missing == 0 {
-			break
-		}
-		if !d.replicaSet[id] {
-			d.replicaSet[id] = true
+	for _, m := range d.peers() { // ascending by ID
+		if !m.holder && (missing > 0 || d.fullReplication()) {
+			m.holder = true
 			missing--
 		}
 	}
 }
+
+// demote retires m from the replica set; its lease goes with the
+// designation.
+func (m *member) demote() { m.holder, m.acked = false, time.Time{} }
 
 // replicaInfo builds the owner's REPLICA_DIST payload: always the
 // membership view, plus a table clone for designated holders.
@@ -66,7 +59,7 @@ func (d *Daemon) replicaInfo(withPool bool) msg.HolderInfo {
 	info := msg.HolderInfo{
 		Owner:   d.cfg.ID,
 		OwnerIP: d.selfIP,
-		Holders: append([]radio.NodeID(nil), d.electorate...),
+		Holders: d.electorate(),
 	}
 	if withPool {
 		info.Pool = addrspace.NewPool(d.table.Clone())
@@ -86,37 +79,30 @@ func (d *Daemon) sendReplicaTo(id radio.NodeID) {
 func (d *Daemon) broadcastReplica() {
 	d.refreshReplicaSet()
 	memb := msg.ReplicaDist{Info: d.replicaInfo(false)}
-	for _, id := range d.members() {
-		if d.replicaSet[id] {
-			d.sendReplicaTo(id)
+	for _, m := range d.peers() {
+		if m.holder {
+			d.sendReplicaTo(m.id)
 		} else {
-			d.sendTo(id, msg.TReplicaDist, metrics.CatSync, memb)
+			d.sendTo(m.id, msg.TReplicaDist, metrics.CatSync, memb)
 		}
 	}
 }
 
 // onReplicaAck records one member's replica confirmation lease.
 func (d *Daemon) onReplicaAck(src radio.NodeID) {
-	if !d.owner {
-		return
+	if m := d.member(src); d.owner && m != nil {
+		m.acked = time.Now()
+		d.coll.Inc("daemon.replica_acks")
 	}
-	d.replicaAcked[src] = time.Now()
-	d.coll.Inc("daemon.replica_acks")
 }
 
 // healthPeers snapshots the owner's electorate view for the monitor.
 func (d *Daemon) healthPeers() []health.PeerState {
-	peers := make([]health.PeerState, 0, len(d.electorate))
-	for _, id := range d.electorate {
-		if id == d.cfg.ID {
-			continue
+	peers := make([]health.PeerState, 0, len(d.roster))
+	for _, m := range d.roster {
+		if m.id != d.cfg.ID {
+			peers = append(peers, health.PeerState{ID: m.id, Dead: m.dead, Holder: m.holder, AckedAt: m.acked})
 		}
-		peers = append(peers, health.PeerState{
-			ID:      id,
-			Dead:    d.dead[id],
-			Holder:  d.replicaSet[id],
-			AckedAt: d.replicaAcked[id],
-		})
 	}
 	return peers
 }
@@ -131,21 +117,20 @@ func (d *Daemon) healthTick() {
 	}
 	d.coll.Inc("daemon.health_checks")
 	c := d.monitor.Evaluate(time.Now(), d.cfg.ID, d.healthPeers())
+	// The check names members of the snapshot it was handed, so every ID
+	// below has a record.
 	for _, id := range c.Demote {
-		delete(d.replicaSet, id)
-		delete(d.replicaAcked, id)
+		d.member(id).demote()
 		d.trace(obs.Event{Kind: obs.EvQuorumShrink, Peer: id, Detail: "health_demote"})
 	}
 	for _, id := range c.Recruit {
-		d.replicaSet[id] = true
+		d.member(id).holder = true
 		d.coll.Inc("daemon.health_recruits")
 		d.trace(obs.Event{Kind: obs.EvQuorumRecruit, Peer: id, Detail: "health_recruit"})
 		d.sendReplicaTo(id)
 	}
 	for _, id := range c.Refresh {
-		if d.replicaSet[id] {
-			d.sendReplicaTo(id)
-		}
+		d.sendReplicaTo(id)
 	}
 	if c.Under {
 		d.coll.Inc("daemon.health_under")
@@ -214,8 +199,8 @@ func (d *Daemon) onReturnAddr(src radio.NodeID, p msg.ReturnAddr) {
 		ne := addrspace.Entry{Status: addrspace.Free, Version: e.Version + 1}
 		_ = d.table.Set(p.Addr, ne)
 		d.coll.Inc("daemon.addrs_returned")
-		for _, id := range d.members() {
-			d.sendTo(id, msg.TQuorumUpd, metrics.CatConfig, msg.QuorumUpd{Owner: d.cfg.ID, Addr: p.Addr, Entry: ne})
+		for _, m := range d.peers() {
+			d.sendTo(m.id, msg.TQuorumUpd, metrics.CatConfig, msg.QuorumUpd{Owner: d.cfg.ID, Addr: p.Addr, Entry: ne})
 		}
 	}
 	delete(d.holders, p.Addr)
@@ -224,18 +209,13 @@ func (d *Daemon) onReturnAddr(src radio.NodeID, p msg.ReturnAddr) {
 	}
 	// Final leg: the member returned its own address. Idempotent — a
 	// retried RETURN_ADDR after teardown still earns its DEPART_ACK.
-	if d.inElectorate(src) {
+	if d.member(src) != nil {
 		d.trace(obs.Event{Kind: obs.EvNodeDeparted, Peer: src, Addr: p.Addr, Detail: "graceful"})
-		d.removeFromElectorate(src)
-		delete(d.memberIPs, src)
-		delete(d.lastSeen, src)
-		delete(d.dead, src)
-		delete(d.replicaSet, src)
-		delete(d.replicaAcked, src)
+		d.expel(src)
 		delete(d.joinInFlight, src)
 		d.coll.Inc("daemon.departs_served")
 		d.broadcastReplica()
-		d.logf("member %d departed gracefully; electorate %v", int(src), d.electorate)
+		d.logf("member %d departed gracefully; electorate %v", int(src), d.electorate())
 	}
 	d.sendTo(src, msg.TDepartAck, metrics.CatConfig, msg.DepartAck{})
 }

@@ -1,0 +1,147 @@
+package daemon
+
+import (
+	"net/http"
+	"slices"
+	"testing"
+	"time"
+
+	"quorumconf/internal/radio"
+)
+
+// checkRoster reads, on each daemon's event loop, that the roster is
+// strictly ascending by ID, contains the daemon itself once it has joined,
+// and is what /v1/status reports as the electorate.
+func checkRoster(t *testing.T, phase string, ds ...*Daemon) {
+	t.Helper()
+	for _, d := range ds {
+		var ids []radio.NodeID
+		var joined bool
+		var view StatusResponse
+		onLoopSync(t, d, func() { ids, joined, view = d.electorate(), d.joined, d.statusView() })
+		for i := 1; i < len(ids); i++ {
+			if ids[i-1] >= ids[i] {
+				t.Errorf("%s: daemon %d roster %v is not strictly ascending", phase, d.ID(), ids)
+			}
+		}
+		if joined && !slices.Contains(ids, d.ID()) {
+			t.Errorf("%s: joined daemon %d is missing from its roster %v", phase, d.ID(), ids)
+		}
+		want := make([]int, len(ids))
+		for i, id := range ids {
+			want[i] = int(id)
+		}
+		if !electorateIs(view, want...) {
+			t.Errorf("%s: daemon %d reports electorate %v, roster is %v", phase, d.ID(), view.Electorate, ids)
+		}
+	}
+}
+
+// restart boots a fresh daemon under old's ID, seeds and UDP address — the
+// same node coming back after a crash or a departure — and wires it to
+// peers. old must have been killed.
+func restart(t *testing.T, old *Daemon, peers ...*Daemon) *Daemon {
+	t.Helper()
+	cfg := old.cfg
+	cfg.Listen = old.UDPAddr().String()
+	cfg.Metrics, cfg.Histograms = nil, nil
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Kill)
+	for _, p := range peers {
+		if err := d.AddPeer(p.ID(), p.UDPAddr().String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
+}
+
+// waitElectorate waits until every daemon of ds has joined and reports
+// exactly the electorate want.
+func waitElectorate(t *testing.T, what string, ds []*Daemon, want ...int) {
+	t.Helper()
+	waitFor(t, 30*time.Second, what, func() bool {
+		for _, d := range ds {
+			v, err := tryStatus(d)
+			if err != nil || !v.Joined || !electorateIs(v, want...) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// TestRejoinedMemberIsAliveEverywhere: a daemon that crashed, was reclaimed
+// and configured again under its old ID is a new member at every daemon,
+// not only at the owner that admitted it. A member that kept the old death
+// verdict would, once promoted, count the rejoined daemon in its majority
+// yet never ask it for a vote, and refuse every allocation from then on.
+func TestRejoinedMemberIsAliveEverywhere(t *testing.T) {
+	ds := newCluster(t, 3)
+	waitFormed(t, ds)
+
+	ds[2].Kill()
+	waitElectorate(t, "reclamation of daemon 3", ds[:2], 1, 2)
+
+	ds[2] = restart(t, ds[2], ds[0], ds[1])
+	waitElectorate(t, "daemon 3 to rejoin", ds, 1, 2, 3)
+	onLoopSync(t, ds[1], func() {
+		if m := ds[1].member(3); m == nil || m.dead {
+			t.Errorf("member 2 still marks rejoined daemon 3 dead")
+		}
+	})
+
+	ds[0].Kill()
+	waitFor(t, 30*time.Second, "daemon 2 to take over {2,3}", func() bool {
+		v, err := tryStatus(ds[1])
+		return err == nil && v.Role == "owner" && electorateIs(v, 2, 3)
+	})
+	if _, code := allocate(t, ds[1]); code != http.StatusOK {
+		t.Errorf("allocate at promoted owner: HTTP %d", code)
+	}
+	checkRoster(t, "after failover", ds[1], ds[2])
+}
+
+// TestGracefulDepartThenRejoin: a member that departed on demand and is
+// started again under the same ID joins as a new member: it votes, and the
+// owner's view of it starts over — heard from, with a fresh replica lease.
+func TestGracefulDepartThenRejoin(t *testing.T) {
+	ds := newCluster(t, 3)
+	waitFormed(t, ds)
+	owner := ds[0]
+
+	var dv DepartResponse
+	if code := postJSON(t, "http://"+ds[2].HTTPAddr()+"/v1/depart", "", &dv); code != http.StatusOK || !dv.Departed {
+		t.Fatalf("POST /v1/depart: HTTP %d, body %+v", code, dv)
+	}
+	waitElectorate(t, "departure of daemon 3", ds[:2], 1, 2)
+	ds[2].Kill()
+
+	ds[2] = restart(t, ds[2], ds[0], ds[1])
+	waitElectorate(t, "daemon 3 to rejoin", ds, 1, 2, 3)
+
+	// With daemon 2 gone the majority of {1,2,3} needs daemon 3's vote.
+	ds[1].Kill()
+	if _, code := allocate(t, owner); code != http.StatusOK {
+		t.Errorf("allocate needing the rejoined daemon's vote: HTTP %d", code)
+	}
+
+	waitFor(t, 10*time.Second, "owner to hear from and sync the rejoined daemon", func() bool {
+		var members MembersResponse
+		if code := getJSON(t, "http://"+owner.HTTPAddr()+"/v1/members", &members); code != http.StatusOK {
+			return false
+		}
+		for _, m := range members.Members {
+			if m.Node == 3 {
+				ttl := owner.cfg.ReplicaTTL.Milliseconds()
+				return !m.Dead && m.LastSeenMS >= 0 && m.ReplicaHolder && m.ReplicaAgeMS >= 0 && m.ReplicaAgeMS < ttl
+			}
+		}
+		return false
+	})
+}

@@ -1,8 +1,9 @@
 // Package msg defines the protocol's message vocabulary as exported types.
 //
 // The structs here are the single source of truth for what goes over the
-// air: the simulator (internal/core) aliases them as its payload types, and
-// the wire codec (internal/wire) encodes exactly these shapes. The package
+// air: the simulator (internal/core) and the daemon use them as their
+// payload types, and the wire codec (internal/wire) encodes exactly these
+// shapes. The package
 // depends only on internal/addrspace and internal/radio so that both the
 // simulation stack and the real transports can import it without cycles.
 //

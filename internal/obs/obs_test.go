@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"quorumconf/internal/metrics"
 )
 
 func TestNilTracerIsSafe(t *testing.T) {
@@ -161,20 +159,6 @@ func TestJSONLWriterRetainsFirstError(t *testing.T) {
 	}
 	if w.Err() == nil && w.Flush() == nil {
 		t.Fatal("writer error was swallowed")
-	}
-}
-
-func TestCollectorBridge(t *testing.T) {
-	coll := metrics.New()
-	tr := NewTracer(func() time.Duration { return 0 }, NewCollectorBridge(coll))
-	tr.Emit(Event{Kind: EvBallotOpen, Node: 1})
-	tr.Emit(Event{Kind: EvBallotOpen, Node: 2})
-	tr.Emit(Event{Kind: EvReclaimStart, Node: 1})
-	if got := coll.Counter("obs.ballot_open"); got != 2 {
-		t.Fatalf("obs.ballot_open = %d, want 2", got)
-	}
-	if got := coll.Counter("obs.reclaim_start"); got != 1 {
-		t.Fatalf("obs.reclaim_start = %d, want 1", got)
 	}
 }
 

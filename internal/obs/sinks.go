@@ -114,44 +114,3 @@ func (w *JSONLWriter) Err() error {
 	defer w.mu.Unlock()
 	return w.err
 }
-
-// Counter is the slice of metrics.Collector (or SyncCollector) the bridge
-// needs: named monotone counters.
-type Counter interface {
-	Inc(name string)
-}
-
-// CollectorBridge folds the event stream into a metrics collector as
-// per-kind counters named "obs.<kind>", so existing Summarize/Merge
-// tooling and the daemon's metrics endpoints see event totals without a
-// second aggregation path.
-type CollectorBridge struct {
-	c Counter
-}
-
-// NewCollectorBridge returns a sink incrementing c's "obs.<kind>" counters.
-func NewCollectorBridge(c Counter) *CollectorBridge {
-	return &CollectorBridge{c: c}
-}
-
-// Record implements Sink.
-func (b *CollectorBridge) Record(e Event) {
-	if b.c == nil {
-		return
-	}
-	if e.Kind > 0 && e.Kind < numEventKinds {
-		b.c.Inc(counterNames[e.Kind])
-		return
-	}
-	b.c.Inc("obs.unknown")
-}
-
-// counterNames pre-joins the "obs.<kind>" counter names so Record does not
-// allocate per event.
-var counterNames = func() [numEventKinds]string {
-	var names [numEventKinds]string
-	for k := EventKind(1); k < numEventKinds; k++ {
-		names[k] = "obs." + k.String()
-	}
-	return names
-}()

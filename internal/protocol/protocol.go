@@ -52,111 +52,55 @@ type Runtime struct {
 	clock obs.Clock
 }
 
-// RuntimeConfig parameterizes NewRuntime.
-//
-// Deprecated: new code should call New with functional options
-// (WithSeed, WithTransmissionRange, WithPerHopDelay, WithTracer,
-// WithCollector, WithClock), which extend without breaking callers.
+// RuntimeConfig parameterizes NewRuntime. The zero value of every field
+// but TransmissionRange is a working default.
 type RuntimeConfig struct {
 	// Seed drives every random choice in the run.
 	Seed int64
 	// TransmissionRange is tr in meters (150 in most of the paper).
 	TransmissionRange float64
-	// PerHopDelay is the one-hop transmission latency. Defaults to 5ms
-	// when zero.
+	// PerHopDelay is the one-hop transmission latency. Defaults to
+	// DefaultPerHop when zero.
 	PerHopDelay time.Duration
+	// Tracer receives structured protocol events; nil keeps tracing
+	// disabled.
+	Tracer *obs.Tracer
+	// Collector substitutes the metrics collector the runtime would
+	// otherwise allocate — for sharing one collector across runtimes or
+	// pre-seeding counters.
+	Collector *metrics.Collector
+	// Clock overrides the timestamp source for emitted events. Nil takes
+	// the runtime's virtual clock (Sim.Now), which is what simulation
+	// traces want; tests pin it for deterministic timestamps.
+	Clock obs.Clock
 }
 
-// DefaultPerHop is the one-hop delay used when no option overrides it.
+// DefaultPerHop is the one-hop delay used when the config leaves it zero.
 const DefaultPerHop = 5 * time.Millisecond
 
-// Option configures New.
-type Option func(*options)
-
-type options struct {
-	seed        int64
-	txRange     float64
-	perHopDelay time.Duration
-	tracer      *obs.Tracer
-	coll        *metrics.Collector
-	clock       obs.Clock
-}
-
-// WithSeed sets the seed driving every random choice in the run.
-func WithSeed(seed int64) Option {
-	return func(o *options) { o.seed = seed }
-}
-
-// WithTransmissionRange sets tr in meters (150 in most of the paper).
-func WithTransmissionRange(tr float64) Option {
-	return func(o *options) { o.txRange = tr }
-}
-
-// WithPerHopDelay sets the one-hop transmission latency (default
-// DefaultPerHop).
-func WithPerHopDelay(d time.Duration) Option {
-	return func(o *options) { o.perHopDelay = d }
-}
-
-// WithTracer attaches a structured event tracer to the runtime. A nil
-// tracer is allowed and keeps tracing disabled.
-func WithTracer(t *obs.Tracer) Option {
-	return func(o *options) { o.tracer = t }
-}
-
-// WithCollector substitutes the metrics collector the runtime would
-// otherwise allocate — for sharing one collector across runtimes or
-// pre-seeding counters.
-func WithCollector(c *metrics.Collector) Option {
-	return func(o *options) { o.coll = c }
-}
-
-// WithClock overrides the timestamp source for emitted events. The default
-// is the runtime's virtual clock (Sim.Now), which is what simulation
-// traces want; tests pin it for deterministic timestamps.
-func WithClock(c obs.Clock) Option {
-	return func(o *options) { o.clock = c }
-}
-
-// New assembles a simulator, topology, collector and network from options.
-func New(opts ...Option) (*Runtime, error) {
-	o := options{perHopDelay: DefaultPerHop}
-	for _, opt := range opts {
-		opt(&o)
+// NewRuntime assembles a simulator, topology, collector and network.
+func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
+	if cfg.PerHopDelay == 0 {
+		cfg.PerHopDelay = DefaultPerHop
 	}
-	if o.perHopDelay == 0 {
-		o.perHopDelay = DefaultPerHop
-	}
-	topo, err := radio.NewTopology(o.txRange)
+	topo, err := radio.NewTopology(cfg.TransmissionRange)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: %w", err)
 	}
-	s := sim.New(o.seed)
-	coll := o.coll
+	s := sim.New(cfg.Seed)
+	coll := cfg.Collector
 	if coll == nil {
 		coll = metrics.New()
 	}
-	net, err := netstack.New(s, topo, coll, o.perHopDelay)
+	net, err := netstack.New(s, topo, coll, cfg.PerHopDelay)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: %w", err)
 	}
-	rt := &Runtime{Sim: s, Topo: topo, Net: net, Coll: coll, Tracer: o.tracer}
-	rt.clock = o.clock
+	rt := &Runtime{Sim: s, Topo: topo, Net: net, Coll: coll, Tracer: cfg.Tracer, clock: cfg.Clock}
 	if rt.clock == nil {
 		rt.clock = s.Now
 	}
 	return rt, nil
-}
-
-// NewRuntime assembles a runtime from the legacy config struct.
-//
-// Deprecated: use New with functional options.
-func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
-	return New(
-		WithSeed(cfg.Seed),
-		WithTransmissionRange(cfg.TransmissionRange),
-		WithPerHopDelay(cfg.PerHopDelay),
-	)
 }
 
 // Trace stamps e with the runtime's clock (virtual time by default) and

@@ -253,8 +253,6 @@ type Transport struct {
 	wg     sync.WaitGroup
 }
 
-var _ transport.Transport = (*Transport)(nil)
-
 // New binds the socket and starts the receive loop.
 func New(cfg Config) (*Transport, error) {
 	if cfg.DropRate < 0 || cfg.DropRate >= 1 {
@@ -291,7 +289,7 @@ func New(cfg Config) (*Transport, error) {
 	return t, nil
 }
 
-// LocalID implements transport.Transport.
+// LocalID returns the node this transport endpoint belongs to.
 func (t *Transport) LocalID() radio.NodeID { return t.cfg.ID }
 
 // LocalAddr returns the bound UDP address (useful with ephemeral ports).
@@ -300,7 +298,8 @@ func (t *Transport) LocalAddr() *net.UDPAddr { return t.conn.LocalAddr().(*net.U
 // Metrics returns the collector the transport records into.
 func (t *Transport) Metrics() *metrics.SyncCollector { return t.cfg.Metrics }
 
-// SetHandler implements transport.Transport.
+// SetHandler installs the delivery callback. Must be called before traffic
+// is expected; a nil handler drops deliveries.
 func (t *Transport) SetHandler(h transport.Handler) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -322,29 +321,13 @@ func (t *Transport) AddPeer(id radio.NodeID, addr string) error {
 	return nil
 }
 
-// RemovePeer forgets a peer and stops its queue worker draining to it.
-func (t *Transport) RemovePeer(id radio.NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.peers, id)
-}
-
-// Peers returns the currently known peer IDs.
-func (t *Transport) Peers() []radio.NodeID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]radio.NodeID, 0, len(t.peers))
-	for id := range t.peers {
-		out = append(out, id)
-	}
-	return out
-}
-
-// Send implements transport.Transport: stamp, encode, enqueue. When the
-// destination queue is full, a caller with a cancellable context blocks
-// for space until the context is done; context.Background() (no Done
-// channel) gets immediate ErrQueueFull backpressure instead, so the
-// daemon's event loop can never wedge on a slow peer.
+// Send stamps env (Src always, MsgID when zero), encodes and enqueues it.
+// An error means the message was definitely not sent; nil means it was
+// queued, not that it will arrive. When the destination queue is full, a
+// caller with a cancellable context blocks for space until the context is
+// done; context.Background() (no Done channel) gets immediate ErrQueueFull
+// backpressure instead, so the daemon's event loop can never wedge on a
+// slow peer.
 func (t *Transport) Send(ctx context.Context, env *wire.Envelope) error {
 	return t.send(ctx, env, nil)
 }
@@ -428,7 +411,7 @@ func (t *Transport) send(ctx context.Context, env *wire.Envelope, result chan er
 	}
 }
 
-// Close implements transport.Transport: stop the workers, close the
+// Close stops the workers, closes the
 // socket, and wait for them to exit — up to ctx, after which Close returns
 // the context error while teardown finishes in the background.
 func (t *Transport) Close(ctx context.Context) error {
@@ -676,13 +659,8 @@ func (w *worker) transmit(frame []byte, msgID uint64) error {
 	first := time.Now()
 	for attempt, backoff := 0, rto; ; attempt, backoff = attempt+1, 2*backoff {
 		t.mu.Lock()
-		addr, ok := t.peers[w.dst]
+		addr := t.peers[w.dst] // per attempt: AddPeer may have re-pointed the peer
 		t.mu.Unlock()
-		if !ok {
-			t.cfg.Metrics.Inc(CtrSendDrop)
-			t.trace(obs.EvTransportDrop, w.dst, msgID, "peer_removed")
-			return fmt.Errorf("%w: %d", transport.ErrUnknownPeer, w.dst)
-		}
 		wait := backoff
 		if attempt > 0 {
 			t.cfg.Metrics.Inc(CtrRetries)

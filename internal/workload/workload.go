@@ -208,12 +208,12 @@ func Prepare(sc Scenario, build BuildFunc) (*Result, error) {
 	if build == nil {
 		return nil, fmt.Errorf("workload: nil build func")
 	}
-	rt, err := protocol.New(
-		protocol.WithSeed(sc.Seed),
-		protocol.WithTransmissionRange(sc.TransmissionRange),
-		protocol.WithPerHopDelay(sc.PerHopDelay),
-		protocol.WithTracer(sc.Tracer),
-	)
+	rt, err := protocol.NewRuntime(protocol.RuntimeConfig{
+		Seed:              sc.Seed,
+		TransmissionRange: sc.TransmissionRange,
+		PerHopDelay:       sc.PerHopDelay,
+		Tracer:            sc.Tracer,
+	})
 	if err != nil {
 		return nil, err
 	}

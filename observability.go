@@ -1,15 +1,14 @@
 package quorumconf
 
 // This file re-exports the observability surface: the structured event
-// tracer (internal/obs), its sinks, and the functional options that attach
-// it to a runtime. See DESIGN.md Appendix C for the event schema and its
+// tracer (internal/obs) and its sinks; RuntimeConfig.Tracer attaches one to
+// a runtime. See DESIGN.md Appendix C for the event schema and its
 // stability guarantees.
 
 import (
 	"io"
 
 	"quorumconf/internal/obs"
-	"quorumconf/internal/protocol"
 )
 
 // Structured tracing.
@@ -27,8 +26,6 @@ type (
 	TraceRing = obs.Ring
 	// TraceClock supplies event timestamps.
 	TraceClock = obs.Clock
-	// RuntimeOption configures New.
-	RuntimeOption = protocol.Option
 )
 
 // Event kinds (append-only; see DESIGN.md Appendix C).
@@ -63,8 +60,8 @@ const (
 )
 
 // NewTracer returns a tracer writing to sinks. A nil clock timestamps
-// events with wall time since tracer creation; runtimes built with
-// WithTracer stamp virtual time instead.
+// events with wall time since tracer creation; a runtime handed the tracer
+// in RuntimeConfig.Tracer stamps virtual time instead.
 func NewTracer(clock TraceClock, sinks ...TraceSink) *Tracer {
 	return obs.NewTracer(clock, sinks...)
 }
@@ -74,23 +71,3 @@ func NewTraceRing(capacity int) *TraceRing { return obs.NewRing(capacity) }
 
 // NewJSONLWriter returns a sink streaming events as JSON lines to w.
 func NewJSONLWriter(w io.Writer) *obs.JSONLWriter { return obs.NewJSONLWriter(w) }
-
-// NewCollectorBridge returns a sink folding events into per-kind counters
-// ("obs.<kind>") of a metrics collector.
-func NewCollectorBridge(c obs.Counter) *obs.CollectorBridge { return obs.NewCollectorBridge(c) }
-
-// Runtime options for New.
-var (
-	// WithSeed sets the seed driving every random choice in the run.
-	WithSeed = protocol.WithSeed
-	// WithTransmissionRange sets tr in meters.
-	WithTransmissionRange = protocol.WithTransmissionRange
-	// WithPerHopDelay sets the one-hop transmission latency.
-	WithPerHopDelay = protocol.WithPerHopDelay
-	// WithTracer attaches a structured event tracer to the runtime.
-	WithTracer = protocol.WithTracer
-	// WithCollector substitutes the runtime's metrics collector.
-	WithCollector = protocol.WithCollector
-	// WithClock overrides the event timestamp source.
-	WithClock = protocol.WithClock
-)

@@ -29,6 +29,7 @@ import (
 	"quorumconf/internal/experiment"
 	"quorumconf/internal/metrics"
 	"quorumconf/internal/mobility"
+	"quorumconf/internal/msg"
 	"quorumconf/internal/protocol"
 	"quorumconf/internal/radio"
 	"quorumconf/internal/workload"
@@ -70,7 +71,7 @@ type (
 	// Role is a node's cluster role.
 	Role = core.Role
 	// NetTag identifies a network partition.
-	NetTag = core.NetTag
+	NetTag = msg.NetTag
 )
 
 // Roles.
@@ -130,17 +131,8 @@ type (
 	TraceEvent = experiment.TraceEvent
 )
 
-// NewRuntime assembles the simulation fabric from the legacy config
-// struct.
-//
-// Deprecated: use New with functional options (WithSeed,
-// WithTransmissionRange, WithPerHopDelay, WithTracer, WithCollector,
-// WithClock).
+// NewRuntime assembles the simulation fabric.
 func NewRuntime(cfg RuntimeConfig) (*Runtime, error) { return protocol.NewRuntime(cfg) }
-
-// New assembles the simulation fabric from functional options; see
-// observability.go for the option list.
-func New(opts ...RuntimeOption) (*Runtime, error) { return protocol.New(opts...) }
 
 // NewQuorum creates the paper's protocol over a runtime.
 func NewQuorum(rt *Runtime, params QuorumParams) (*Quorum, error) { return core.New(rt, params) }
