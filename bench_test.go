@@ -155,8 +155,8 @@ func BenchmarkExtensionLossTolerance(b *testing.B) {
 // sustained churn for the three allocation-engine variants — serial
 // ballots (BallotWindow=1), the pipelined window, and pipelined plus the
 // affirmative-vote cache. The allocs/simsec metric is the headline number
-// of the throughput engine; benchreport.sh pins it into
-// BENCH_sweeps.json. Short mode (-short) runs the CI smoke workload.
+// of the throughput engine; bench's sim_churn workload tracks the last
+// variant end to end. Short mode (-short) runs the CI smoke workload.
 func BenchmarkAllocThroughput(b *testing.B) {
 	cfg := experiment.DefaultAllocThroughput(testing.Short())
 	for _, v := range experiment.AllocVariants() {

@@ -10,7 +10,6 @@
 //	quorumsim -fig ablations         # design-choice ablation studies
 //	quorumsim -fig 5 -rounds 50      # more rounds per data point
 //	quorumsim -fig all -parallel 8   # sweep rounds on an 8-worker pool
-//	quorumsim -benchjson BENCH_sweeps.json   # append a benchmark entry
 //
 // Output is a plain text table per figure: one row per x value, one column
 // per series — directly consumable by gnuplot or a spreadsheet. Results
@@ -54,7 +53,6 @@ func run(args []string, out io.Writer) error {
 	parallel := fs.Int("parallel", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	benchjson := fs.String("benchjson", "", "run the benchmark suite and append an entry to this JSON trajectory file")
 	traceOut := fs.String("trace", "", "write structured protocol events to this JSONL file (use -parallel 1 for a causally ordered stream)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -98,9 +96,6 @@ func run(args []string, out io.Writer) error {
 			}
 			f.Close()
 		}()
-	}
-	if *benchjson != "" {
-		return runBenchJSON(*benchjson, *rounds, *parallel, out)
 	}
 	cfg := experiment.Config{
 		Rounds:          *rounds,

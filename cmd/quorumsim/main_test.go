@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"io"
@@ -108,51 +107,6 @@ func TestRunProfilesAndParallel(t *testing.T) {
 		if st.Size() == 0 {
 			t.Errorf("profile %s is empty", p)
 		}
-	}
-}
-
-// TestRunBenchJSON smoke-tests the trajectory emitter: two runs append two
-// entries, and each entry records the numbers the regression harness keys
-// on (snapshot grid-vs-naive, fig7 serial-vs-parallel).
-func TestRunBenchJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_sweeps.json")
-	for want := 1; want <= 2; want++ {
-		var b strings.Builder
-		if err := run([]string{"-benchjson", path, "-rounds", "1", "-parallel", "2"}, &b); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(b.String(), "snapshot200_grid") {
-			t.Errorf("benchjson summary missing snapshot line:\n%s", b.String())
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var file benchFile
-		if err := json.Unmarshal(data, &file); err != nil {
-			t.Fatalf("trajectory file is not valid JSON: %v\n%s", err, data)
-		}
-		if len(file.Entries) != want {
-			t.Fatalf("got %d entries, want %d", len(file.Entries), want)
-		}
-		e := file.Entries[want-1]
-		for _, k := range []string{"snapshot200_grid", "snapshot200_naive_seed", "fig5_parallel", "fig7_serial", "fig7_parallel"} {
-			if e.Seconds[k] <= 0 {
-				t.Errorf("entry %d: %s = %v, want > 0", want, k, e.Seconds[k])
-			}
-		}
-		if e.Workers != 2 {
-			t.Errorf("entry records workers=%d, want 2", e.Workers)
-		}
-	}
-	// A corrupt trajectory file must be reported, not clobbered.
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := run([]string{"-benchjson", bad, "-rounds", "1"}, &b); err == nil {
-		t.Error("corrupt trajectory file accepted")
 	}
 }
 

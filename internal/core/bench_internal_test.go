@@ -91,8 +91,8 @@ func BenchmarkTracerDisabled(b *testing.B) {
 
 // BenchmarkTracerEnabledRing measures the same workload with a tracer
 // attached to a bounded ring, the configuration quorumd runs with — the
-// enabled-path counterpart to BenchmarkTracerDisabled, recorded into
-// BENCH_sweeps.json as tracer_event_ring.
+// enabled-path counterpart to BenchmarkTracerDisabled. One emit alone is
+// bench's obs.emit_ring_ns probe.
 func BenchmarkTracerEnabledRing(b *testing.B) {
 	ring := obs.NewRing(obs.DefaultRingSize)
 	benchConfigure(b, obs.NewTracer(nil, ring))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 	"time"
 
@@ -53,10 +54,8 @@ type pendingBallot struct {
 	owner   radio.NodeID
 	addr    addrspace.Addr
 
-	ballot     *quorum.Ballot
-	electorate []radio.NodeID
-	votes      map[radio.NodeID]addrspace.Entry
-	sentHops   map[radio.NodeID]int
+	ballot   *quorum.Ballot
+	sentHops map[radio.NodeID]int
 
 	requestor   radio.NodeID
 	reqPathHops int    // critical path accumulated before this round
@@ -617,35 +616,21 @@ func (p *Protocol) nextProposal(alloc *node, prevOwner radio.NodeID, prevAddr ad
 func (p *Protocol) startBallot(alloc *node, pb *pendingBallot) {
 	electorate := alloc.electorate(pb.owner)
 	// The allocator itself always votes: it holds a copy by construction.
-	hasSelf := false
-	for _, id := range electorate {
-		if id == alloc.id {
-			hasSelf = true
-			break
-		}
-	}
-	if !hasSelf {
+	if !slices.Contains(electorate, alloc.id) {
 		electorate = append(electorate, alloc.id)
 	}
 	p.ballotSeq++
 	pb.id = p.ballotSeq
-	pb.electorate = electorate
-	pb.votes = make(map[radio.NodeID]addrspace.Entry)
 	pb.sentHops = make(map[radio.NodeID]int)
 
-	bal, err := quorum.NewBallot(pb.addr, electorate)
+	bal, err := quorum.NewBallot(electorate)
 	if err != nil {
 		p.failBallot(alloc, pb)
 		return
 	}
 	pb.ballot = bal
 	if !p.p.DisableDynamicLinear {
-		for _, id := range electorate {
-			if id == pb.owner {
-				_ = bal.SetDistinguished(pb.owner)
-				break
-			}
-		}
+		_ = bal.SetDistinguished(pb.owner) // no tie-break when the owner is no voter
 	}
 	if pb.purpose == purposeCommon {
 		// Conflict detection: with many ballots in flight, no two open
@@ -697,7 +682,6 @@ func (p *Protocol) startBallot(alloc *node, pb *pendingBallot) {
 	haveSelf := false
 	if e, ok := alloc.localEntry(pb.owner, pb.addr); ok {
 		_ = bal.Cast(alloc.id, e)
-		pb.votes[alloc.id] = e
 		selfEntry, haveSelf = e, true
 	}
 	// The cache only ever stands in for affirmative votes on the
@@ -714,7 +698,6 @@ func (p *Protocol) startBallot(alloc *node, pb *pendingBallot) {
 			now := p.rt.Sim.Now()
 			if ok, expired := alloc.voteCache.fresh(m, now); ok {
 				_ = bal.Cast(m, selfEntry)
-				pb.votes[m] = selfEntry
 				p.rt.Trace(obs.Event{Kind: obs.EvVoteCacheHit, Node: alloc.id, Peer: m, Addr: pb.addr, MsgID: pb.id, Span: pb.span})
 				continue
 			} else if expired {
@@ -804,7 +787,6 @@ func (p *Protocol) onQuorumCfm(alloc *node, m netstack.Message, pl msg.QuorumCfm
 	if err := pb.ballot.Cast(m.Src, pl.Entry); err != nil {
 		return
 	}
-	pb.votes[m.Src] = pl.Entry
 	p.rt.Trace(obs.Event{Kind: obs.EvBallotVote, Node: alloc.id, Peer: m.Src, Addr: pb.addr, MsgID: pb.id, Span: pb.span})
 	// A vote matching the allocator's own entry proves the member is in
 	// sync on this space — it can stand in for the member's next vote.
@@ -819,46 +801,13 @@ func (p *Protocol) onQuorumCfm(alloc *node, m netstack.Message, pl msg.QuorumCfm
 	p.checkBallot(alloc, pb)
 }
 
-// shrinkBallot rebuilds the ballot without the given member, re-casting the
-// votes already received.
+// shrinkBallot drops a member from the ballot's electorate; the votes
+// already received stand.
 func (p *Protocol) shrinkBallot(alloc *node, pb *pendingBallot, drop radio.NodeID) {
-	var rest []radio.NodeID
-	for _, id := range pb.electorate {
-		if id != drop {
-			rest = append(rest, id)
-		}
-	}
-	if len(rest) == 0 {
+	if !pb.ballot.Drop(drop) {
 		p.failBallot(alloc, pb)
 		return
 	}
-	pb.electorate = rest
-	bal, err := quorum.NewBallot(pb.addr, rest)
-	if err != nil {
-		p.failBallot(alloc, pb)
-		return
-	}
-	if !p.p.DisableDynamicLinear {
-		for _, id := range rest {
-			if id == pb.owner {
-				_ = bal.SetDistinguished(pb.owner)
-				break
-			}
-		}
-	}
-	for voter, e := range pb.votes {
-		keep := false
-		for _, id := range rest {
-			if id == voter {
-				keep = true
-				break
-			}
-		}
-		if keep {
-			_ = bal.Cast(voter, e)
-		}
-	}
-	pb.ballot = bal
 	p.checkBallot(alloc, pb)
 }
 
@@ -986,7 +935,7 @@ func (p *Protocol) finishCommonBallot(alloc *node, pb *pendingBallot, dec quorum
 	newEntry := addrspace.Entry{Status: addrspace.Occupied, Version: dec.Entry.Version + 1}
 	alloc.applyEntry(pb.owner, pb.addr, newEntry)
 	p.rt.Trace(obs.Event{Kind: obs.EvBallotCommit, Node: alloc.id, Peer: pb.requestor, Addr: pb.addr, MsgID: pb.id, Span: pb.span})
-	for _, h := range pb.electorate {
+	for _, h := range pb.ballot.Voters() {
 		if h == alloc.id {
 			continue
 		}

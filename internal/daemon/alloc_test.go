@@ -1,12 +1,13 @@
 package daemon
 
 // Allocation-path tests: candidate selection over the table's free index,
-// ballot retries, forwarded-allocation waiters, and the occupancy counts
-// /v1/status and /v1/metrics serve.
+// ballot retries and the tally, forwarded-allocation waiters, holder
+// attribution, and the occupancy counts /v1/status and /v1/metrics serve.
 
 import (
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"regexp"
 	"strconv"
@@ -14,6 +15,9 @@ import (
 	"time"
 
 	"quorumconf/internal/addrspace"
+	"quorumconf/internal/metrics"
+	"quorumconf/internal/msg"
+	"quorumconf/internal/radio"
 )
 
 // onLoopSync runs fn on d's event loop and waits for it.
@@ -275,4 +279,141 @@ func TestOccupancyCountsMatchRecount(t *testing.T) {
 		return err == nil && electorateIs(v, 1, 2)
 	})
 	converge("after reclaiming daemon 3", ds[:2], 4)
+}
+
+// TestBallotReadsAReplicaHolder: under a bounded replication target the
+// members outside the replica set hold no table, so their votes have
+// nothing to read. The ballot used to count them anyway — the owner and the
+// two non-holders of five daemons made a majority — and granted an address
+// while both replica holders were stalled and would have reported it
+// occupied.
+func TestBallotReadsAReplicaHolder(t *testing.T) {
+	ds := newCluster(t, 5, func(c *Config) {
+		c.ReplicationTarget = 3
+		c.HealthInterval = -1
+		c.SuspectAfter = 30 * time.Second // a stalled holder is slow, not dead
+		c.QuorumTimeout = time.Second
+	})
+	waitFormed(t, ds)
+	owner := ds[0]
+	var holders []*Daemon
+	first, ok := addrspace.Addr(0), false
+	onLoopSync(t, owner, func() {
+		first, ok = owner.table.FirstFree()
+		for _, m := range owner.roster {
+			if m.holder {
+				holders = append(holders, ds[m.id-1])
+			}
+		}
+	})
+	if !ok || len(holders) != 2 {
+		t.Fatalf("after formation: first free %v (%v), %d designated holders, want 2", first, ok, len(holders))
+	}
+	taken := addrspace.Entry{Status: addrspace.Occupied, Version: 9}
+	for _, h := range holders {
+		onLoopSync(t, h, func() {
+			if err := h.table.Set(first, taken); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	stalled := make(chan struct{}, len(holders))
+	for _, h := range holders {
+		h.post(func() {
+			stalled <- struct{}{}
+			time.Sleep(300 * time.Millisecond)
+		})
+	}
+	for range holders {
+		<-stalled
+	}
+
+	v, code := allocate(t, owner)
+	if code != http.StatusOK {
+		t.Fatalf("allocate: HTTP %d", code)
+	}
+	if got := addrspace.Addr(v.Value); got == first {
+		t.Fatalf("granted %v, which the replica holders report occupied", got)
+	}
+	onLoopSync(t, owner, func() {
+		if e, _ := owner.table.Get(first); e != taken {
+			t.Errorf("owner's copy of %v is %+v after the ballot read %+v", first, e, taken)
+		}
+	})
+}
+
+// holdersConverge waits until every daemon's /v1/status holders map equals
+// the owner's (ds[0]) and fails with both maps when they never do.
+func holdersConverge(t *testing.T, what string, ds []*Daemon) {
+	t.Helper()
+	var want, got map[string]int
+	var odd radio.NodeID
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		want, odd = getStatus(t, ds[0]).Holders, 0
+		for _, d := range ds[1:] {
+			if got = getStatus(t, d).Holders; !maps.Equal(got, want) {
+				odd = d.ID()
+				break
+			}
+		}
+		if odd == 0 {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Fatalf("%s: daemon %d knows holders %v, the owner %v", what, odd, got, want)
+}
+
+// TestEveryMemberKnowsWhoHoldsWhat: every member learns who holds every
+// address — the other members' own addresses included, which used to reach
+// only the joiner (in its holder map) and never the members that joined
+// before it. A promoted owner reclaims and takes returns by that map.
+func TestEveryMemberKnowsWhoHoldsWhat(t *testing.T) {
+	ds := newCluster(t, 4)
+	waitFormed(t, ds)
+	holdersConverge(t, "after formation", ds)
+	for _, d := range []*Daemon{ds[1], ds[3], ds[0]} {
+		if _, code := allocate(t, d); code != http.StatusOK {
+			t.Fatalf("allocate at %d: HTTP %d", d.ID(), code)
+		}
+	}
+	holdersConverge(t, "after three allocations", ds)
+}
+
+// TestReturnOnlyWhatYouHold: a member that returns an address another
+// member holds frees nothing. The owner used to free it, and hand it out
+// again to the next request.
+func TestReturnOnlyWhatYouHold(t *testing.T) {
+	ds := newCluster(t, 3)
+	waitFormed(t, ds)
+	owner, thief, victim := ds[0], ds[1], ds[2]
+	v, code := allocate(t, victim)
+	if code != http.StatusOK {
+		t.Fatalf("allocate at %d: HTTP %d", victim.ID(), code)
+	}
+	lease := addrspace.Addr(v.Value)
+
+	// The RETURN_ADDR and the allocation request behind it travel the same
+	// peer queue, so the owner has handled the first when it answers.
+	onLoopSync(t, thief, func() {
+		thief.sendTo(owner.ID(), msg.TReturnAddr, metrics.CatConfig,
+			msg.ReturnAddr{Configurer: thief.ID(), ConfigurerIP: thief.selfIP, Addr: lease})
+	})
+	w, code := allocate(t, thief)
+	if code != http.StatusOK {
+		t.Fatalf("allocate at %d: HTTP %d", thief.ID(), code)
+	}
+	if addrspace.Addr(w.Value) == lease {
+		t.Errorf("%v granted to %d while %d holds it", lease, thief.ID(), victim.ID())
+	}
+	onLoopSync(t, owner, func() {
+		if e, _ := owner.table.Get(lease); e.Status != addrspace.Occupied || owner.holders[lease] != victim.ID() {
+			t.Errorf("owner has %v %v, attributed to %d; want occupied, held by %d",
+				lease, e.Status, owner.holders[lease], victim.ID())
+		}
+	})
+	if n := counter(owner, "daemon.addrs_returned"); n != 0 {
+		t.Errorf("owner counted %d returned addresses, want 0", n)
+	}
 }

@@ -163,8 +163,9 @@ func TestChaosMaliciousDaemonDefeated(t *testing.T) {
 // TestForgedSourcesDoNotGrowLiveness: without -auth-key the transport
 // delivers any decodable frame, so liveness and death bookkeeping must be
 // keyed by the electorate, not by whatever node IDs a raw socket invents,
-// and address attribution (UPDATE_LOC, REC_REP) by the space, not by
-// whatever addresses it invents.
+// address attribution (UPDATE_LOC, REC_REP) by the space, not by whatever
+// addresses it invents, and a RETURN_ADDR by who holds the address — here
+// the owner's own IP, which no forged source may free.
 func TestForgedSourcesDoNotGrowLiveness(t *testing.T) {
 	d := newSoloOwner(t)
 	// A reclamation in progress, so that REC_REP has somewhere to write.
@@ -181,13 +182,18 @@ func TestForgedSourcesDoNotGrowLiveness(t *testing.T) {
 	for i := 0; i < forged; i++ {
 		env := &wire.Envelope{MsgID: uint64(i + 1), Type: msg.TRepRsp, Src: radio.NodeID(1000 + i), Dst: d.ID(), Payload: msg.RepRsp{}}
 		outside := testSpace.Hi + 1 + addrspace.Addr(i)
-		switch i % 4 {
+		switch i % 5 {
 		case 1:
 			env.Type, env.Payload = msg.TAddrRec, msg.AddrRec{Target: radio.NodeID(100000 + i)}
 		case 2:
 			env.Type, env.Payload = msg.TUpdateLoc, msg.UpdateLoc{Configurer: radio.NodeID(200000 + i), ConfigurerIP: outside, Addr: outside}
 		case 3:
 			env.Type, env.Payload = msg.TRecRep, msg.RecRep{Target: run.target, Addr: outside}
+		case 4:
+			if i%10 == 9 {
+				env.Src = d.ID() // the holder's own ID
+			}
+			env.Type, env.Payload = msg.TReturnAddr, msg.ReturnAddr{Configurer: env.Src, ConfigurerIP: testSpace.Lo, Addr: testSpace.Lo}
 		}
 		frame, err := wire.AppendEncode([]byte{'D'}, env)
 		if err != nil {
@@ -210,6 +216,9 @@ func TestForgedSourcesDoNotGrowLiveness(t *testing.T) {
 		if size := int(testSpace.Size()); len(d.holders) > size || len(run.refreshed) > size {
 			t.Errorf("space of %d addresses, yet %d holder and %d defense entries after %d forged frames",
 				size, len(d.holders), len(run.refreshed), forged)
+		}
+		if e, _ := d.table.Get(testSpace.Lo); e.Status != addrspace.Occupied || d.holders[testSpace.Lo] != d.ID() {
+			t.Errorf("owner's own %v is %v, attributed to %d, after forged returns", testSpace.Lo, e.Status, d.holders[testSpace.Lo])
 		}
 	})
 }

@@ -14,8 +14,9 @@
 //     plus a REPLICA_DIST replica of the table, and enter the electorate;
 //   - every allocation runs a quorum ballot (QUORUM_CLT/QUORUM_CFM) over
 //     the electorate with mutual-exclusion vote grants and version
-//     timestamps, and commits with QUORUM_UPD — the paper's guarantee that
-//     no address is ever handed out twice;
+//     timestamps, tallied by quorum.Ballot as in the simulator, and
+//     commits with QUORUM_UPD — the paper's guarantee that no address is
+//     ever handed out twice;
 //   - address-to-holder attribution propagates with UPDATE_LOC;
 //   - members heartbeat with REP_REQ/REP_RSP; a silent member is declared
 //     dead after SuspectAfter, and the owner reclaims every address it
@@ -48,6 +49,7 @@ import (
 	"quorumconf/internal/metrics"
 	"quorumconf/internal/msg"
 	"quorumconf/internal/obs"
+	"quorumconf/internal/quorum"
 	"quorumconf/internal/radio"
 	"quorumconf/internal/transport/udptransport"
 	"quorumconf/internal/wire"
@@ -206,11 +208,9 @@ type ballot struct {
 	id        uint64
 	addr      addrspace.Addr
 	requestor radio.NodeID
-	agent     radio.NodeID // non-zero: reply travels back through this relay
-	lease     bool         // a member's lease: commit announces its holder (UPDATE_LOC)
-	span      uint64       // causal trace of the allocation this ballot serves
-	openedAt  time.Time    // current round's open time (ballot RTT histogram)
-	votes     map[radio.NodeID]msg.QuorumCfm
+	span      uint64         // causal trace of the allocation this ballot serves
+	openedAt  time.Time      // current round's open time (ballot RTT histogram)
+	tally     *quorum.Ballot // current round's votes, over the roster at open time
 	attempts  int
 	timer     *time.Timer
 	reply     func(addr addrspace.Addr, ok bool)
@@ -718,6 +718,3 @@ func (d *Daemon) ipOf(id radio.NodeID) addrspace.Addr {
 	}
 	return 0
 }
-
-// majority is the quorum threshold over the current electorate.
-func (d *Daemon) majority() int { return len(d.roster)/2 + 1 }

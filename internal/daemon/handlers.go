@@ -11,9 +11,9 @@ import (
 	"quorumconf/internal/metrics"
 	"quorumconf/internal/msg"
 	"quorumconf/internal/obs"
-	"quorumconf/internal/wire"
-
+	"quorumconf/internal/quorum"
 	"quorumconf/internal/radio"
+	"quorumconf/internal/wire"
 )
 
 // handle dispatches one received envelope. A message from a member of the
@@ -98,7 +98,7 @@ func (d *Daemon) onJoinRequest(requestor, agent radio.NodeID, span uint64) {
 		return
 	}
 	d.joinInFlight[requestor] = true
-	d.startBallot(requestor, span, false, func(addr addrspace.Addr, ok bool) {
+	d.startBallot(requestor, span, func(addr addrspace.Addr, ok bool) {
 		delete(d.joinInFlight, requestor)
 		if !ok {
 			d.coll.Inc("daemon.join_fail")
@@ -255,7 +255,7 @@ func (d *Daemon) allocateLocal(res chan allocResult) uint64 {
 	span := d.mintSpan()
 	if d.owner {
 		d.trace(obs.Event{Kind: obs.EvAllocRequest, Span: span, Detail: "local"})
-		d.startBallot(d.cfg.ID, span, true, func(addr addrspace.Addr, ok bool) {
+		d.startBallot(d.cfg.ID, span, func(addr addrspace.Addr, ok bool) {
 			if ok {
 				d.holders[addr] = d.cfg.ID
 				d.trace(obs.Event{Kind: obs.EvAllocGrant, Addr: addr, Span: span, Detail: "local"})
@@ -277,7 +277,7 @@ func (d *Daemon) onAllocRequest(requestor radio.NodeID, span uint64) {
 	if !d.owner {
 		return // stale owner view at the sender; its failure detector catches up
 	}
-	d.startBallot(requestor, span, true, func(addr addrspace.Addr, ok bool) {
+	d.startBallot(requestor, span, func(addr addrspace.Addr, ok bool) {
 		if !ok {
 			d.coll.Inc("daemon.alloc_fail")
 			d.sendSpan(requestor, msg.TNack, metrics.CatConfig, span, msg.CfgNack{})
@@ -291,13 +291,13 @@ func (d *Daemon) onAllocRequest(requestor radio.NodeID, span uint64) {
 // startBallot begins the quorum vote for one fresh address on behalf of
 // requestor; reply fires exactly once with the outcome. span ties the
 // ballot (and every vote it collects) to the allocation that caused it.
-// lease marks an address a configured member will administer (as opposed
-// to a joiner's own): the commit then tells every member who holds it.
-func (d *Daemon) startBallot(requestor radio.NodeID, span uint64, lease bool, reply func(addr addrspace.Addr, ok bool)) {
-	d.propose(&ballot{requestor: requestor, span: span, lease: lease, reply: reply})
+func (d *Daemon) startBallot(requestor radio.NodeID, span uint64, reply func(addr addrspace.Addr, ok bool)) {
+	d.propose(&ballot{requestor: requestor, span: span, reply: reply})
 }
 
-// propose starts (or restarts, after an abort) one voting round. A restart
+// propose starts (or restarts, after an abort) one voting round over the
+// roster as it stands — self and members declared dead included, so the
+// majority does not shrink with the failure detector's verdicts. A restart
 // moves on to the next candidate above the aborted one, which the voters
 // that granted the aborted round keep answering Busy for until their grant
 // expires.
@@ -320,11 +320,16 @@ func (d *Daemon) propose(b *ballot) {
 		b.reply(0, false) // space exhausted
 		return
 	}
+	tally, err := quorum.NewBallot(d.electorate())
+	if err != nil {
+		b.reply(0, false) // an empty roster: nobody to vote
+		return
+	}
 	d.ballotSeq++
 	b.id = d.ballotSeq
 	b.addr = cand
 	b.openedAt = time.Now()
-	b.votes = make(map[radio.NodeID]msg.QuorumCfm)
+	b.tally = tally
 	d.ballots[b.id] = b
 	d.pendingAddrs[cand] = true
 	d.coll.Inc("daemon.ballots")
@@ -332,7 +337,7 @@ func (d *Daemon) propose(b *ballot) {
 
 	// The allocator votes for itself with its own replica entry.
 	e, _ := d.table.Get(cand)
-	b.votes[d.cfg.ID] = msg.QuorumCfm{BallotID: b.id, Entry: e, HasReplica: true}
+	_ = b.tally.Cast(d.cfg.ID, e)
 	for _, m := range d.peers() {
 		d.sendSpan(m.id, msg.TQuorumClt, metrics.CatConfig, b.span, msg.QuorumClt{BallotID: b.id, Owner: d.cfg.ID, Addr: cand, Allocator: d.cfg.ID})
 	}
@@ -403,52 +408,53 @@ func (d *Daemon) onQuorumClt(src radio.NodeID, p msg.QuorumClt, span uint64) {
 	d.sendSpan(src, msg.TQuorumCfm, metrics.CatConfig, span, cfm)
 }
 
-// onQuorumCfm records one vote, read-repairs the local replica, and closes
-// the ballot when the electorate's majority has answered.
+// onQuorumCfm tallies one vote: Busy abandons the candidate, a voter
+// without a replica has nothing to read and leaves the round's electorate,
+// and any other vote read-repairs the local replica and counts — once, and
+// only from the electorate the round opened with.
 func (d *Daemon) onQuorumCfm(src radio.NodeID, p msg.QuorumCfm) {
 	b, ok := d.ballots[p.BallotID]
 	if !ok {
 		return // late vote for a closed ballot
 	}
-	if p.HasReplica {
+	d.trace(obs.Event{Kind: obs.EvBallotVote, Peer: src, Addr: b.addr, MsgID: b.id, Span: b.span})
+	switch {
+	case p.Busy:
+		d.abortBallot(b) // someone promised this address elsewhere
+		return
+	case !p.HasReplica:
+		b.tally.Drop(src) // a round left without voters times out
+	case b.tally.Cast(src, p.Entry) != nil:
+		return // an outsider or a repeat
+	default:
 		if cur, ok := d.table.Get(b.addr); ok && p.Entry.Newer(cur) {
 			_ = d.table.Set(b.addr, p.Entry)
 		}
 	}
-	b.votes[src] = p
-	d.trace(obs.Event{Kind: obs.EvBallotVote, Peer: src, Addr: b.addr, MsgID: b.id, Span: b.span})
 	d.evalBallot(b)
 }
 
+// evalBallot decides the round once a strict majority of its electorate has
+// voted: the freshest copy among the votes commits the candidate if it is
+// free and moves on to the next one if it is occupied.
 func (d *Daemon) evalBallot(b *ballot) {
-	var maxVer uint64
-	votes := 0
-	for id, v := range b.votes {
-		if id != d.cfg.ID && (v.Busy || (v.HasReplica && v.Entry.Status == addrspace.Occupied)) {
-			// Someone promised this address elsewhere, or knows it taken
-			// with a fresher stamp: abandon the candidate.
-			d.abortBallot(b)
-			return
-		}
-		if id == d.cfg.ID || d.member(id) != nil {
-			votes++
-		}
-		if v.HasReplica && v.Entry.Version > maxVer {
-			maxVer = v.Entry.Version
-		}
-	}
-	if votes < d.majority() {
+	if !b.tally.HasStrictMajority() {
 		return
 	}
-	d.commitBallot(b, maxVer)
+	if dec, err := b.tally.Decide(); err == nil && dec.Available {
+		d.commitBallot(b, dec.Entry.Version)
+	} else {
+		d.abortBallot(b)
+	}
 }
 
 // commitBallot marks the address occupied with a version stamp strictly
-// above everything any voter reported, and pushes the update — and, for a
-// lease, who administers the address now — to the electorate.
-func (d *Daemon) commitBallot(b *ballot, maxVer uint64) {
+// above the freshest copy the quorum read, and pushes the update — and who
+// administers the address now — to the electorate. A joiner is not a peer
+// yet: it learns the holders from sendJoinGrant.
+func (d *Daemon) commitBallot(b *ballot, ver uint64) {
 	d.clearBallot(b)
-	_ = d.table.Set(b.addr, addrspace.Entry{Status: addrspace.Free, Version: maxVer})
+	_ = d.table.Set(b.addr, addrspace.Entry{Status: addrspace.Free, Version: ver})
 	e, err := d.table.Mark(b.addr, addrspace.Occupied)
 	if err != nil {
 		b.reply(0, false)
@@ -467,9 +473,7 @@ func (d *Daemon) commitBallot(b *ballot, maxVer uint64) {
 	}
 	for _, m := range peers {
 		d.sendSpan(m.id, msg.TQuorumUpd, metrics.CatConfig, b.span, msg.QuorumUpd{Owner: d.cfg.ID, Addr: b.addr, Entry: e})
-		if b.lease {
-			d.sendTo(m.id, msg.TUpdateLoc, metrics.CatSync, msg.UpdateLoc{Configurer: b.requestor, ConfigurerIP: d.ipOf(b.requestor), Addr: b.addr})
-		}
+		d.sendTo(m.id, msg.TUpdateLoc, metrics.CatSync, msg.UpdateLoc{Configurer: b.requestor, ConfigurerIP: d.ipOf(b.requestor), Addr: b.addr})
 	}
 	d.coll.Inc("daemon.allocs")
 	b.reply(b.addr, true)

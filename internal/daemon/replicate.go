@@ -190,32 +190,44 @@ func (d *Daemon) sendReturns() {
 // onReturnAddr is the owner side of a graceful departure: free the
 // returned address under a quorum update, and when the member returns its
 // own IP (marked by Addr == ConfigurerIP), retire it from the electorate
-// and confirm with DEPART_ACK.
+// and confirm with DEPART_ACK. Only the holder can return an address, so a
+// RETURN_ADDR naming someone else's — from a raw socket or an insider —
+// changes nothing.
 func (d *Daemon) onReturnAddr(src radio.NodeID, p msg.ReturnAddr) {
 	if !d.owner || d.table == nil {
 		return // stale owner view at the sender; it retries after failover
 	}
-	if e, ok := d.table.Get(p.Addr); ok && e.Status == addrspace.Occupied {
-		ne := addrspace.Entry{Status: addrspace.Free, Version: e.Version + 1}
-		_ = d.table.Set(p.Addr, ne)
-		d.coll.Inc("daemon.addrs_returned")
-		for _, m := range d.peers() {
-			d.sendTo(m.id, msg.TQuorumUpd, metrics.CatConfig, msg.QuorumUpd{Owner: d.cfg.ID, Addr: p.Addr, Entry: ne})
-		}
+	if src == d.cfg.ID {
+		return // forged: the owner never returns an address to itself
 	}
-	delete(d.holders, p.Addr)
+	held := d.holders[p.Addr] == src
+	if held {
+		if e, ok := d.table.Get(p.Addr); ok && e.Status == addrspace.Occupied {
+			ne := addrspace.Entry{Status: addrspace.Free, Version: e.Version + 1}
+			_ = d.table.Set(p.Addr, ne)
+			d.coll.Inc("daemon.addrs_returned")
+			for _, m := range d.peers() {
+				d.sendTo(m.id, msg.TQuorumUpd, metrics.CatConfig, msg.QuorumUpd{Owner: d.cfg.ID, Addr: p.Addr, Entry: ne})
+			}
+		}
+		delete(d.holders, p.Addr)
+	}
 	if p.Addr != p.ConfigurerIP {
 		return
 	}
 	// Final leg: the member returned its own address. Idempotent — a
 	// retried RETURN_ADDR after teardown still earns its DEPART_ACK.
-	if d.member(src) != nil {
+	switch {
+	case d.member(src) == nil:
+	case held:
 		d.trace(obs.Event{Kind: obs.EvNodeDeparted, Peer: src, Addr: p.Addr, Detail: "graceful"})
 		d.expel(src)
 		delete(d.joinInFlight, src)
 		d.coll.Inc("daemon.departs_served")
 		d.broadcastReplica()
 		d.logf("member %d departed gracefully; electorate %v", int(src), d.electorate())
+	default:
+		return // a member naming an address that is not its own
 	}
 	d.sendTo(src, msg.TDepartAck, metrics.CatConfig, msg.DepartAck{})
 }

@@ -22,14 +22,14 @@ import (
 	"quorumconf/internal/workload"
 )
 
-// ByzantineResult bundles the sweep's figures with a flat summary map for
-// the benchmark trajectory file.
+// ByzantineResult bundles the sweep's figures with a flat summary map of
+// their cells.
 type ByzantineResult struct {
 	// Figures holds three figures — conflict rate, configuration latency,
 	// and recovery index versus k — each with one series per protocol.
 	Figures []Figure
 	// Summary flattens every (metric, protocol, k) cell into
-	// "byz_<metric>_<protocol>_k<k>" keys for BENCH_sweeps.json.
+	// "byz_<metric>_<protocol>_k<k>" keys.
 	Summary map[string]float64
 }
 

@@ -24,7 +24,8 @@ type AllocVariant struct {
 }
 
 // AllocVariants returns the three engine configurations the throughput
-// benchmark and BENCH_sweeps.json compare, serial first.
+// benchmark (BenchmarkAllocThroughput) compares, serial first; bench's
+// sim_churn workload runs the last.
 func AllocVariants() []AllocVariant {
 	return []AllocVariant{
 		{Name: "alloc_serial", Window: 1},

@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"quorumconf/internal/metrics"
@@ -155,5 +156,49 @@ func TestLossDeterministicPerSeed(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("loss not deterministic per seed: %d vs %d", a, b)
+	}
+}
+
+// TestFloodLossDeterministicPerSeed: under loss, which receivers a flood
+// reaches follows from the seed alone. Receivers used to draw their loss in
+// the map order of the hop-distance table, so two runs from one seed
+// reached different nodes.
+func TestFloodLossDeterministicPerSeed(t *testing.T) {
+	run := func() [][]radio.NodeID {
+		s := sim.New(7)
+		topo, _ := radio.NewTopology(150)
+		for i := 0; i < 12; i++ {
+			_ = topo.Add(radio.NodeID(i), mobility.Static(mobility.Point{X: float64(i) * 100}))
+		}
+		n, err := New(s, topo, metrics.New(), hop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = n.SetLossRate(0.5)
+		const floods = 10
+		reached := make([][]radio.NodeID, floods)
+		for i := 1; i < 12; i++ {
+			id := radio.NodeID(i)
+			_ = n.Register(id, func(m Message) {
+				f := m.Payload.(int)
+				reached[f] = append(reached[f], id)
+			})
+		}
+		for f := 0; f < floods; f++ {
+			n.Flood(0, Message{Category: metrics.CatReclamation, Payload: f})
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range reached {
+			slices.Sort(r)
+		}
+		return reached
+	}
+	a, b := run(), run()
+	for f := range a {
+		if !slices.Equal(a[f], b[f]) {
+			t.Errorf("flood %d reached %v, then %v from the same seed", f, a[f], b[f])
+		}
 	}
 }

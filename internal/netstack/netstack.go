@@ -14,6 +14,7 @@ package netstack
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"quorumconf/internal/metrics"
@@ -233,8 +234,16 @@ func (n *Network) FloodScoped(src radio.NodeID, msg Message, maxHops int) int {
 		k = snap.Len() // an upper bound on any hop distance
 	}
 	dist := snap.WithinHops(src, k)
+	// Receivers in ID order, not map order: each draws its loss in turn and
+	// same-instant deliveries queue in this order, so a seed fixes both.
+	ids := make([]radio.NodeID, 0, len(dist))
+	for id := range dist {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 	transmissions := 0
-	for id, d := range dist {
+	for _, id := range ids {
+		d := dist[id]
 		if unbounded || d < maxHops {
 			transmissions++
 		}

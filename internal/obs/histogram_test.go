@@ -125,8 +125,8 @@ func TestHistogramsRegistry(t *testing.T) {
 	}
 }
 
-// BenchmarkHistogramObserve measures the lock-free hot path; recorded into
-// BENCH_sweeps.json by quorumsim -benchjson as hist_observe.
+// BenchmarkHistogramObserve measures the lock-free hot path; bench reports
+// the same operation as obs.hist_observe_ns.
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewHistogram(1e-6)
 	b.ReportAllocs()

@@ -15,7 +15,7 @@ func BenchmarkBallotRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bal, err := NewBallot(42, voters)
+		bal, err := NewBallot(voters)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,9 +1,9 @@
-// Package quorum implements the voting machinery of the paper: majority
-// quorums over a set of replica holders, the read/write quorum constraints
-// (w > v/2 and r + w > v), and dynamic linear voting (Jajodia–Mutchler)
-// where a set holding exactly half the votes constitutes a quorum iff it
-// contains the distinguished node — the cluster head whose IPSpace holds
-// the address under vote.
+// Package quorum implements the paper's allocation rule (§II-C/D) — the one
+// place either engine tallies a ballot: a majority of the replica holders
+// must vote, the copy with the latest timestamp decides, and dynamic linear
+// voting (Jajodia–Mutchler) breaks even splits — a set holding exactly half
+// the votes constitutes a quorum iff it contains the distinguished node, the
+// cluster head whose IPSpace holds the address under vote.
 package quorum
 
 import (
@@ -13,15 +13,6 @@ import (
 	"quorumconf/internal/addrspace"
 	"quorumconf/internal/radio"
 )
-
-// MajoritySize returns the minimum number of votes that constitutes a
-// strict majority among n voters: floor(n/2) + 1.
-func MajoritySize(n int) int {
-	if n <= 0 {
-		return 1
-	}
-	return n/2 + 1
-}
 
 // HasQuorum decides whether granted votes out of total form a quorum under
 // dynamic linear voting. A strict majority always wins. An exact half wins
@@ -40,59 +31,24 @@ func HasQuorum(granted, total int, distinguishedGranted bool) bool {
 	return 2*granted == total && distinguishedGranted
 }
 
-// RWConfig are read/write quorum sizes over v total votes. The paper's
-// consistency conditions are Write > v/2 and Read + Write > v, which ensure
-// any two writes conflict and every read intersects every write.
-type RWConfig struct {
-	Read, Write, Total int
-}
-
-// Validate checks the paper's two conditions.
-func (c RWConfig) Validate() error {
-	if c.Total <= 0 {
-		return fmt.Errorf("quorum: total votes %d must be positive", c.Total)
-	}
-	if c.Read <= 0 || c.Write <= 0 {
-		return fmt.Errorf("quorum: read %d and write %d must be positive", c.Read, c.Write)
-	}
-	if c.Read > c.Total || c.Write > c.Total {
-		return fmt.Errorf("quorum: read %d / write %d exceed total %d", c.Read, c.Write, c.Total)
-	}
-	if 2*c.Write <= c.Total {
-		return fmt.Errorf("quorum: write quorum %d does not satisfy w > v/2 (v=%d)", c.Write, c.Total)
-	}
-	if c.Read+c.Write <= c.Total {
-		return fmt.Errorf("quorum: r+w=%d does not exceed v=%d", c.Read+c.Write, c.Total)
-	}
-	return nil
-}
-
-// Majority returns the symmetric configuration r = w = floor(v/2)+1.
-func Majority(total int) RWConfig {
-	m := MajoritySize(total)
-	return RWConfig{Read: m, Write: m, Total: total}
-}
-
-// Ballot collects votes about one proposed address from a fixed electorate
-// (the allocator plus its QDSet in the paper). Each vote carries the
-// voter's replica entry for the address; the freshest version decides
-// availability once a quorum of votes is in.
+// Ballot collects votes about one proposed address from an electorate (the
+// allocator plus its QDSet in the paper). Each vote carries the voter's
+// replica entry for the address; the freshest entry decides availability
+// once a quorum of votes is in.
 type Ballot struct {
-	proposal      addrspace.Addr
 	electorate    map[radio.NodeID]bool
 	votes         map[radio.NodeID]addrspace.Entry
 	distinguished radio.NodeID
 	hasDistNode   bool
 }
 
-// NewBallot creates a ballot over the given electorate for one proposed
-// address. The electorate must be non-empty and free of duplicates.
-func NewBallot(proposal addrspace.Addr, electorate []radio.NodeID) (*Ballot, error) {
+// NewBallot creates a ballot over the given electorate. The electorate must
+// be non-empty and free of duplicates.
+func NewBallot(electorate []radio.NodeID) (*Ballot, error) {
 	if len(electorate) == 0 {
 		return nil, fmt.Errorf("quorum: empty electorate")
 	}
 	b := &Ballot{
-		proposal:   proposal,
 		electorate: make(map[radio.NodeID]bool, len(electorate)),
 		votes:      make(map[radio.NodeID]addrspace.Entry),
 	}
@@ -117,9 +73,6 @@ func (b *Ballot) SetDistinguished(id radio.NodeID) error {
 	return nil
 }
 
-// Proposal returns the address under vote.
-func (b *Ballot) Proposal() addrspace.Addr { return b.proposal }
-
 // Cast records a vote. Voting twice or from outside the electorate is an
 // error.
 func (b *Ballot) Cast(voter radio.NodeID, e addrspace.Entry) error {
@@ -133,11 +86,42 @@ func (b *Ballot) Cast(voter radio.NodeID, e addrspace.Entry) error {
 	return nil
 }
 
-// Granted returns the number of votes cast so far.
-func (b *Ballot) Granted() int { return len(b.votes) }
+// Drop removes id from the electorate, with its vote if it cast one; the
+// votes the others cast stand. Dropping the distinguished node gives up the
+// tie-break. Drop reports whether any voter is left.
+func (b *Ballot) Drop(id radio.NodeID) bool {
+	delete(b.electorate, id)
+	delete(b.votes, id)
+	if b.hasDistNode && b.distinguished == id {
+		b.hasDistNode = false
+	}
+	return len(b.electorate) > 0
+}
 
-// Electorate returns the number of eligible voters.
-func (b *Ballot) Electorate() int { return len(b.electorate) }
+// Voters returns the electorate in ascending ID order.
+func (b *Ballot) Voters() []radio.NodeID {
+	return b.sorted(func(radio.NodeID) bool { return true })
+}
+
+// Outstanding returns the electorate members that have not voted, in
+// ascending ID order (deterministic retransmission order).
+func (b *Ballot) Outstanding() []radio.NodeID {
+	return b.sorted(func(id radio.NodeID) bool {
+		_, voted := b.votes[id]
+		return !voted
+	})
+}
+
+func (b *Ballot) sorted(keep func(radio.NodeID) bool) []radio.NodeID {
+	var out []radio.NodeID
+	for id := range b.electorate {
+		if keep(id) {
+			out = append(out, id)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
 
 // HasQuorum reports whether the votes cast so far form a quorum under
 // dynamic linear voting.
@@ -158,33 +142,6 @@ func (b *Ballot) HasStrictMajority() bool {
 	return HasQuorum(len(b.votes), len(b.electorate), false)
 }
 
-// Latest returns the freshest entry among the votes cast (highest version).
-// The second result is false when no votes have been cast.
-func (b *Ballot) Latest() (addrspace.Entry, bool) {
-	var best addrspace.Entry
-	found := false
-	for _, e := range b.votes {
-		if !found || e.Newer(best) {
-			best = e
-			found = true
-		}
-	}
-	return best, found
-}
-
-// Outstanding returns the electorate members that have not voted, in
-// ascending ID order (deterministic retransmission order).
-func (b *Ballot) Outstanding() []radio.NodeID {
-	var out []radio.NodeID
-	for id := range b.electorate {
-		if _, voted := b.votes[id]; !voted {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Decision is the outcome of a completed ballot.
 type Decision struct {
 	// Available reports whether the freshest replica says the proposed
@@ -196,11 +153,20 @@ type Decision struct {
 
 // Decide returns the ballot's outcome. It fails unless a quorum of votes
 // has been cast — deciding without a quorum would break the paper's
-// uniqueness guarantee.
+// uniqueness guarantee. The freshest entry is the one with the highest
+// version; among equal versions occupied wins, so the outcome does not
+// depend on the order the votes came in.
 func (b *Ballot) Decide() (Decision, error) {
 	if !b.HasQuorum() {
 		return Decision{}, fmt.Errorf("quorum: no quorum (%d/%d votes)", len(b.votes), len(b.electorate))
 	}
-	latest, _ := b.Latest()
+	var latest addrspace.Entry
+	for _, e := range b.votes {
+		// Occupied is the highest Status, so (version, status) order is the
+		// rule, and a total one.
+		if e.Version > latest.Version || (e.Version == latest.Version && e.Status > latest.Status) {
+			latest = e
+		}
+	}
 	return Decision{Available: latest.Status != addrspace.Occupied, Entry: latest}, nil
 }

@@ -1,6 +1,8 @@
 package quorum
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -8,13 +10,17 @@ import (
 	"quorumconf/internal/radio"
 )
 
+// TestMajoritySize: the smallest vote count that wins without the
+// tie-break is floor(n/2)+1 of n voters.
 func TestMajoritySize(t *testing.T) {
-	cases := map[int]int{
-		-1: 1, 0: 1, 1: 1, 2: 2, 3: 2, 4: 3, 5: 3, 6: 4, 100: 51,
-	}
+	cases := map[int]int{1: 1, 2: 2, 3: 2, 4: 3, 5: 3, 6: 4, 100: 51}
 	for n, want := range cases {
-		if got := MajoritySize(n); got != want {
-			t.Errorf("MajoritySize(%d) = %d, want %d", n, got, want)
+		got := 1
+		for !HasQuorum(got, n, false) {
+			got++
+		}
+		if got != want {
+			t.Errorf("smallest strict majority of %d = %d, want %d", n, got, want)
 		}
 	}
 }
@@ -45,47 +51,9 @@ func TestHasQuorumStrictMajority(t *testing.T) {
 	}
 }
 
-func TestRWConfigValidate(t *testing.T) {
-	valid := []RWConfig{
-		{Read: 3, Write: 3, Total: 5},
-		{Read: 1, Write: 5, Total: 5},
-		{Read: 2, Write: 2, Total: 3},
-		{Read: 1, Write: 1, Total: 1},
-	}
-	for _, c := range valid {
-		if err := c.Validate(); err != nil {
-			t.Errorf("Validate(%+v) = %v, want nil", c, err)
-		}
-	}
-	invalid := []RWConfig{
-		{Read: 3, Write: 2, Total: 5},  // w <= v/2... 2*2=4 <= 5
-		{Read: 2, Write: 3, Total: 5},  // r+w = 5, not > v
-		{Read: 0, Write: 3, Total: 5},  // zero read
-		{Read: 3, Write: 0, Total: 5},  // zero write
-		{Read: 6, Write: 3, Total: 5},  // read exceeds total
-		{Read: 3, Write: 6, Total: 5},  // write exceeds total
-		{Read: 1, Write: 1, Total: 0},  // no voters
-		{Read: 1, Write: 1, Total: -2}, // negative voters
-	}
-	for _, c := range invalid {
-		if err := c.Validate(); err == nil {
-			t.Errorf("Validate(%+v) = nil, want error", c)
-		}
-	}
-}
-
-func TestMajorityConfigAlwaysValid(t *testing.T) {
-	for v := 1; v <= 50; v++ {
-		c := Majority(v)
-		if err := c.Validate(); err != nil {
-			t.Errorf("Majority(%d) = %+v invalid: %v", v, c, err)
-		}
-	}
-}
-
 func newTestBallot(t *testing.T, voters ...radio.NodeID) *Ballot {
 	t.Helper()
-	b, err := NewBallot(100, voters)
+	b, err := NewBallot(voters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +61,10 @@ func newTestBallot(t *testing.T, voters ...radio.NodeID) *Ballot {
 }
 
 func TestNewBallotValidation(t *testing.T) {
-	if _, err := NewBallot(1, nil); err == nil {
+	if _, err := NewBallot(nil); err == nil {
 		t.Error("empty electorate accepted")
 	}
-	if _, err := NewBallot(1, []radio.NodeID{1, 2, 1}); err == nil {
+	if _, err := NewBallot([]radio.NodeID{1, 2, 1}); err == nil {
 		t.Error("duplicate voters accepted")
 	}
 }
@@ -112,20 +80,19 @@ func TestBallotCastRules(t *testing.T) {
 	if err := b.Cast(9, addrspace.Entry{Status: addrspace.Free}); err == nil {
 		t.Error("outsider vote accepted")
 	}
-	if b.Granted() != 1 || b.Electorate() != 3 {
-		t.Errorf("Granted/Electorate = %d/%d, want 1/3", b.Granted(), b.Electorate())
+	if out := b.Outstanding(); !slices.Equal(out, []radio.NodeID{2, 3}) {
+		t.Errorf("Outstanding = %v, want [2 3]", out)
 	}
-	if b.Proposal() != 100 {
-		t.Errorf("Proposal = %v, want 100", b.Proposal())
+	if v := b.Voters(); !slices.Equal(v, []radio.NodeID{1, 2, 3}) {
+		t.Errorf("Voters = %v, want [1 2 3]", v)
 	}
 }
 
 func TestBallotQuorumProgression(t *testing.T) {
 	b := newTestBallot(t, 1, 2, 3, 4, 5)
-	votes := []radio.NodeID{1, 2}
-	for _, v := range votes {
+	for i, v := range []radio.NodeID{1, 2} {
 		if b.HasQuorum() {
-			t.Fatalf("quorum before majority at %d votes", b.Granted())
+			t.Fatalf("quorum before majority at %d votes", i)
 		}
 		if err := b.Cast(v, addrspace.Entry{Status: addrspace.Free, Version: 1}); err != nil {
 			t.Fatal(err)
@@ -179,15 +146,12 @@ func TestSetDistinguishedOutsideElectorate(t *testing.T) {
 
 func TestBallotLatestPicksHighestVersion(t *testing.T) {
 	b := newTestBallot(t, 1, 2, 3)
-	if _, ok := b.Latest(); ok {
-		t.Error("Latest with no votes reported an entry")
-	}
 	_ = b.Cast(1, addrspace.Entry{Status: addrspace.Free, Version: 3})
 	_ = b.Cast(2, addrspace.Entry{Status: addrspace.Occupied, Version: 7})
 	_ = b.Cast(3, addrspace.Entry{Status: addrspace.Free, Version: 5})
-	e, ok := b.Latest()
-	if !ok || e.Version != 7 || e.Status != addrspace.Occupied {
-		t.Errorf("Latest = %+v,%v, want occupied v7", e, ok)
+	d, err := b.Decide()
+	if err != nil || d.Entry != (addrspace.Entry{Status: addrspace.Occupied, Version: 7}) {
+		t.Errorf("Decide = %+v,%v, want occupied v7", d, err)
 	}
 }
 
@@ -220,6 +184,39 @@ func TestBallotDecide(t *testing.T) {
 	if d2.Entry.Version != 9 {
 		t.Errorf("decision entry = %+v, want v9", d2.Entry)
 	}
+
+	// A stale occupied vote does not: the freshest copy decides.
+	b3 := newTestBallot(t, 1, 2, 3)
+	_ = b3.Cast(1, addrspace.Entry{Status: addrspace.Occupied, Version: 4})
+	_ = b3.Cast(2, addrspace.Entry{Status: addrspace.Free, Version: 5})
+	if d3, err := b3.Decide(); err != nil || !d3.Available || d3.Entry.Version != 5 {
+		t.Errorf("Decide = %+v,%v, want available at v5", d3, err)
+	}
+}
+
+// TestBallotDecideIndependentOfCastOrder: the same votes decide the same
+// way whatever order they are cast in, and occupied wins a version tie.
+func TestBallotDecideIndependentOfCastOrder(t *testing.T) {
+	votes := []addrspace.Entry{
+		{Status: addrspace.Free, Version: 5},
+		{Status: addrspace.Occupied, Version: 5},
+		{Status: addrspace.Free, Version: 5},
+		{Status: addrspace.Occupied, Version: 2},
+		{Status: addrspace.Free, Version: 3},
+	}
+	want := Decision{Available: false, Entry: addrspace.Entry{Status: addrspace.Occupied, Version: 5}}
+	rng := rand.New(rand.NewSource(1))
+	for rep := 0; rep < 50; rep++ {
+		b := newTestBallot(t, 1, 2, 3, 4, 5)
+		for _, i := range rng.Perm(len(votes)) {
+			if err := b.Cast(radio.NodeID(i+1), votes[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := b.Decide(); err != nil || got != want {
+			t.Fatalf("repeat %d: Decide = %+v,%v, want %+v", rep, got, err, want)
+		}
+	}
 }
 
 func TestBallotOutstandingSorted(t *testing.T) {
@@ -229,6 +226,85 @@ func TestBallotOutstandingSorted(t *testing.T) {
 	if len(out) != 2 || out[0] != 1 || out[1] != 5 {
 		t.Errorf("Outstanding = %v, want [1 5]", out)
 	}
+}
+
+func TestBallotVotersAscending(t *testing.T) {
+	b := newTestBallot(t, 9, 4, 7, 1, 12)
+	_ = b.Cast(7, addrspace.Entry{})
+	if v := b.Voters(); !slices.Equal(v, []radio.NodeID{1, 4, 7, 9, 12}) {
+		t.Errorf("Voters = %v, want [1 4 7 9 12]", v)
+	}
+	b.Drop(4)
+	if v := b.Voters(); !slices.Equal(v, []radio.NodeID{1, 7, 9, 12}) {
+		t.Errorf("Voters after Drop(4) = %v, want [1 7 9 12]", v)
+	}
+}
+
+// TestBallotDropMatchesRebuild: dropping a voter leaves the same ballot as
+// building one over the remaining voters and re-casting their votes — for
+// every vote subset, every voter dropped (the distinguished node and an
+// outsider included).
+func TestBallotDropMatchesRebuild(t *testing.T) {
+	electorate := []radio.NodeID{1, 2, 3, 4, 5}
+	const dist = 1
+	entry := func(id radio.NodeID) addrspace.Entry {
+		return addrspace.Entry{Status: addrspace.Status(1 + id%2), Version: uint64(id % 3)}
+	}
+	for mask := 0; mask < 1<<len(electorate); mask++ {
+		for drop := radio.NodeID(1); drop <= 6; drop++ {
+			got := newTestBallot(t, electorate...)
+			_ = got.SetDistinguished(dist)
+			var rest []radio.NodeID
+			for i, id := range electorate {
+				if mask&(1<<i) != 0 {
+					_ = got.Cast(id, entry(id))
+				}
+				if id != drop {
+					rest = append(rest, id)
+				}
+			}
+			if !got.Drop(drop) {
+				t.Fatalf("Drop(%d) reports no voter left of %v", drop, rest)
+			}
+			want := newTestBallot(t, rest...)
+			if drop != dist {
+				_ = want.SetDistinguished(dist)
+			}
+			for i, id := range electorate {
+				if mask&(1<<i) != 0 && id != drop {
+					_ = want.Cast(id, entry(id))
+				}
+			}
+			if err := sameTally(got, want); err != "" {
+				t.Fatalf("votes %05b, Drop(%d): %s", mask, drop, err)
+			}
+		}
+	}
+
+	b := newTestBallot(t, 7)
+	if b.Drop(7) {
+		t.Error("Drop of the last voter reports voters left")
+	}
+}
+
+// sameTally compares everything a ballot reports; "" when all agree.
+func sameTally(got, want *Ballot) string {
+	switch {
+	case !slices.Equal(got.Voters(), want.Voters()):
+		return "Voters differ"
+	case !slices.Equal(got.Outstanding(), want.Outstanding()):
+		return "Outstanding differs"
+	case got.HasQuorum() != want.HasQuorum():
+		return "HasQuorum differs"
+	case got.HasStrictMajority() != want.HasStrictMajority():
+		return "HasStrictMajority differs"
+	}
+	gd, gerr := got.Decide()
+	wd, werr := want.Decide()
+	if gd != wd || (gerr == nil) != (werr == nil) {
+		return "Decide differs"
+	}
+	return ""
 }
 
 // Property: two disjoint vote sets cannot both hold a quorum — the heart of
@@ -249,25 +325,7 @@ func TestPropertyNoTwoDisjointQuorums(t *testing.T) {
 	}
 }
 
-// Property: any valid RWConfig guarantees read/write and write/write
-// intersection: r + w > v and 2w > v imply any read set of size r overlaps
-// any write set of size w, and any two write sets overlap.
-func TestPropertyRWIntersection(t *testing.T) {
-	f := func(r, w, v uint8) bool {
-		c := RWConfig{Read: int(r%20) + 1, Write: int(w%20) + 1, Total: int(v%20) + 1}
-		if err := c.Validate(); err != nil {
-			return true // only valid configs carry the guarantee
-		}
-		readWriteOverlap := c.Read+c.Write > c.Total
-		writeWriteOverlap := 2*c.Write > c.Total
-		return readWriteOverlap && writeWriteOverlap
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Latest always returns the max-version vote cast.
+// Property: Decide always reports the max-version vote cast.
 func TestPropertyLatestIsMax(t *testing.T) {
 	f := func(versions []uint8) bool {
 		if len(versions) == 0 || len(versions) > 50 {
@@ -277,7 +335,7 @@ func TestPropertyLatestIsMax(t *testing.T) {
 		for i := range voters {
 			voters[i] = radio.NodeID(i)
 		}
-		b, err := NewBallot(1, voters)
+		b, err := NewBallot(voters)
 		if err != nil {
 			return false
 		}
@@ -290,10 +348,92 @@ func TestPropertyLatestIsMax(t *testing.T) {
 				max = uint64(v)
 			}
 		}
-		e, ok := b.Latest()
-		return ok && e.Version == max
+		d, err := b.Decide()
+		return err == nil && d.Entry.Version == max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzBallot drives a ballot through an arbitrary sequence of Cast and
+// Drop calls and checks it against a tally recomputed from scratch over the
+// surviving voters and their votes.
+func FuzzBallot(f *testing.F) {
+	f.Add([]byte{5, 0, 0x10, 0x21, 0x33, 0x01, 0x42})
+	f.Add([]byte{4, 1, 0x11, 0x21, 0x03, 0x13})
+	f.Add([]byte{1, 0, 0x01, 0x10})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) < 2 {
+			return
+		}
+		n := int(ops[0]%9) + 1
+		dist := radio.NodeID(ops[1] % uint8(n))
+		voters := make([]radio.NodeID, n)
+		alive := make(map[radio.NodeID]bool, n)
+		for i := range voters {
+			voters[i] = radio.NodeID(i)
+			alive[voters[i]] = true
+		}
+		b, err := NewBallot(voters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.SetDistinguished(dist); err != nil {
+			t.Fatal(err)
+		}
+		votes := make(map[radio.NodeID]addrspace.Entry)
+		for _, op := range ops[2:] {
+			id := radio.NodeID(op>>4) % radio.NodeID(n+2) // two IDs never in the electorate
+			if op&1 == 1 {
+				delete(alive, id)
+				delete(votes, id)
+				if left := b.Drop(id); left != (len(alive) > 0) {
+					t.Fatalf("Drop(%d) = %v with %d voters left", id, left, len(alive))
+				}
+				continue
+			}
+			e := addrspace.Entry{Status: addrspace.Status(1 + op>>1&1), Version: uint64(op >> 2 & 3)}
+			_, dup := votes[id]
+			accept := alive[id] && !dup
+			if err := b.Cast(id, e); (err == nil) != accept {
+				t.Fatalf("Cast(%d) = %v, want accepted %v", id, err, accept)
+			}
+			if accept {
+				votes[id] = e
+			}
+		}
+
+		granted, total := len(votes), len(alive)
+		_, distVoted := votes[dist]
+		strict := granted > 0 && 2*granted > total
+		quorum := strict || (granted > 0 && 2*granted == total && distVoted)
+		if got := b.HasStrictMajority(); got != strict {
+			t.Fatalf("HasStrictMajority = %v, reference %v (%d/%d)", got, strict, granted, total)
+		}
+		if got := b.HasQuorum(); got != quorum {
+			t.Fatalf("HasQuorum = %v, reference %v (%d/%d, distinguished voted %v)", got, quorum, granted, total, distVoted)
+		}
+		d, err := b.Decide()
+		if (err == nil) != quorum {
+			t.Fatalf("Decide error %v with quorum %v", err, quorum)
+		}
+		if !quorum {
+			return
+		}
+		cast := make([]addrspace.Entry, 0, len(votes))
+		for _, e := range votes {
+			cast = append(cast, e)
+		}
+		slices.SortFunc(cast, func(x, y addrspace.Entry) int {
+			if x.Version != y.Version {
+				return int(x.Version) - int(y.Version)
+			}
+			return int(x.Status) - int(y.Status)
+		})
+		freshest := cast[len(cast)-1]
+		if d.Entry != freshest || d.Available != (freshest.Status != addrspace.Occupied) {
+			t.Fatalf("Decide = %+v, reference freshest %+v", d, freshest)
+		}
+	})
 }
