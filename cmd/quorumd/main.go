@@ -64,15 +64,17 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	if err := d.Start(); err != nil {
-		return err
-	}
-	defer d.Kill()
+	// Peers first: Start sends the first CH_REQ, and a seed the transport
+	// does not know yet would cost a joiner a whole JoinRetry.
 	for id, addr := range peers {
 		if err := d.AddPeer(id, addr); err != nil {
 			return err
 		}
 	}
+	if err := d.Start(); err != nil {
+		return err
+	}
+	defer d.Kill()
 	fmt.Fprintf(stdout, "quorumd: node %d up, udp=%s http=%s\n", int(cfg.ID), d.UDPAddr(), d.HTTPAddr())
 
 	sig := make(chan os.Signal, 1)

@@ -178,9 +178,11 @@ func (c *Client) call(ctx context.Context, method, path string, reqBody, dst any
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
+			backoff := time.NewTimer(c.backoff << (attempt - 1))
 			select {
-			case <-time.After(c.backoff << (attempt - 1)):
+			case <-backoff.C:
 			case <-ctx.Done():
+				backoff.Stop()
 				return lastErr
 			}
 		}

@@ -103,13 +103,15 @@ func AutoJoin(ctx context.Context, f *Fleet, node int, udpAddr string, spawn Spa
 			}
 			return v, nil
 		}
+		poll := time.NewTimer(joinPoll)
 		select {
 		case <-ctx.Done():
+			poll.Stop()
 			if err != nil {
 				return daemon.StatusResponse{}, fmt.Errorf("autojoin: node %d never joined (%w; last status error: %v)", node, ctx.Err(), err)
 			}
 			return v, fmt.Errorf("autojoin: node %d never joined: %w", node, ctx.Err())
-		case <-time.After(joinPoll):
+		case <-poll.C:
 		}
 	}
 }

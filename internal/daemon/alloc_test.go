@@ -17,7 +17,9 @@ import (
 	"quorumconf/internal/addrspace"
 	"quorumconf/internal/metrics"
 	"quorumconf/internal/msg"
+	"quorumconf/internal/obs"
 	"quorumconf/internal/radio"
+	"quorumconf/internal/wire"
 )
 
 // onLoopSync runs fn on d's event loop and waits for it.
@@ -181,6 +183,56 @@ func TestTimedOutAllocationDoesNotStarveNext(t *testing.T) {
 	}
 	if _, code := allocate(t, member); code != http.StatusOK {
 		t.Fatalf("allocate after the orphaned grant: HTTP %d, want 200", code)
+	}
+}
+
+// TestForwardedAllocationSendsNoComAck: a member serving N allocations
+// sends the owner N COM_REQ and no COM_ACK — the transport's ack already
+// confirms the grant — while an owner still accepts a COM_ACK from a peer
+// that sends one, as liveness.
+func TestForwardedAllocationSendsNoComAck(t *testing.T) {
+	ds := newCluster(t, 3, func(c *Config) { c.TraceRing = 1 << 14 })
+	waitFormed(t, ds)
+	owner, member := ds[0], ds[1]
+
+	const n = 20
+	for i := 0; i < n; i++ {
+		if _, code := allocate(t, member); code != http.StatusOK {
+			t.Fatalf("allocate %d at the member: HTTP %d", i+1, code)
+		}
+	}
+	sent := map[string]int{}
+	for _, e := range member.Trace() {
+		if e.Kind == obs.EvTransportSend {
+			sent[e.Detail]++
+		}
+	}
+	if sent[msg.TComReq] != n || sent[msg.TComAck] != 0 {
+		t.Errorf("member sent %d COM_REQ and %d COM_ACK for %d allocations, want %d and 0",
+			sent[msg.TComReq], sent[msg.TComAck], n, n)
+	}
+
+	// A COM_ACK from an older peer, through the codec as it would arrive.
+	frame, err := wire.Encode(&wire.Envelope{MsgID: 1, Type: msg.TComAck, Src: member.ID(), Dst: owner.ID(),
+		Category: metrics.CatConfig, Hops: 1, Payload: msg.ComAck{Addr: testSpace.Lo + 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := wire.Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unhandled := counter(owner, "daemon.unhandled_msg")
+	onLoopSync(t, owner, func() {
+		m := owner.member(member.ID())
+		m.lastSeen = time.Time{}
+		owner.handle(env)
+		if m.lastSeen.IsZero() {
+			t.Error("a COM_ACK from a member did not count as liveness")
+		}
+	})
+	if got := counter(owner, "daemon.unhandled_msg"); got != unhandled {
+		t.Errorf("daemon.unhandled_msg %d -> %d after a COM_ACK", unhandled, got)
 	}
 }
 

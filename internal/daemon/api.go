@@ -164,13 +164,21 @@ func (d *Daemon) httpMux() *http.ServeMux {
 
 // onLoop runs view on the event loop and returns its result, answering w
 // with a 503 (and returning false) when the daemon is wedged or stopped.
+//
+// A timer that guards a request is stopped when the request ends, here and
+// in handleV1Allocate. The module declares go 1.22, so an unstopped timer
+// stays in the runtime's timer heap until it fires, and at thousands of
+// requests per second that heap grows to tens of thousands of timers that
+// every other timer operation pays for (DESIGN.md Appendix B).
 func onLoop[T any](d *Daemon, w http.ResponseWriter, view func() T) (T, bool) {
 	res := make(chan T, 1)
 	d.post(func() { res <- view() })
+	wedged := time.NewTimer(2 * time.Second)
+	defer wedged.Stop()
 	select {
 	case v := <-res:
 		return v, true
-	case <-time.After(2 * time.Second):
+	case <-wedged.C:
 		writeError(w, http.StatusServiceUnavailable, "daemon unresponsive")
 	case <-d.done:
 		writeError(w, http.StatusServiceUnavailable, "daemon stopped")
@@ -313,6 +321,8 @@ func (d *Daemon) handleV1Allocate(w http.ResponseWriter, r *http.Request) {
 	res := make(chan allocResult, 1)
 	var span uint64 // written and read on the event loop only
 	d.post(func() { span = d.allocateLocal(res) })
+	timeout := time.NewTimer(d.cfg.AllocTimeout)
+	defer timeout.Stop()
 	select {
 	case out := <-res:
 		if !out.ok {
@@ -321,7 +331,7 @@ func (d *Daemon) handleV1Allocate(w http.ResponseWriter, r *http.Request) {
 		}
 		d.hists.Observe(obs.HistConfigLatency, 1e-6, time.Since(start).Microseconds())
 		writeJSON(w, http.StatusOK, AllocateResponse{Addr: out.addr.String(), Value: uint32(out.addr), Node: req.Node})
-	case <-time.After(d.cfg.AllocTimeout):
+	case <-timeout.C:
 		d.post(func() { d.takeAllocWaiter(span) }) // a late grant is returned by onGrant
 		writeError(w, http.StatusServiceUnavailable, "allocation timed out")
 	case <-d.done:

@@ -238,6 +238,7 @@ type Daemon struct {
 	ring   *obs.Ring
 	hists  *obs.Histograms
 	tr     *udptransport.Transport
+	early  map[radio.NodeID]string // peers added before Start, for Start to register
 
 	draining atomic.Bool
 
@@ -321,8 +322,9 @@ func New(cfg Config) (*Daemon, error) {
 }
 
 // Start binds the UDP socket (and HTTP listener when configured) and
-// launches the event loop. Peers may be added before or after Start; a
-// joiner keeps retrying its seeds until one answers.
+// launches the event loop. Peers may be added before or after Start: the
+// ones added before are registered with the transport before the first
+// CH_REQ leaves, and a joiner keeps retrying its seeds until one answers.
 func (d *Daemon) Start() error {
 	tr, err := udptransport.New(udptransport.Config{
 		ID:              d.cfg.ID,
@@ -341,6 +343,12 @@ func (d *Daemon) Start() error {
 	})
 	if err != nil {
 		return err
+	}
+	for id, addr := range d.early {
+		if err := tr.AddPeer(id, addr); err != nil {
+			_ = tr.Close(context.Background())
+			return err
+		}
 	}
 	d.tr = tr
 	tr.SetHandler(func(env *wire.Envelope) { d.post(func() { d.handle(env) }) })
@@ -396,8 +404,19 @@ func (d *Daemon) Metrics() *metrics.SyncCollector { return d.coll }
 // one /v1/metrics exports.
 func (d *Daemon) Histograms() *obs.Histograms { return d.hists }
 
-// AddPeer registers the transport address for a peer ID.
-func (d *Daemon) AddPeer(id radio.NodeID, addr string) error { return d.tr.AddPeer(id, addr) }
+// AddPeer registers the transport address for a peer ID. Before Start it
+// only records the address, and Start registers it (and reports a bad
+// one); calls before Start must not race Start.
+func (d *Daemon) AddPeer(id radio.NodeID, addr string) error {
+	if d.tr == nil {
+		if d.early == nil {
+			d.early = make(map[radio.NodeID]string)
+		}
+		d.early[id] = addr
+		return nil
+	}
+	return d.tr.AddPeer(id, addr)
+}
 
 // Trace returns the events currently retained in the daemon's ring sink,
 // oldest first — the same view /v1/trace serves.

@@ -57,7 +57,8 @@ func (d *Daemon) handle(env *wire.Envelope) {
 	case msg.RepReq:
 		d.sendTo(env.Src, msg.TRepRsp, metrics.CatHello, msg.RepRsp{})
 	case msg.RepRsp, msg.ChAck, msg.ComAck:
-		// Liveness only: lastSeen already refreshed above.
+		// Liveness only: lastSeen already refreshed above. A daemon sends no
+		// COM_ACK (see onGrant), but a peer running an older version does.
 	case msg.AddrRec:
 		d.onAddrRec(env.Src, p, env.Span)
 	case msg.RecRep:
@@ -144,7 +145,9 @@ func (d *Daemon) onAgentCfg(src radio.NodeID, p msg.AgentCfg, span uint64) {
 }
 
 // onGrant handles COM_CFG: our own configuration while joining, or an
-// allocation we requested on behalf of an HTTP client once joined.
+// allocation we requested on behalf of an HTTP client once joined. An
+// allocation grant gets no COM_ACK: the transport's ack already told the
+// owner that COM_CFG arrived, and the owner does nothing with a second one.
 func (d *Daemon) onGrant(src radio.NodeID, g msg.ComCfg, span uint64) {
 	if !d.hasIP {
 		d.selfIP = g.Addr
@@ -171,7 +174,6 @@ func (d *Daemon) onGrant(src radio.NodeID, g msg.ComCfg, span uint64) {
 	}
 	d.holders[g.Addr] = d.cfg.ID
 	d.trace(obs.Event{Kind: obs.EvAllocGrant, Peer: src, Addr: g.Addr, Span: span})
-	d.sendTo(src, msg.TComAck, metrics.CatConfig, msg.ComAck{Addr: g.Addr})
 	w <- allocResult{addr: g.Addr, ok: true} // buffered
 }
 

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"net"
 	"net/http"
 	"slices"
 	"testing"
@@ -38,8 +39,8 @@ func checkRoster(t *testing.T, phase string, ds ...*Daemon) {
 }
 
 // restart boots a fresh daemon under old's ID, seeds and UDP address — the
-// same node coming back after a crash or a departure — and wires it to
-// peers. old must have been killed.
+// same node coming back after a crash or a departure — wired to peers
+// before it starts. old must have been killed.
 func restart(t *testing.T, old *Daemon, peers ...*Daemon) *Daemon {
 	t.Helper()
 	cfg := old.cfg
@@ -49,16 +50,63 @@ func restart(t *testing.T, old *Daemon, peers ...*Daemon) *Daemon {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(d.Kill)
 	for _, p := range peers {
 		if err := d.AddPeer(p.ID(), p.UDPAddr().String()); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Kill)
 	return d
+}
+
+// TestPeersAddedBeforeStart: peers registered before Start are known to
+// the transport by the time the joiner's first CH_REQ leaves, so the join
+// takes one attempt and no send fails. (Registered after Start, they race
+// that first CH_REQ: "unknown peer", and a whole JoinRetry lost.)
+func TestPeersAddedBeforeStart(t *testing.T) {
+	addrs := make([]string, 2)
+	for i := range addrs {
+		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = c.LocalAddr().String()
+		c.Close()
+	}
+	ds := make([]*Daemon, 2)
+	for i := range ds {
+		cfg := Config{ID: radio.NodeID(i + 1), Space: testSpace, Bootstrap: i == 0, Listen: addrs[i], HTTPListen: "127.0.0.1:0", Logf: t.Logf}
+		fastTimings(&cfg)
+		cfg.JoinRetry = 20 * time.Second // a lost first attempt shows as a second one, not as a quick retry
+		if i > 0 {
+			cfg.Seeds = []radio.NodeID{1}
+		}
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.AddPeer(radio.NodeID(2-i), addrs[1-i]); err != nil {
+			t.Fatal(err)
+		}
+		ds[i] = d
+	}
+	for _, d := range ds {
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Kill)
+	}
+	waitFormed(t, ds)
+	joiner := ds[1]
+	if n := counter(joiner, "daemon.join_attempts"); n != 1 {
+		t.Errorf("daemon.join_attempts = %d, want 1", n)
+	}
+	if n := counter(joiner, "daemon.send_err"); n != 0 {
+		t.Errorf("daemon.send_err = %d, want 0", n)
+	}
 }
 
 // waitElectorate waits until every daemon of ds has joined and reports

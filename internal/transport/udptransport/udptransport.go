@@ -58,7 +58,9 @@
 // With Config.AuthKey set, every datagram on the socket — data, batch and
 // ack alike — is wrapped in a wire auth frame ('Q','A', HMAC-SHA256, see
 // wire.Seal) and inbound datagrams that do not verify are dropped with an
-// auth_reject before any ARQ, dedup or handler state is touched. With
+// auth_reject before any ARQ, dedup or handler state is touched. The HMAC
+// is keyed once per goroutine that seals or opens — the receive loop and
+// each destination's worker own one wire.Auth — not once per datagram. With
 // Config.RateLimit set, a per-remote-address token bucket is charged even
 // earlier: over-rate datagrams are dropped with a rate_limited before the
 // HMAC is even computed, so a flood cannot buy CPU with garbage.
@@ -503,6 +505,7 @@ type worker struct {
 	t       *Transport
 	dst     radio.NodeID
 	q       chan outgoing
+	auth    *wire.Auth // nil: authentication off
 	timer   *time.Timer
 	est     rttEstimator
 	rttHist *obs.Histogram // obs.HistTransportRTT
@@ -519,7 +522,7 @@ type worker struct {
 // batch frames and an idle one plain data frames from the same code.
 func (t *Transport) sendLoop(dst radio.NodeID, q chan outgoing) {
 	defer t.wg.Done()
-	w := worker{t: t, dst: dst, q: q, timer: time.NewTimer(0),
+	w := worker{t: t, dst: dst, q: q, auth: t.newAuth(), timer: time.NewTimer(0),
 		rttHist: t.cfg.Histograms.Get(obs.HistTransportRTT, 1e-9),
 		occHist: t.cfg.Histograms.Get(obs.HistBatchOccupancy, 1)}
 	w.stopTimer()
@@ -639,11 +642,7 @@ func (w *worker) transmit(frame []byte, msgID uint64) error {
 	// Seal once at the socket boundary: the MAC is deterministic, so every
 	// retransmission reuses the same sealed bytes, and frames stay
 	// plaintext while queued (batch composition slices them apart).
-	datagram, err := t.seal(frame)
-	if err != nil {
-		t.cfg.Metrics.Inc(CtrSendDrop)
-		return err
-	}
+	datagram := seal(w.auth, frame)
 	ackCh := make(chan struct{}, 1)
 	t.mu.Lock()
 	t.acks[msgID] = ackCh
@@ -769,6 +768,7 @@ func (t *Transport) readLoop() {
 	defer t.wg.Done()
 	buf := make([]byte, 64*1024)
 	buckets := make(map[string]*bucket)
+	auth := t.newAuth() // opens inbound datagrams and seals their acks
 	for {
 		n, raddr, err := t.conn.ReadFromUDP(buf)
 		if err != nil {
@@ -789,8 +789,8 @@ func (t *Transport) readLoop() {
 			continue
 		}
 		frame := buf[:n]
-		if len(t.cfg.AuthKey) > 0 {
-			inner, err := wire.Open(t.cfg.AuthKey, frame)
+		if auth != nil {
+			inner, err := auth.Open(frame)
 			if err != nil {
 				t.cfg.Metrics.Inc(CtrAuthReject)
 				t.trace(obs.EvAuthReject, 0, 0, raddr.String())
@@ -806,9 +806,9 @@ func (t *Transport) readLoop() {
 		case frameAck:
 			t.handleAck(frame[1:])
 		case frameData:
-			t.handleData(frame[1:], raddr)
+			t.handleData(frame[1:], raddr, auth)
 		case frameBatch:
-			t.handleBatch(frame[1:], raddr)
+			t.handleBatch(frame[1:], raddr, auth)
 		default:
 			t.cfg.Metrics.Inc(CtrDecodeErr)
 		}
@@ -833,7 +833,7 @@ func (t *Transport) handleAck(body []byte) {
 	}
 }
 
-func (t *Transport) handleData(body []byte, raddr *net.UDPAddr) {
+func (t *Transport) handleData(body []byte, raddr *net.UDPAddr, auth *wire.Auth) {
 	env, err := wire.Decode(body)
 	if err != nil {
 		t.cfg.Metrics.Inc(CtrDecodeErr)
@@ -842,44 +842,49 @@ func (t *Transport) handleData(body []byte, raddr *net.UDPAddr) {
 
 	// Ack every valid data frame, duplicates included — the retransmit
 	// means the sender missed the previous ack.
-	t.sendAck(env.MsgID, raddr)
+	t.sendAck(env.MsgID, raddr, auth)
 	t.deliver(env)
 }
 
 // handleBatch unbundles a coalesced frame: one ack for the whole batch
 // (keyed on its first envelope, mirroring the sender's ARQ), then each
 // inner envelope through the usual per-envelope dedup and delivery.
-func (t *Transport) handleBatch(body []byte, raddr *net.UDPAddr) {
+func (t *Transport) handleBatch(body []byte, raddr *net.UDPAddr, auth *wire.Auth) {
 	envs, err := wire.DecodeBatch(body)
 	if err != nil {
 		t.cfg.Metrics.Inc(CtrDecodeErr)
 		return
 	}
 	t.cfg.Metrics.Inc(CtrBatchRx)
-	t.sendAck(envs[0].MsgID, raddr)
+	t.sendAck(envs[0].MsgID, raddr, auth)
 	for _, env := range envs {
 		t.deliver(env)
 	}
 }
 
-func (t *Transport) sendAck(msgID uint64, raddr *net.UDPAddr) {
-	ack := binary.AppendUvarint([]byte{frameAck}, msgID)
-	ack, err := t.seal(ack)
-	if err != nil {
-		return
-	}
+func (t *Transport) sendAck(msgID uint64, raddr *net.UDPAddr, auth *wire.Auth) {
+	ack := seal(auth, binary.AppendUvarint([]byte{frameAck}, msgID))
 	if _, err := t.conn.WriteToUDP(ack, raddr); err == nil {
 		t.cfg.Metrics.Inc(CtrAckTx)
 	}
 }
 
-// seal wraps a socket frame in an auth frame when authentication is on;
-// with no key it returns the frame unchanged.
-func (t *Transport) seal(frame []byte) ([]byte, error) {
+// newAuth keys a sealer for one goroutine; nil when authentication is off.
+func (t *Transport) newAuth() *wire.Auth {
 	if len(t.cfg.AuthKey) == 0 {
-		return frame, nil
+		return nil
 	}
-	return wire.AppendSeal(make([]byte, 0, wire.AuthOverhead+len(frame)), t.cfg.AuthKey, frame)
+	auth, _ := wire.NewAuth(t.cfg.AuthKey) // fails only on an empty key
+	return auth
+}
+
+// seal wraps a socket frame in an auth frame under the calling goroutine's
+// auth; with authentication off (nil) it returns the frame unchanged.
+func seal(auth *wire.Auth, frame []byte) []byte {
+	if auth == nil {
+		return frame
+	}
+	return auth.AppendSeal(make([]byte, 0, wire.AuthOverhead+len(frame)), frame)
 }
 
 // deliver runs the dedup window and hands a received envelope to the

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -119,12 +120,89 @@ func TestAuthDeterministic(t *testing.T) {
 	}
 }
 
+// TestAuthAfterRejectedFrame: whatever a rejected frame left in a keyed
+// Auth's MAC state — nothing (rejected before the MAC), or a whole digest
+// that did not verify — the next seal and open under it are exact.
+func TestAuthAfterRejectedFrame(t *testing.T) {
+	inner := []byte("the next honest vote")
+	want := sealedFrame(t, inner)
+	good := sealedFrame(t, []byte("a first frame"))
+	forged, err := Seal([]byte("ffffffffffffffffffffffffffffffff"), []byte("a first frame"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-1] ^= 0x01
+	cases := []struct {
+		name  string
+		frame []byte
+		want  error
+	}{
+		{"empty", nil, ErrTruncated},
+		{"truncated", good[:AuthOverhead-1], ErrTruncated},
+		{"bad magic", append([]byte{'X', 'A'}, good[2:]...), ErrBadMagic},
+		{"bad version", append([]byte{'Q', 'A', 99}, good[3:]...), ErrVersion},
+		{"wrong key", forged, ErrAuth},
+		{"flipped body", flipped, ErrAuth},
+	}
+	for _, tc := range cases {
+		a, err := NewAuth(testKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Open(tc.frame); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Open got %v, want %v", tc.name, err, tc.want)
+		}
+		if got := a.AppendSeal(nil, inner); !bytes.Equal(got, want) {
+			t.Fatalf("%s: seal after the rejection\n got %x\nwant %x", tc.name, got, want)
+		}
+		if got, err := a.Open(want); err != nil || !bytes.Equal(got, inner) {
+			t.Fatalf("%s: open after the rejection: %q, %v", tc.name, got, err)
+		}
+	}
+	if _, err := NewAuth(nil); !errors.Is(err, ErrInvalid) {
+		t.Errorf("empty key NewAuth: got %v, want ErrInvalid", err)
+	}
+}
+
+// TestAuthZeroAllocs pins what keying once buys beyond the keying itself:
+// a keyed Auth opens, and seals into a buffer with room, without
+// allocating.
+func TestAuthZeroAllocs(t *testing.T) {
+	a, err := NewAuth(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := bytes.Repeat([]byte{0x5A}, 120)
+	frame := sealedFrame(t, inner)
+	buf := make([]byte, 0, len(frame))
+	if n := testing.AllocsPerRun(100, func() { buf = a.AppendSeal(buf[:0], inner) }); n != 0 {
+		t.Errorf("Auth.AppendSeal into a buffer with room: %v allocations, want 0", n)
+	}
+	if !bytes.Equal(buf, frame) {
+		t.Fatalf("Auth.AppendSeal differs from Seal")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := a.Open(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Auth.Open: %v allocations, want 0", n)
+	}
+}
+
 // FuzzAuthFrameRoundTrip throws arbitrary bytes at Open and checks the
 // seal/open invariants: Open never panics, a sealed frame opens to its
 // inner bytes under the sealing key, and any frame that opens under the
-// key re-seals to identical bytes (canonical encoding).
+// key re-seals to identical bytes (canonical encoding). One keyed Auth,
+// reused across every input, must agree with the package functions on
+// every verdict, inner and re-seal.
 func FuzzAuthFrameRoundTrip(f *testing.F) {
 	key := []byte("fuzz-key-0123456789abcdef0123456")
+	auth, err := NewAuth(key)
+	if err != nil {
+		f.Fatal(err)
+	}
 	seed := func(inner []byte) {
 		frame, err := Seal(key, inner)
 		if err != nil {
@@ -150,6 +228,10 @@ func FuzzAuthFrameRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inner, err := Open(key, data)
+		keyedInner, keyedErr := auth.Open(data)
+		if fmt.Sprint(err) != fmt.Sprint(keyedErr) || !bytes.Equal(inner, keyedInner) {
+			t.Fatalf("verdicts differ: Open %q, %v; Auth.Open %q, %v", inner, err, keyedInner, keyedErr)
+		}
 		if err != nil {
 			return // rejected input; only invariant is "no panic"
 		}
@@ -159,6 +241,9 @@ func FuzzAuthFrameRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(resealed, data) {
 			t.Fatalf("non-canonical auth frame:\n in %x\nout %x", data, resealed)
+		}
+		if keyed := auth.AppendSeal(nil, inner); !bytes.Equal(keyed, resealed) {
+			t.Fatalf("Auth.AppendSeal differs from Seal:\n got %x\nwant %x", keyed, resealed)
 		}
 		again, err := Open(key, resealed)
 		if err != nil {

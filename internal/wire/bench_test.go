@@ -74,6 +74,42 @@ func BenchmarkWireDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkAuthSealOpen seals one datagram-sized frame (an encoded
+// QUORUM_CFM) into a reused buffer and opens it again, once through the
+// package functions, which key the HMAC on every call, and once through an
+// Auth keyed before the loop, as each transport goroutine holds one.
+func BenchmarkAuthSealOpen(b *testing.B) {
+	inner, err := Encode(benchEnvelopes(b)[1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 0, AuthOverhead+len(inner))
+	b.Run("per_call_key", func(b *testing.B) {
+		b.SetBytes(int64(len(inner)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf, _ = AppendSeal(buf[:0], testKey, inner)
+			if _, err := Open(testKey, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("keyed_once", func(b *testing.B) {
+		auth, err := NewAuth(testKey)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(inner)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = auth.AppendSeal(buf[:0], inner)
+			if _, err := auth.Open(buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // TestCodecAllocs pins the allocation profile of the per-datagram path:
 // encoding into a reused buffer allocates nothing, decoding a fixed-field
 // message allocates the envelope and the boxed payload, and a payload-free
