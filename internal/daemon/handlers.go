@@ -4,6 +4,7 @@ package daemon
 // Everything in this file runs on the event-loop goroutine.
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -20,10 +21,17 @@ import (
 // electorate is proof of life; any other source — a joiner not yet
 // admitted, an ID a raw socket invented — has no record to leave liveness
 // in (the owner stamps a joiner when it admits it, and tick grants grace on
-// first sight of a new member).
+// first sight of a new member). It also overturns this daemon's own death
+// verdict on the sender, unless a reclamation of the sender is under way:
+// that run keeps its verdict and ends by expelling the member.
 func (d *Daemon) handle(env *wire.Envelope) {
 	if m := d.member(env.Src); m != nil {
 		m.lastSeen = time.Now()
+		if m.dead && d.reclaims[m.id] == nil {
+			m.dead = false
+			d.coll.Inc("daemon.peer_revived")
+			d.logf("peer %d heard from again: alive", int(m.id))
+		}
 	}
 	switch p := env.Payload.(type) {
 	case msg.ChReq:
@@ -340,12 +348,43 @@ func (d *Daemon) propose(b *ballot) {
 	// The allocator votes for itself with its own replica entry.
 	e, _ := d.table.Get(cand)
 	_ = b.tally.Cast(d.cfg.ID, e)
-	for _, m := range d.peers() {
+	asked := d.voters(b)
+	for _, m := range asked {
 		d.sendSpan(m.id, msg.TQuorumClt, metrics.CatConfig, b.span, msg.QuorumClt{BallotID: b.id, Owner: d.cfg.ID, Addr: cand, Allocator: d.cfg.ID})
 	}
+	d.coll.Add("daemon.votes_asked", int64(len(asked)))
 	ballotID := b.id
 	b.timer = d.after(d.cfg.QuorumTimeout, func() { d.ballotTimeout(ballotID) })
 	d.evalBallot(b) // a single-member electorate commits immediately
+}
+
+// voters returns the peers b's current round sends QUORUM_CLT to. A first
+// round asks every live peer outside the replica set (it answers without a
+// replica and leaves the tally) and, of the live replica holders, the
+// len(roster)/2+1 heard from most recently: one more than the allocator's
+// own vote needs for a majority, so one silent voter costs no timeout. A
+// retried round asks every live peer. The tally stays over the whole
+// roster, so every decision still rests on a majority of it.
+func (d *Daemon) voters(b *ballot) []*member {
+	peers := d.peers()
+	if b.attempts > 1 {
+		return peers
+	}
+	// Non-holders first, then holders freshest first (ties by ascending ID),
+	// cut after the first len(roster)/2+1 holders.
+	slices.SortFunc(peers, func(x, y *member) int {
+		if x.holder != y.holder {
+			if x.holder {
+				return 1
+			}
+			return -1
+		}
+		return cmp.Or(y.lastSeen.Compare(x.lastSeen), cmp.Compare(x.id, y.id))
+	})
+	if i := slices.IndexFunc(peers, func(m *member) bool { return m.holder }); i >= 0 {
+		peers = peers[:min(len(peers), i+len(d.roster)/2+1)]
+	}
+	return peers
 }
 
 // pickCandidate returns the lowest free address at or above from with no

@@ -155,6 +155,38 @@ func TestRejoinedMemberIsAliveEverywhere(t *testing.T) {
 	checkRoster(t, "after failover", ds[1], ds[2])
 }
 
+// TestPromotedOwnerAsksAMemberItOnceThoughtDead: a member's own failure
+// detector may declare a live peer dead (a stall, a burst of loss). The
+// peer's next message overturns the verdict; it used to stand for good, so
+// once that member was promoted owner it never asked the peer for a vote
+// and could not reach a majority.
+func TestPromotedOwnerAsksAMemberItOnceThoughtDead(t *testing.T) {
+	ds := newCluster(t, 3)
+	waitFormed(t, ds)
+
+	onLoopSync(t, ds[1], func() { ds[1].declareDead(ds[1].member(3)) })
+	waitFor(t, 10*time.Second, "daemon 2 to hear daemon 3 is alive", func() bool {
+		var members MembersResponse
+		if code := getJSON(t, "http://"+ds[1].HTTPAddr()+"/v1/members", &members); code != http.StatusOK {
+			return false
+		}
+		i := slices.IndexFunc(members.Members, func(m MemberInfo) bool { return m.Node == 3 })
+		return i >= 0 && !members.Members[i].Dead
+	})
+	if n := counter(ds[1], "daemon.peer_revived"); n < 1 {
+		t.Errorf("daemon.peer_revived = %d at daemon 2, want at least 1", n)
+	}
+
+	ds[0].Kill()
+	waitFor(t, 30*time.Second, "daemon 2 to take over", func() bool {
+		v, err := tryStatus(ds[1])
+		return err == nil && v.Role == "owner"
+	})
+	if _, code := allocate(t, ds[1]); code != http.StatusOK {
+		t.Errorf("allocate at the promoted owner: HTTP %d", code)
+	}
+}
+
 // TestGracefulDepartThenRejoin: a member that departed on demand and is
 // started again under the same ID joins as a new member: it votes, and the
 // owner's view of it starts over — heard from, with a fresh replica lease.
