@@ -119,9 +119,7 @@ func (p *Protocol) dispatch(id radio.NodeID, m netstack.Message) {
 		p.onQuorumCfm(nd, m, pl)
 	case msg.QuorumUpd:
 		// The write committed: release any vote grant for the address.
-		if nd.grants != nil {
-			delete(nd.grants, pl.Addr)
-		}
+		nd.grants.Release(pl.Addr)
 		// A borrower committing on this node's own space is an
 		// address-state change this node did not propagate: applyNewer
 		// wipes the vote cache, observed here.
@@ -358,8 +356,7 @@ func (p *Protocol) initHead(nd *node, pool *addrspace.Pool, ip addrspace.Addr, n
 	nd.probing = make(map[radio.NodeID]*sim.Timer)
 	nd.ballots = make(map[uint64]*pendingBallot)
 	nd.reclaims = make(map[radio.NodeID]*reclaimState)
-	nd.pendingAddrs = make(map[addrspace.Addr]bool)
-	nd.grants = make(map[addrspace.Addr]voteGrant)
+	nd.grants = quorum.NewGrants(4 * p.p.QuorumTimeout)
 	nd.voteCache = newVoteCache(p.p.VoteCacheTTL)
 	nd.qdLastSeen = make(map[radio.NodeID]time.Duration)
 	nd.healthMon = health.New(health.Config{
@@ -458,7 +455,7 @@ func (p *Protocol) onSplitUpd(nd *node, pl msg.SplitUpd) {
 // an agent relaying to this head's own configurer.
 func (p *Protocol) allocate(alloc *node, requestor radio.NodeID, pathHops int, viaAgent bool, agent radio.NodeID, span uint64) {
 	if !alloc.isHead() {
-		p.nack(alloc, requestor, viaAgent, agent, pathHops)
+		p.nack(alloc, requestor, pathHops)
 		return
 	}
 	if p.byzDupClaim(alloc, requestor, pathHops) {
@@ -475,7 +472,7 @@ func (p *Protocol) allocate(alloc *node, requestor radio.NodeID, pathHops int, v
 		})
 		return
 	}
-	owner, addr, ok := p.firstProposal(alloc)
+	owner, addr, ok := p.proposal(alloc, nil)
 	if !ok {
 		p.maybeSelfReclaim(alloc)
 		if !viaAgent && alloc.hasConfigurer && p.isHeadFn(alloc.configurer) {
@@ -487,7 +484,7 @@ func (p *Protocol) allocate(alloc *node, requestor radio.NodeID, pathHops int, v
 				return
 			}
 		}
-		p.nack(alloc, requestor, viaAgent, agent, pathHops)
+		p.nack(alloc, requestor, pathHops)
 		return
 	}
 	p.startBallot(alloc, &pendingBallot{
@@ -503,10 +500,9 @@ func (p *Protocol) allocate(alloc *node, requestor radio.NodeID, pathHops int, v
 	})
 }
 
-func (p *Protocol) nack(alloc *node, requestor radio.NodeID, viaAgent bool, agent radio.NodeID, pathHops int) {
+// nack refuses a request straight to the requestor, even one an agent relayed.
+func (p *Protocol) nack(alloc *node, requestor radio.NodeID, pathHops int) {
 	p.rt.Coll.Inc(CounterConfigNacks)
-	_ = viaAgent // refusals go straight to the requestor; the agent has nothing to add
-	_ = agent
 	_, _ = p.send(alloc.id, requestor, msg.TNack, metrics.CatConfig, msg.CfgNack{PathHops: pathHops})
 }
 
@@ -540,76 +536,49 @@ func (p *Protocol) drainAllocQueue(alloc *node) {
 	}
 }
 
-// freeNotPending returns the pool's lowest free address that is not
-// already the subject of one of this allocator's open ballots.
-func freeNotPending(alloc *node, pool *addrspace.Pool) (addrspace.Addr, bool) {
-	a, ok := pool.FirstFree()
-	for ok && alloc.pendingAddrs[a] {
-		a, ok = pool.FirstFreeAfter(a)
-	}
-	return a, ok
-}
-
-// freeNotPendingAfter is freeNotPending starting strictly after prev.
-func freeNotPendingAfter(alloc *node, pool *addrspace.Pool, prev addrspace.Addr) (addrspace.Addr, bool) {
-	a, ok := pool.FirstFreeAfter(prev)
-	for ok && alloc.pendingAddrs[a] {
-		a, ok = pool.FirstFreeAfter(a)
-	}
-	return a, ok
-}
-
-// firstProposal picks the first candidate address: own IPSpace first, then
-// the QuorumSpace replicas in owner order.
-func (p *Protocol) firstProposal(alloc *node) (radio.NodeID, addrspace.Addr, bool) {
-	if alloc.pools != nil {
-		if a, ok := freeNotPending(alloc, alloc.pools); ok {
-			return alloc.id, a, true
-		}
-	}
-	if p.p.DisableBorrowing {
-		return 0, 0, false
-	}
-	for _, owner := range sortedIDs(alloc.replicas) {
-		if a, ok := freeNotPending(alloc, alloc.replicas[owner]); ok {
-			return owner, a, true
-		}
-	}
-	return 0, 0, false
-}
-
-// nextProposal advances past a rejected candidate.
-func (p *Protocol) nextProposal(alloc *node, prevOwner radio.NodeID, prevAddr addrspace.Addr) (radio.NodeID, addrspace.Addr, bool) {
+// proposal picks the first candidate address — own IPSpace first, then the
+// QuorumSpace replicas in owner order; with prev, the first after prev's
+// rejected one — that none of this allocator's open ballots proposes.
+func (p *Protocol) proposal(alloc *node, prev *pendingBallot) (radio.NodeID, addrspace.Addr, bool) {
 	ownerSeq := []radio.NodeID{alloc.id}
 	if !p.p.DisableBorrowing {
 		ownerSeq = append(ownerSeq, sortedIDs(alloc.replicas)...)
 	}
-	started := false
+	started := prev == nil
 	for _, owner := range ownerSeq {
-		var pool *addrspace.Pool
+		pool := alloc.replicas[owner]
 		if owner == alloc.id {
 			pool = alloc.pools
+		}
+		if pool == nil || (!started && owner != prev.owner) {
+			continue
+		}
+		var a addrspace.Addr
+		var ok bool
+		if started {
+			a, ok = pool.FirstFree()
 		} else {
-			pool = alloc.replicas[owner]
-		}
-		if pool == nil {
-			continue
-		}
-		if !started {
-			if owner != prevOwner {
-				continue
-			}
+			a, ok = pool.FirstFreeAfter(prev.addr)
 			started = true
-			if a, ok := freeNotPendingAfter(alloc, pool, prevAddr); ok {
-				return owner, a, true
-			}
-			continue
 		}
-		if a, ok := freeNotPending(alloc, pool); ok {
+		for ok && alloc.grants.Reserved(a) {
+			a, ok = pool.FirstFreeAfter(a)
+		}
+		if ok {
 			return owner, a, true
 		}
 	}
 	return 0, 0, false
+}
+
+// reallocate re-runs pb's request at alloc after delay, unless alloc has
+// stopped heading or the requestor is gone.
+func (p *Protocol) reallocate(alloc *node, pb *pendingBallot, delay time.Duration, pathHops int) {
+	p.rt.Sim.Schedule(delay, func() {
+		if alloc.isHead() && p.Alive(pb.requestor) {
+			p.allocate(alloc, pb.requestor, pathHops, pb.viaAgent, pb.agent, pb.span)
+		}
+	})
 }
 
 // startBallot begins quorum collection for a proposal.
@@ -635,37 +604,26 @@ func (p *Protocol) startBallot(alloc *node, pb *pendingBallot) {
 	if pb.purpose == purposeCommon {
 		// Conflict detection: with many ballots in flight, no two open
 		// ballots at this allocator may touch the same address. Proposal
-		// selection already skips pending addresses, so a hit here means a
+		// selection already skips reserved addresses, so a hit here means a
 		// stale retry raced a newer ballot — re-run the request.
-		if alloc.pendingAddrs[pb.addr] {
+		if alloc.grants.Reserved(pb.addr) {
 			p.rt.Coll.Inc("ballots_conflict")
 			p.rt.Trace(obs.Event{Kind: obs.EvBallotAbort, Node: alloc.id, Peer: pb.requestor, Addr: pb.addr, Span: pb.span, Detail: "conflict"})
-			p.rt.Sim.Schedule(0, func() {
-				if alloc.isHead() && p.Alive(pb.requestor) {
-					p.allocate(alloc, pb.requestor, pb.reqPathHops, pb.viaAgent, pb.agent, pb.span)
-				}
-			})
+			p.reallocate(alloc, pb, 0, pb.reqPathHops)
 			return
 		}
 		// The allocator's own vote is a grant like any other: if it
 		// already granted this address to another allocator's ballot, it
-		// must not open a competing one — back off and retry.
-		now := p.rt.Sim.Now()
-		if g, held := alloc.grants[pb.addr]; held && now < g.expires {
+		// must not open a competing one — back off and retry. Otherwise
+		// the grant also reserves the proposal, so concurrent requests at
+		// this allocator cannot pick the same address.
+		if !alloc.grants.Reserve(pb.addr, alloc.id, pb.id, p.rt.Sim.Now()) {
 			backoff := p.p.QuorumTimeout +
 				time.Duration(p.rt.Sim.Rand().Int63n(int64(p.p.QuorumTimeout)+1))
 			p.rt.Coll.Inc("ballots_contended")
-			p.rt.Sim.Schedule(backoff, func() {
-				if alloc.isHead() && p.Alive(pb.requestor) {
-					p.allocate(alloc, pb.requestor, pb.reqPathHops, pb.viaAgent, pb.agent, pb.span)
-				}
-			})
+			p.reallocate(alloc, pb, backoff, pb.reqPathHops)
 			return
 		}
-		alloc.grants[pb.addr] = voteGrant{ballotID: pb.id, expires: now + 4*p.p.QuorumTimeout}
-		// And reserve the proposal so concurrent requests at this
-		// allocator cannot pick the same address.
-		alloc.pendingAddrs[pb.addr] = true
 	}
 	alloc.ballots[pb.id] = pb
 	purpose := "common"
@@ -732,15 +690,7 @@ func (p *Protocol) onQuorumClt(nd *node, m netstack.Message, pl msg.QuorumClt) {
 		// Split ballots approve a block handover, not an address, and do
 		// not contend.
 		if has && !pl.Split && nd.grants != nil {
-			now := p.rt.Sim.Now()
-			if g, held := nd.grants[pl.Addr]; held && g.ballotID != pl.BallotID && now < g.expires {
-				busy = true
-			} else {
-				nd.grants[pl.Addr] = voteGrant{
-					ballotID: pl.BallotID,
-					expires:  now + 4*p.p.QuorumTimeout,
-				}
-			}
+			busy = !nd.grants.Grant(pl.Addr, m.Src, pl.BallotID, p.rt.Sim.Now())
 		}
 	}
 	_, _ = p.sendSpan(nd.id, m.Src, msg.TQuorumCfm, m.Category, m.Span, msg.QuorumCfm{
@@ -752,9 +702,6 @@ func (p *Protocol) onQuorumClt(nd *node, m netstack.Message, pl msg.QuorumClt) {
 }
 
 func (p *Protocol) onQuorumCfm(alloc *node, m netstack.Message, pl msg.QuorumCfm) {
-	if alloc.ballots == nil {
-		return
-	}
 	pb, ok := alloc.ballots[pl.BallotID]
 	if !ok || pb.done {
 		return
@@ -768,11 +715,7 @@ func (p *Protocol) onQuorumCfm(alloc *node, m netstack.Message, pl msg.QuorumCfm
 		p.closeBallot(alloc, pb)
 		backoff := p.p.QuorumTimeout +
 			time.Duration(p.rt.Sim.Rand().Int63n(int64(p.p.QuorumTimeout)+1))
-		p.rt.Sim.Schedule(backoff, func() {
-			if alloc.isHead() && p.Alive(pb.requestor) {
-				p.allocate(alloc, pb.requestor, pb.reqPathHops+pb.maxRTT, pb.viaAgent, pb.agent, pb.span)
-			}
-		})
+		p.reallocate(alloc, pb, backoff, pb.reqPathHops+pb.maxRTT)
 		return
 	}
 	if !pl.HasReplica {
@@ -857,7 +800,7 @@ func (p *Protocol) failBallot(alloc *node, pb *pendingBallot) {
 	p.rt.Trace(obs.Event{Kind: obs.EvBallotAbort, Node: alloc.id, Addr: pb.addr, MsgID: pb.id, Span: pb.span, Detail: "no_quorum"})
 	p.closeBallot(alloc, pb)
 	p.rt.Coll.Inc(CounterBallotsFailed)
-	p.nack(alloc, pb.requestor, pb.viaAgent, pb.agent, pb.reqPathHops)
+	p.nack(alloc, pb.requestor, pb.reqPathHops)
 }
 
 func (p *Protocol) closeBallot(alloc *node, pb *pendingBallot) {
@@ -865,15 +808,8 @@ func (p *Protocol) closeBallot(alloc *node, pb *pendingBallot) {
 	if pb.timer != nil {
 		pb.timer.Cancel()
 	}
-	if alloc.ballots != nil {
-		delete(alloc.ballots, pb.id)
-	}
-	if alloc.pendingAddrs != nil {
-		delete(alloc.pendingAddrs, pb.addr)
-	}
-	if g, held := alloc.grants[pb.addr]; held && g.ballotID == pb.id {
-		delete(alloc.grants, pb.addr)
-	}
+	delete(alloc.ballots, pb.id) // a no-op once alloc was reset
+	alloc.grants.Close(pb.addr, alloc.id, pb.id)
 	if pb.purpose == purposeCommon && len(alloc.allocQueue) > 0 {
 		// Zero-delay so the closing request's own follow-up ballot (retry
 		// after "occupied", commit propagation) settles before queued
@@ -906,12 +842,12 @@ func (p *Protocol) finishCommonBallot(alloc *node, pb *pendingBallot, dec quorum
 		p.rt.Trace(obs.Event{Kind: obs.EvBallotAbort, Node: alloc.id, Addr: pb.addr, MsgID: pb.id, Span: pb.span, Detail: "occupied"})
 		if pb.proposals >= p.p.MaxProposals {
 			p.rt.Coll.Inc(CounterConfigNacks)
-			p.nack(alloc, pb.requestor, pb.viaAgent, pb.agent, pb.reqPathHops)
+			p.nack(alloc, pb.requestor, pb.reqPathHops)
 			return
 		}
-		owner, addr, ok := p.nextProposal(alloc, pb.owner, pb.addr)
+		owner, addr, ok := p.proposal(alloc, pb)
 		if !ok {
-			p.nack(alloc, pb.requestor, pb.viaAgent, pb.agent, pb.reqPathHops)
+			p.nack(alloc, pb.requestor, pb.reqPathHops)
 			return
 		}
 		p.startBallot(alloc, &pendingBallot{
@@ -1018,7 +954,7 @@ func (p *Protocol) onCfgNack(nd *node) {
 
 func (p *Protocol) onChReq(alloc *node, m netstack.Message, pl msg.ChReq) {
 	if !alloc.isHead() || alloc.pools == nil {
-		p.nack(alloc, m.Src, false, 0, pl.PathHops+m.Hops)
+		p.nack(alloc, m.Src, pl.PathHops+m.Hops)
 		return
 	}
 	// Preview the split without committing it.
@@ -1038,7 +974,7 @@ func (p *Protocol) onChReq(alloc *node, m netstack.Message, pl msg.ChReq) {
 		}
 	}
 	if !found {
-		p.nack(alloc, m.Src, false, 0, pl.PathHops+m.Hops)
+		p.nack(alloc, m.Src, pl.PathHops+m.Hops)
 		return
 	}
 	_, _ = p.sendSpan(alloc.id, m.Src, msg.TChPrp, metrics.CatConfig, m.Span, msg.ChPrp{
@@ -1077,7 +1013,7 @@ func (p *Protocol) finishSplitBallot(alloc *node, pb *pendingBallot) {
 	// irrelevant — the write being committed is the block handover.
 	upper, err := alloc.pools.SplitLargest()
 	if err != nil {
-		p.nack(alloc, pb.requestor, false, 0, pb.reqPathHops)
+		p.nack(alloc, pb.requestor, pb.reqPathHops)
 		return
 	}
 	p.rt.Trace(obs.Event{Kind: obs.EvBallotCommit, Node: alloc.id, Peer: pb.requestor, Addr: pb.addr, MsgID: pb.id, Span: pb.span, Detail: "split"})

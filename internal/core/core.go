@@ -32,6 +32,7 @@ import (
 	"quorumconf/internal/netstack"
 	"quorumconf/internal/obs"
 	"quorumconf/internal/protocol"
+	"quorumconf/internal/quorum"
 	"quorumconf/internal/radio"
 	"quorumconf/internal/sim"
 )
@@ -238,8 +239,7 @@ type node struct {
 	ballots          map[uint64]*pendingBallot        // in-flight vote collections
 	reclaims         map[radio.NodeID]*reclaimState   // in-progress reclamations by target
 	recentReclaims   map[radio.NodeID]time.Duration   // settle times of completed reclamations
-	pendingAddrs     map[addrspace.Addr]bool          // allocator-side: addresses under an open ballot
-	grants           map[addrspace.Addr]voteGrant     // voter-side: exclusive vote grants
+	grants           *quorum.Grants                   // exclusive votes, own open ballots' reservations
 	allocQueue       []allocRequest                   // requests deferred by the ballot window
 	voteCache        *voteCache                       // allocator-side vote cache (nil when disabled)
 	healthMon        *health.Monitor                  // replica-health monitor (heads only)
@@ -253,16 +253,6 @@ type allocRequest struct {
 	viaAgent  bool
 	agent     radio.NodeID
 	span      uint64 // causal span minted at the requestor
-}
-
-// voteGrant records that this voter's vote for an address is held by one
-// ballot; concurrent ballots for the same address get a busy reply until
-// the write commits or the grant expires. This is the mutual-exclusion
-// half of quorum voting: without it two allocators could read "free"
-// concurrently and both assign the address.
-type voteGrant struct {
-	ballotID uint64
-	expires  time.Duration
 }
 
 func (n *node) isHead() bool   { return n.alive && n.role == RoleHead }

@@ -201,7 +201,6 @@ func (p *Protocol) resetToUnconfigured(nd *node) {
 	nd.probing = nil
 	nd.ballots = nil
 	nd.reclaims = nil
-	nd.pendingAddrs = nil
 	nd.grants = nil
 	nd.allocQueue = nil
 	nd.voteCache = nil

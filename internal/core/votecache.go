@@ -35,10 +35,9 @@ import (
 //     propagated.
 //
 // The simulator drives the cache from the single event-loop goroutine, but
-// the methods are mutex-guarded so a concurrent driver (the daemon's
-// handler pool, or anything else) gets the same invalidation guarantees;
-// TestVoteCacheConcurrentInvalidate exercises hit-vs-invalidate races
-// under -race.
+// the methods are mutex-guarded so a concurrent driver gets the same
+// invalidation guarantees; TestVoteCacheConcurrentInvalidate exercises
+// hit-vs-invalidate races under -race.
 type voteCache struct {
 	mu  sync.Mutex
 	ttl time.Duration

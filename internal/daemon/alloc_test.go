@@ -61,9 +61,16 @@ func TestCandidatesLowestFirstSkipPending(t *testing.T) {
 	expect(next)
 	expect(next + 1)
 
-	onLoopSync(t, d, func() { d.pendingAddrs[next+2] = true })
+	// An open ballot of the owner's own, under an ID its ballots never reach.
+	const open = ^uint64(0)
+	reserve := func(a addrspace.Addr) {
+		if !d.grants.Reserve(a, d.cfg.ID, open, time.Since(d.started)) {
+			t.Errorf("reserve %v refused", a)
+		}
+	}
+	onLoopSync(t, d, func() { reserve(next + 2) })
 	expect(next + 3)
-	onLoopSync(t, d, func() { delete(d.pendingAddrs, next+2) })
+	onLoopSync(t, d, func() { d.grants.Close(next+2, d.cfg.ID, open) })
 	expect(next + 2)
 
 	onLoopSync(t, d, func() {
@@ -84,7 +91,7 @@ func TestCandidatesLowestFirstSkipPending(t *testing.T) {
 		if _, err := d.table.Mark(testSpace.Hi, addrspace.Free); err != nil {
 			t.Error(err)
 		}
-		d.pendingAddrs[testSpace.Hi] = true
+		reserve(testSpace.Hi)
 	})
 	if v, code := allocate(t, d); code != http.StatusConflict {
 		t.Fatalf("allocate with only a pending address free: HTTP %d addr %s, want 409", code, v.Addr)

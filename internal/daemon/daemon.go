@@ -13,8 +13,8 @@
 //     to the owner through AGENT_FWD/AGENT_CFG — receive a COM_CFG grant
 //     plus a REPLICA_DIST replica of the table, and enter the electorate;
 //   - every allocation runs a quorum ballot (QUORUM_CLT/QUORUM_CFM) over
-//     the electorate with mutual-exclusion vote grants and version
-//     timestamps, tallied by quorum.Ballot as in the simulator, and
+//     the electorate with mutual-exclusion vote grants (quorum.Grants) and
+//     version timestamps, tallied by quorum.Ballot as in the simulator, and
 //     commits with QUORUM_UPD — the paper's guarantee that no address is
 //     ever handed out twice;
 //   - address-to-holder attribution propagates with UPDATE_LOC;
@@ -216,12 +216,6 @@ type ballot struct {
 	reply     func(addr addrspace.Addr, ok bool)
 }
 
-// voteGrant is the voter-side mutual exclusion lock on one address.
-type voteGrant struct {
-	ballotID uint64
-	expires  time.Time
-}
-
 // reclaimRun tracks one in-progress reclamation of a dead member.
 type reclaimRun struct {
 	target    radio.NodeID
@@ -252,7 +246,6 @@ type Daemon struct {
 	started time.Time
 
 	// Protocol state: event-loop goroutine only.
-	owner          bool
 	ownerID        radio.NodeID
 	joined         bool
 	haveMembership bool // adopted at least one REPLICA_DIST membership view
@@ -276,8 +269,7 @@ type Daemon struct {
 	joinSpan     uint64 // span of this daemon's own join, minted on first CH_REQ
 	joinStarted  time.Time
 	ballots      map[uint64]*ballot
-	pendingAddrs map[addrspace.Addr]bool
-	grants       map[addrspace.Addr]voteGrant
+	grants       *quorum.Grants // on the clock of time.Since(started)
 	reclaims     map[radio.NodeID]*reclaimRun
 	joinInFlight map[radio.NodeID]bool
 	joinTries    int
@@ -313,8 +305,7 @@ func New(cfg Config) (*Daemon, error) {
 		holders:      make(map[addrspace.Addr]radio.NodeID),
 		monitor:      health.New(health.Config{Target: cfg.ReplicationTarget, TTL: cfg.ReplicaTTL}, tracer),
 		ballots:      make(map[uint64]*ballot),
-		pendingAddrs: make(map[addrspace.Addr]bool),
-		grants:       make(map[addrspace.Addr]voteGrant),
+		grants:       quorum.NewGrants(2 * cfg.QuorumTimeout),
 		reclaims:     make(map[radio.NodeID]*reclaimRun),
 		joinInFlight: make(map[radio.NodeID]bool),
 		allocWaiters: make(map[uint64]chan allocResult),
@@ -540,7 +531,6 @@ func (d *Daemon) bootstrap() {
 		d.logf("bootstrap mark: %v", err)
 	}
 	d.networkID = msg.NetTag{Addr: d.selfIP, Nonce: d.cfg.Nonce}
-	d.owner = true
 	d.ownerID = d.cfg.ID
 	d.admit(d.cfg.ID)
 	d.holders[d.selfIP] = d.cfg.ID
@@ -656,6 +646,9 @@ type member struct {
 	holder   bool           // designated into the replica set (owner side)
 	acked    time.Time      // its last REPLICA_ACK (owner side); zero: never
 }
+
+// isOwner reports whether this daemon owns the space and runs its ballots.
+func (d *Daemon) isOwner() bool { return d.ownerID == d.cfg.ID }
 
 // member returns id's record, nil when id is not in the electorate.
 func (d *Daemon) member(id radio.NodeID) *member {

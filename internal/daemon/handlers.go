@@ -85,7 +85,7 @@ func (d *Daemon) onJoinRequest(requestor, agent radio.NodeID, span uint64) {
 	if requestor == d.cfg.ID {
 		return
 	}
-	if !d.owner {
+	if !d.isOwner() {
 		// Members relay toward the owner; a daemon that has not joined yet
 		// cannot help and stays silent (the joiner retries another seed).
 		if d.joined && agent == 0 {
@@ -213,7 +213,6 @@ func (d *Daemon) takeAllocWaiter(span uint64) (chan allocResult, bool) {
 func (d *Daemon) onReplicaDist(src radio.NodeID, p msg.ReplicaDist) {
 	info := p.Info
 	d.ownerID = info.Owner
-	d.owner = info.Owner == d.cfg.ID
 	d.adopt(info.Holders)
 	if m := d.member(info.Owner); m != nil && info.OwnerIP != 0 {
 		m.ip = info.OwnerIP
@@ -228,7 +227,7 @@ func (d *Daemon) onReplicaDist(src radio.NodeID, p msg.ReplicaDist) {
 				d.table.AdoptNewer(tab)
 			}
 		}
-		if !d.owner {
+		if !d.isOwner() {
 			d.sendTo(src, msg.TReplicaAck, metrics.CatSync,
 				msg.ReplicaAck{Info: msg.HolderInfo{Owner: d.cfg.ID, OwnerIP: d.selfIP}})
 		}
@@ -263,7 +262,7 @@ func (d *Daemon) allocateLocal(res chan allocResult) uint64 {
 		return 0
 	}
 	span := d.mintSpan()
-	if d.owner {
+	if d.isOwner() {
 		d.trace(obs.Event{Kind: obs.EvAllocRequest, Span: span, Detail: "local"})
 		d.startBallot(d.cfg.ID, span, func(addr addrspace.Addr, ok bool) {
 			if ok {
@@ -284,7 +283,7 @@ func (d *Daemon) allocateLocal(res chan allocResult) uint64 {
 
 // onAllocRequest is the owner leg of a member-forwarded /v1/allocate.
 func (d *Daemon) onAllocRequest(requestor radio.NodeID, span uint64) {
-	if !d.owner {
+	if !d.isOwner() {
 		return // stale owner view at the sender; its failure detector catches up
 	}
 	d.startBallot(requestor, span, func(addr addrspace.Addr, ok bool) {
@@ -312,7 +311,7 @@ func (d *Daemon) startBallot(requestor radio.NodeID, span uint64, reply func(add
 // that granted the aborted round keep answering Busy for until their grant
 // expires.
 func (d *Daemon) propose(b *ballot) {
-	if b.attempts >= d.cfg.MaxProposals {
+	if b.attempts >= d.cfg.MaxProposals || d.table == nil { // no table: a forged owner view
 		b.reply(0, false)
 		return
 	}
@@ -338,10 +337,13 @@ func (d *Daemon) propose(b *ballot) {
 	d.ballotSeq++
 	b.id = d.ballotSeq
 	b.addr = cand
+	if !d.grants.Reserve(cand, d.cfg.ID, b.id, time.Since(d.started)) {
+		d.abortBallot(b) // our own vote is promised to another allocator: Busy
+		return
+	}
 	b.openedAt = time.Now()
 	b.tally = tally
 	d.ballots[b.id] = b
-	d.pendingAddrs[cand] = true
 	d.coll.Inc("daemon.ballots")
 	d.trace(obs.Event{Kind: obs.EvBallotOpen, Peer: b.requestor, Addr: b.addr, MsgID: b.id, Span: b.span})
 
@@ -392,7 +394,7 @@ func (d *Daemon) voters(b *ballot) []*member {
 func (d *Daemon) pickCandidate(from addrspace.Addr) (addrspace.Addr, bool) {
 	for {
 		a, ok := d.table.NextFree(from)
-		if !ok || !d.pendingAddrs[a] {
+		if !ok || !d.grants.Reserved(a) {
 			return a, ok
 		}
 		if a == d.table.Block().Hi {
@@ -412,7 +414,7 @@ func (d *Daemon) abortBallot(b *ballot) {
 
 func (d *Daemon) clearBallot(b *ballot) {
 	delete(d.ballots, b.id)
-	delete(d.pendingAddrs, b.addr)
+	d.grants.Close(b.addr, d.cfg.ID, b.id)
 	if b.timer != nil {
 		b.timer.Stop()
 	}
@@ -428,21 +430,17 @@ func (d *Daemon) ballotTimeout(ballotID uint64) {
 }
 
 // onQuorumClt is the voter side: report the local replica entry and grant
-// the vote to at most one ballot at a time (the paper's mutual exclusion
-// rule — a voter that has promised an address to one allocator answers
-// everyone else Busy until the grant expires or commits).
+// the vote to at most one ballot, src's ballot p.BallotID, at a time (the
+// paper's mutual exclusion rule — a voter that has promised an address to
+// one ballot, its own included, answers every other one Busy until the
+// grant expires or commits).
 func (d *Daemon) onQuorumClt(src radio.NodeID, p msg.QuorumClt, span uint64) {
 	cfm := msg.QuorumCfm{BallotID: p.BallotID}
 	if d.table != nil {
 		if e, ok := d.table.Get(p.Addr); ok {
 			cfm.HasReplica = true
 			cfm.Entry = e
-			now := time.Now()
-			if g, held := d.grants[p.Addr]; held && g.ballotID != p.BallotID && now.Before(g.expires) {
-				cfm.Busy = true
-			} else {
-				d.grants[p.Addr] = voteGrant{ballotID: p.BallotID, expires: now.Add(2 * d.cfg.QuorumTimeout)}
-			}
+			cfm.Busy = !d.grants.Grant(p.Addr, src, p.BallotID, time.Since(d.started))
 		}
 	}
 	d.trace(obs.Event{Kind: obs.EvBallotVote, Peer: src, Addr: p.Addr, MsgID: p.BallotID, Span: span, Detail: "cast"})
@@ -495,9 +493,8 @@ func (d *Daemon) evalBallot(b *ballot) {
 // yet: it learns the holders from sendJoinGrant.
 func (d *Daemon) commitBallot(b *ballot, ver uint64) {
 	d.clearBallot(b)
-	_ = d.table.Set(b.addr, addrspace.Entry{Status: addrspace.Free, Version: ver})
-	e, err := d.table.Mark(b.addr, addrspace.Occupied)
-	if err != nil {
+	e := addrspace.Entry{Status: addrspace.Occupied, Version: ver + 1}
+	if err := d.table.Set(b.addr, e); err != nil {
 		b.reply(0, false)
 		return
 	}
@@ -522,7 +519,7 @@ func (d *Daemon) commitBallot(b *ballot, ver uint64) {
 
 // onQuorumUpd applies a committed update and releases any vote grant.
 func (d *Daemon) onQuorumUpd(p msg.QuorumUpd) {
-	delete(d.grants, p.Addr)
+	d.grants.Release(p.Addr)
 	if d.table == nil {
 		return
 	}
@@ -560,20 +557,19 @@ func (d *Daemon) declareDead(m *member) {
 	d.trace(obs.Event{Kind: obs.EvPeerDead, Peer: m.id, Addr: m.ip, Detail: "heartbeat_miss"})
 	d.logf("peer %d declared dead", int(m.id))
 
-	if m.id == d.ownerID && !d.owner {
+	if m.id == d.ownerID && !d.isOwner() {
 		// Owner failover: the lowest-ID survivor takes over the space; it
 		// holds a full replica, so ownership is a role change, not a copy.
 		if i := slices.IndexFunc(d.roster, func(s *member) bool { return !s.dead }); i >= 0 {
 			d.ownerID = d.roster[i].id
-			if d.ownerID == d.cfg.ID {
-				d.owner = true
+			if d.isOwner() {
 				d.coll.Inc("daemon.owner_promotions")
 				d.trace(obs.Event{Kind: obs.EvHeadElected, Peer: m.id, Addr: d.selfIP, Detail: "failover"})
 				d.logf("promoted to owner after owner death")
 			}
 		}
 	}
-	if d.owner {
+	if d.isOwner() {
 		d.startReclaim(m)
 	}
 }
@@ -654,13 +650,9 @@ func (d *Daemon) finishReclaim(target radio.NodeID) {
 		if !ok {
 			continue
 		}
-		ne := addrspace.Entry{Status: addrspace.Free, Version: e.Version + 1}
-		_ = d.table.Set(addr, ne)
 		delete(d.holders, addr)
 		d.trace(obs.Event{Kind: obs.EvReclaimFree, Peer: target, Addr: addr, Span: run.span})
-		for _, m := range d.peers() {
-			d.sendSpan(m.id, msg.TQuorumUpd, metrics.CatReclamation, run.span, msg.QuorumUpd{Owner: d.cfg.ID, Addr: addr, Entry: ne})
-		}
+		d.writeFree(addr, e, metrics.CatReclamation, run.span)
 	}
 	d.hists.Observe(obs.HistReclaimTime, 1e-6, time.Since(run.startedAt).Microseconds())
 	d.coll.Add("daemon.reclaimed_addrs", int64(len(toFree)))

@@ -39,7 +39,7 @@ func (d *Daemon) statusView() StatusResponse {
 	}
 	if d.joined {
 		v.Role = "member"
-		if d.owner {
+		if d.isOwner() {
 			v.Role = "owner"
 		}
 	}
@@ -61,7 +61,7 @@ func (d *Daemon) statusView() StatusResponse {
 		v.Role = "departed"
 		v.Departed = true
 	}
-	if d.owner && d.joined {
+	if d.isOwner() && d.joined {
 		factor, target := health.Measure(d.healthConfig(), time.Now(), d.healthPeers())
 		v.ReplicaFactor = factor
 		v.ReplicaTarget = target
@@ -98,7 +98,7 @@ func (d *Daemon) membersView() MembersResponse {
 		} else if !m.lastSeen.IsZero() {
 			info.LastSeenMS = now.Sub(m.lastSeen).Milliseconds()
 		}
-		if d.owner {
+		if d.isOwner() {
 			info.ReplicaHolder = m.holder
 			info.ReplicaAgeMS = -1
 			if !m.acked.IsZero() {
@@ -114,7 +114,7 @@ func (d *Daemon) membersView() MembersResponse {
 // goroutine only. Non-owners report Monitoring false with no measurement
 // (the replica set is the owner's to manage).
 func (d *Daemon) healthView() HealthResponse {
-	if !d.owner || !d.joined {
+	if !d.isOwner() || !d.joined {
 		return HealthResponse{}
 	}
 	now := time.Now()

@@ -90,7 +90,7 @@ func (d *Daemon) broadcastReplica() {
 
 // onReplicaAck records one member's replica confirmation lease.
 func (d *Daemon) onReplicaAck(src radio.NodeID) {
-	if m := d.member(src); d.owner && m != nil {
+	if m := d.member(src); d.isOwner() && m != nil {
 		m.acked = time.Now()
 		d.coll.Inc("daemon.replica_acks")
 	}
@@ -112,7 +112,7 @@ func (d *Daemon) healthPeers() []health.PeerState {
 // monitor emits health_check / replica_underreplicated / replica_restored;
 // the quorum adjustments and syncs trace through the existing kinds.
 func (d *Daemon) healthTick() {
-	if !d.owner || !d.joined {
+	if !d.isOwner() || !d.joined {
 		return
 	}
 	d.coll.Inc("daemon.health_checks")
@@ -149,7 +149,7 @@ func (d *Daemon) startDepart(res chan error) {
 		res <- ErrNotJoined
 		return
 	}
-	if d.owner {
+	if d.isOwner() {
 		res <- ErrOwnerDepart
 		return
 	}
@@ -194,7 +194,7 @@ func (d *Daemon) sendReturns() {
 // RETURN_ADDR naming someone else's — from a raw socket or an insider —
 // changes nothing.
 func (d *Daemon) onReturnAddr(src radio.NodeID, p msg.ReturnAddr) {
-	if !d.owner || d.table == nil {
+	if !d.isOwner() || d.table == nil {
 		return // stale owner view at the sender; it retries after failover
 	}
 	if src == d.cfg.ID {
@@ -203,12 +203,8 @@ func (d *Daemon) onReturnAddr(src radio.NodeID, p msg.ReturnAddr) {
 	held := d.holders[p.Addr] == src
 	if held {
 		if e, ok := d.table.Get(p.Addr); ok && e.Status == addrspace.Occupied {
-			ne := addrspace.Entry{Status: addrspace.Free, Version: e.Version + 1}
-			_ = d.table.Set(p.Addr, ne)
 			d.coll.Inc("daemon.addrs_returned")
-			for _, m := range d.peers() {
-				d.sendTo(m.id, msg.TQuorumUpd, metrics.CatConfig, msg.QuorumUpd{Owner: d.cfg.ID, Addr: p.Addr, Entry: ne})
-			}
+			d.writeFree(p.Addr, e, metrics.CatConfig, 0)
 		}
 		delete(d.holders, p.Addr)
 	}
@@ -230,6 +226,16 @@ func (d *Daemon) onReturnAddr(src radio.NodeID, p msg.ReturnAddr) {
 		return // a member naming an address that is not its own
 	}
 	d.sendTo(src, msg.TDepartAck, metrics.CatConfig, msg.DepartAck{})
+}
+
+// writeFree frees a one version above cur, its entry here, and sends the
+// QUORUM_UPD to every live peer under traffic category cat and span.
+func (d *Daemon) writeFree(a addrspace.Addr, cur addrspace.Entry, cat metrics.Category, span uint64) {
+	e := addrspace.Entry{Status: addrspace.Free, Version: cur.Version + 1}
+	_ = d.table.Set(a, e)
+	for _, m := range d.peers() {
+		d.sendSpan(m.id, msg.TQuorumUpd, cat, span, msg.QuorumUpd{Owner: d.cfg.ID, Addr: a, Entry: e})
+	}
 }
 
 // onDepartAck completes the member-side departure.
