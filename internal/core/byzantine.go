@@ -130,12 +130,7 @@ func (p *Protocol) byzSuppressReclaim(initiator *node, target radio.NodeID) bool
 // byzForgeReports floods forged REC_FWD existence reports to the liar's
 // QDSet for every occupied address it knows of the target's space.
 func (p *Protocol) byzForgeReports(nd *node, target radio.NodeID) {
-	var pool *addrspace.Pool
-	if target == nd.id {
-		pool = nd.pools
-	} else {
-		pool = nd.replicas[target]
-	}
+	pool := nd.space(target)
 	if pool == nil {
 		return // not a holder: nothing to forge, honest window suppressed
 	}

@@ -168,9 +168,9 @@ func (p *Protocol) dispatch(id radio.NodeID, m netstack.Message) {
 	case msg.AddrRec:
 		p.onAddrRec(nd, m.Span, pl)
 	case msg.RecRep:
-		p.onRecRep(nd, m.Span, pl)
+		p.applyRecReport(nd, m.Span, pl.Target, pl.Addr, 1)
 	case msg.RecFwd:
-		p.onRecFwd(nd, m.Span, pl)
+		p.applyRecReport(nd, m.Span, pl.Target, pl.Addr, pl.TTL)
 	case msg.Reconfig:
 		p.onReconfig(nd)
 	}
@@ -355,7 +355,7 @@ func (p *Protocol) initHead(nd *node, pool *addrspace.Pool, ip addrspace.Addr, n
 	nd.suspects = make(map[radio.NodeID]*sim.Timer)
 	nd.probing = make(map[radio.NodeID]*sim.Timer)
 	nd.ballots = make(map[uint64]*pendingBallot)
-	nd.reclaims = make(map[radio.NodeID]*reclaimState)
+	nd.reclaims = make(quorum.Reclaims)
 	nd.grants = quorum.NewGrants(4 * p.p.QuorumTimeout)
 	nd.voteCache = newVoteCache(p.p.VoteCacheTTL)
 	nd.qdLastSeen = make(map[radio.NodeID]time.Duration)
@@ -474,7 +474,7 @@ func (p *Protocol) allocate(alloc *node, requestor radio.NodeID, pathHops int, v
 	}
 	owner, addr, ok := p.proposal(alloc, nil)
 	if !ok {
-		p.maybeSelfReclaim(alloc)
+		p.initiateReclamation(alloc, alloc.id, alloc.ip)
 		if !viaAgent && alloc.hasConfigurer && p.isHeadFn(alloc.configurer) {
 			p.rt.Coll.Inc(CounterAgentForwards)
 			if _, sent := p.sendSpan(alloc.id, alloc.configurer, msg.TAgentFwd, metrics.CatConfig, span, msg.AgentFwd{

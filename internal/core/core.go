@@ -194,13 +194,6 @@ type adminRecord struct {
 	Addr       addrspace.Addr
 }
 
-// reclaimState tracks one in-progress reclamation at a replica holder.
-type reclaimState struct {
-	refreshed map[addrspace.Addr]bool
-	timer     *sim.Timer
-	span      uint64 // causal span minted by the reclamation initiator
-}
-
 // node is the per-node protocol state. All fields are manipulated on the
 // simulator goroutine.
 type node struct {
@@ -237,7 +230,7 @@ type node struct {
 	suspects         map[radio.NodeID]*sim.Timer      // Td timers per silent QDSet member
 	probing          map[radio.NodeID]*sim.Timer      // Tr timers per REP_REQ probe
 	ballots          map[uint64]*pendingBallot        // in-flight vote collections
-	reclaims         map[radio.NodeID]*reclaimState   // in-progress reclamations by target
+	reclaims         quorum.Reclaims                  // in-progress reclamations by target
 	recentReclaims   map[radio.NodeID]time.Duration   // settle times of completed reclamations
 	grants           *quorum.Grants                   // exclusive votes, own open ballots' reservations
 	allocQueue       []allocRequest                   // requests deferred by the ballot window
@@ -358,20 +351,21 @@ func sortedIDs[V any](m map[radio.NodeID]V) []radio.NodeID {
 	return out
 }
 
-// localEntry reads this head's freshest knowledge of (owner, addr): its
-// own pool when it is the owner, the replica otherwise.
-func (nd *node) localEntry(owner radio.NodeID, addr addrspace.Addr) (addrspace.Entry, bool) {
+// space returns this head's copy of owner's address space: its own pool
+// when it is the owner, the replica otherwise; nil when it holds neither.
+func (nd *node) space(owner radio.NodeID) *addrspace.Pool {
 	if owner == nd.id {
-		if nd.pools == nil {
-			return addrspace.Entry{}, false
-		}
-		return nd.pools.Get(addr)
+		return nd.pools
 	}
-	rep, ok := nd.replicas[owner]
-	if !ok {
-		return addrspace.Entry{}, false
+	return nd.replicas[owner]
+}
+
+// localEntry reads this head's freshest knowledge of (owner, addr).
+func (nd *node) localEntry(owner radio.NodeID, addr addrspace.Addr) (addrspace.Entry, bool) {
+	if pool := nd.space(owner); pool != nil {
+		return pool.Get(addr)
 	}
-	return rep.Get(addr)
+	return addrspace.Entry{}, false
 }
 
 // applyEntry writes (owner, addr) state into this head's copy. A write to
@@ -380,15 +374,11 @@ func (nd *node) localEntry(owner radio.NodeID, addr addrspace.Addr) (addrspace.E
 // trustworthy. The head's own commit path re-confirms exactly the members
 // it successfully propagated the write to (finishCommonBallot).
 func (nd *node) applyEntry(owner radio.NodeID, addr addrspace.Addr, e addrspace.Entry) {
-	if owner == nd.id {
-		if nd.pools != nil {
-			_ = nd.pools.Set(addr, e)
-		}
-		nd.voteCache.invalidateAll()
-		return
+	if pool := nd.space(owner); pool != nil {
+		_ = pool.Set(addr, e)
 	}
-	if rep, ok := nd.replicas[owner]; ok {
-		_ = rep.Set(addr, e)
+	if owner == nd.id {
+		nd.voteCache.invalidateAll()
 	}
 }
 

@@ -74,11 +74,6 @@ func (p *Protocol) killNode(nd *node) {
 			pb.timer.Cancel()
 		}
 	}
-	for _, rs := range nd.reclaims {
-		if rs.timer != nil {
-			rs.timer.Cancel()
-		}
-	}
 	p.departed[nd.id] = info
 	p.rt.RemoveNode(nd.id)
 }

@@ -174,11 +174,6 @@ func (p *Protocol) resetToUnconfigured(nd *node) {
 			pb.timer.Cancel()
 		}
 	}
-	for _, rs := range nd.reclaims {
-		if rs.timer != nil {
-			rs.timer.Cancel()
-		}
-	}
 	nd.role = RoleUnconfigured
 	nd.everHadPeers = false
 	nd.isolatedObserved = false

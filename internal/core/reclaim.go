@@ -9,6 +9,7 @@ import (
 	"quorumconf/internal/msg"
 	"quorumconf/internal/netstack"
 	"quorumconf/internal/obs"
+	"quorumconf/internal/quorum"
 	"quorumconf/internal/radio"
 )
 
@@ -23,15 +24,14 @@ const (
 // initiateReclamation starts the §IV-D process for target's address space:
 // an ADDR_REC broadcast asks the target's surviving members to report
 // their existence to their closest head; after ReclaimSettle every replica
-// holder frees the addresses nobody claimed.
+// holder frees the addresses nobody claimed. A head reclaims its own space
+// (target == initiator) when it has run out of addresses in both IPSpace
+// and QuorumSpace (§IV-D).
 func (p *Protocol) initiateReclamation(initiator *node, target radio.NodeID, targetIP addrspace.Addr) {
-	if !initiator.isHead() {
+	if !initiator.isHead() || initiator.reclaims.Running(target) {
 		return
 	}
 	if p.byzSuppressReclaim(initiator, target) {
-		return
-	}
-	if _, running := initiator.reclaims[target]; running {
 		return
 	}
 	if target != initiator.id {
@@ -53,26 +53,16 @@ func (p *Protocol) initiateReclamation(initiator *node, target radio.NodeID, tar
 }
 
 // beginReclaimWindow opens the report-collection window at one replica
-// holder of the target's space.
+// holder of the target's space. The settle timer holds the run it settles,
+// so a timer that outlives the run (the node reset or re-became head)
+// settles nothing.
 func (p *Protocol) beginReclaimWindow(nd *node, target radio.NodeID, span uint64) {
-	if !nd.isHead() {
-		return
-	}
-	if _, ok := nd.reclaims[target]; ok {
-		return
-	}
-	var pool *addrspace.Pool
-	if target == nd.id {
-		pool = nd.pools
-	} else {
-		pool = nd.replicas[target]
-	}
-	if pool == nil {
+	if !nd.isHead() || nd.space(target) == nil {
 		return // not a holder: nothing to settle
 	}
-	rs := &reclaimState{refreshed: make(map[addrspace.Addr]bool), span: span}
-	rs.timer = p.rt.Sim.Schedule(p.p.ReclaimSettle, func() { p.settleReclaim(nd, target) })
-	nd.reclaims[target] = rs
+	if run := nd.reclaims.Open(target, span, p.rt.Sim.Now()); run != nil {
+		p.rt.Sim.Schedule(p.p.ReclaimSettle, func() { p.settleReclaim(nd, target, run) })
+	}
 }
 
 func (p *Protocol) onAddrRec(nd *node, span uint64, pl msg.AddrRec) {
@@ -102,14 +92,6 @@ func (p *Protocol) onAddrRec(nd *node, span uint64, pl msg.AddrRec) {
 	})
 }
 
-func (p *Protocol) onRecRep(nd *node, span uint64, pl msg.RecRep) {
-	p.applyRecReport(nd, span, pl.Target, pl.Addr, 1)
-}
-
-func (p *Protocol) onRecFwd(nd *node, span uint64, pl msg.RecFwd) {
-	p.applyRecReport(nd, span, pl.Target, pl.Addr, pl.TTL)
-}
-
 // applyRecReport refreshes the reporter's address at a replica holder; a
 // head without the replica forwards to its adjacent heads until the
 // information lands (§IV-D), bounded by ttl rounds.
@@ -120,9 +102,8 @@ func (p *Protocol) applyRecReport(nd *node, span uint64, target radio.NodeID, ad
 	if cur, ok := nd.localEntry(target, addr); ok {
 		refreshed := addrspace.Entry{Status: addrspace.Occupied, Version: cur.Version + 1}
 		nd.applyEntry(target, addr, refreshed)
-		if rs, open := nd.reclaims[target]; open {
-			rs.refreshed[addr] = true
-			p.rt.Trace(obs.Event{Kind: obs.EvReclaimDefend, Node: nd.id, Peer: target, Addr: addr, Span: rs.span})
+		if run, open := nd.reclaims.Defend(target, addr); open {
+			p.rt.Trace(obs.Event{Kind: obs.EvReclaimDefend, Node: nd.id, Peer: target, Addr: addr, Span: run.Span})
 		}
 		return
 	}
@@ -142,12 +123,10 @@ func (p *Protocol) applyRecReport(nd *node, span uint64, target radio.NodeID, ad
 // surviving member claimed during the window. The target's own IP is
 // always freed (it departed). The space stays replicated at the holders,
 // usable through QuorumSpace borrowing.
-func (p *Protocol) settleReclaim(nd *node, target radio.NodeID) {
-	rs, ok := nd.reclaims[target]
-	if !ok || !nd.alive {
+func (p *Protocol) settleReclaim(nd *node, target radio.NodeID, run *quorum.Reclaim) {
+	if !nd.alive || !nd.reclaims.Close(target, run) {
 		return
 	}
-	delete(nd.reclaims, target)
 	if nd.recentReclaims == nil {
 		nd.recentReclaims = make(map[radio.NodeID]time.Duration)
 	}
@@ -155,19 +134,11 @@ func (p *Protocol) settleReclaim(nd *node, target radio.NodeID) {
 	if target != nd.id && p.Alive(target) {
 		return // target resurfaced (mobility): do not free behind its back
 	}
-	var pool *addrspace.Pool
-	if target == nd.id {
-		pool = nd.pools
-	} else {
-		pool = nd.replicas[target]
-	}
+	pool := nd.space(target)
 	if pool == nil {
 		return
 	}
-	for _, addr := range pool.Occupied() {
-		if rs.refreshed[addr] {
-			continue
-		}
+	for _, addr := range run.Undefended(pool.Occupied()) {
 		if target == nd.id && addr == nd.ip {
 			continue // own address of a live self-reclaiming head
 		}
@@ -177,22 +148,9 @@ func (p *Protocol) settleReclaim(nd *node, target radio.NodeID) {
 			continue
 		}
 		cur, _ := pool.Get(addr)
-		_ = pool.Set(addr, addrspace.Entry{Status: addrspace.Free, Version: cur.Version + 1})
+		nd.applyEntry(target, addr, addrspace.Entry{Status: addrspace.Free, Version: cur.Version + 1})
 		delete(p.ipOwner, addr)
 		p.rt.Coll.Inc(CounterAddrReclaimed)
-		p.rt.Trace(obs.Event{Kind: obs.EvReclaimFree, Node: nd.id, Peer: target, Addr: addr, Span: rs.span})
+		p.rt.Trace(obs.Event{Kind: obs.EvReclaimFree, Node: nd.id, Peer: target, Addr: addr, Span: run.Span})
 	}
-}
-
-// maybeSelfReclaim triggers reclamation of this head's own space when it
-// has run out of addresses everywhere (§IV-D: "or running out of IP
-// addresses in both IPSpace and QuorumSpace").
-func (p *Protocol) maybeSelfReclaim(nd *node) {
-	if !nd.isHead() {
-		return
-	}
-	if _, running := nd.reclaims[nd.id]; running {
-		return
-	}
-	p.initiateReclamation(nd, nd.id, nd.ip)
 }

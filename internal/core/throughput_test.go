@@ -198,6 +198,39 @@ func TestVoteCacheMembershipInvalidate(t *testing.T) {
 	}
 }
 
+// TestSelfReclaimDropsVoteCache: a self-reclamation that frees a leaked
+// lease rewrites the head's own pool behind its commit path, so no cached
+// voter may vouch for that pool afterwards. The voter re-confirmed 1.5 s
+// into the window outlives the invalidations the REC_REP reports cause.
+func TestSelfReclaimDropsVoteCache(t *testing.T) {
+	params := smallSpace()
+	params.VoteCacheTTL = 60 * time.Second
+	h := newHarness(t, params)
+	twoHeadChain(h)
+	var leaked addrspace.Addr
+	h.rt.Sim.ScheduleAt(60*time.Second, func() {
+		nd := h.p.nodes[0]
+		var ok bool
+		if leaked, ok = nd.pools.FirstFree(); !ok {
+			t.Fatal("head 0 has no free address to leak")
+		}
+		if _, err := nd.pools.Mark(leaked, addrspace.Occupied); err != nil { // granted, never configured
+			t.Fatal(err)
+		}
+		h.p.initiateReclamation(nd, nd.id, nd.ip)
+	})
+	h.rt.Sim.ScheduleAt(61500*time.Millisecond, func() { h.p.nodes[0].voteCache.confirm(3, h.rt.Sim.Now()) })
+	h.runUntil(65 * time.Second)
+
+	nd := h.p.nodes[0]
+	if e, _ := nd.pools.Get(leaked); e.Status != addrspace.Free {
+		t.Fatalf("leaked %v is %v after self-reclamation, want free", leaked, e.Status)
+	}
+	if n := nd.voteCache.size(); n != 0 {
+		t.Errorf("own pool rewritten by self-reclamation, yet %d cached voters still vouch for it", n)
+	}
+}
+
 // TestVoteCacheTTL pins the stale-timestamp edge on the cache type itself:
 // an entry one tick past the TTL is rejected exactly once with
 // expired=true (the caller's cue to trace the invalidation) and is gone on

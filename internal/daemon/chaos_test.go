@@ -167,17 +167,20 @@ func TestChaosMaliciousDaemonDefeated(t *testing.T) {
 // addresses it invents, and a RETURN_ADDR by who holds the address — here
 // the owner's own IP, which no forged source may free.
 func TestForgedSourcesDoNotGrowLiveness(t *testing.T) {
+	const forged = 2000
 	d := newSoloOwner(t)
-	// A reclamation in progress, so that REC_REP has somewhere to write.
-	run := &reclaimRun{target: 7, refreshed: make(map[addrspace.Addr]bool)}
-	onLoopSync(t, d, func() { d.reclaims[run.target] = run })
+	// A reclamation in progress, so that REC_REP has somewhere to write,
+	// and a ring big enough to keep every defense it records.
+	const target = radio.NodeID(7)
+	events := obs.NewRing(4 * forged)
+	d.tracer.AddSink(events)
+	onLoopSync(t, d, func() { d.reclaims.Open(target, 0, 0) })
 	atk, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer atk.Close()
 
-	const forged = 2000
 	before := counter(d, udptransport.CtrDelivered)
 	for i := 0; i < forged; i++ {
 		env := &wire.Envelope{MsgID: uint64(i + 1), Type: msg.TRepRsp, Src: radio.NodeID(1000 + i), Dst: d.ID(), Payload: msg.RepRsp{}}
@@ -188,7 +191,7 @@ func TestForgedSourcesDoNotGrowLiveness(t *testing.T) {
 		case 2:
 			env.Type, env.Payload = msg.TUpdateLoc, msg.UpdateLoc{Configurer: radio.NodeID(200000 + i), ConfigurerIP: outside, Addr: outside}
 		case 3:
-			env.Type, env.Payload = msg.TRecRep, msg.RecRep{Target: run.target, Addr: outside}
+			env.Type, env.Payload = msg.TRecRep, msg.RecRep{Target: target, Addr: outside}
 		case 4:
 			if i%10 == 9 {
 				env.Src = d.ID() // the holder's own ID
@@ -213,12 +216,16 @@ func TestForgedSourcesDoNotGrowLiveness(t *testing.T) {
 		if len(d.roster) != 1 || d.roster[0].dead {
 			t.Errorf("roster of a solo owner is %v after %d forged sources", d.electorate(), forged)
 		}
-		if size := int(testSpace.Size()); len(d.holders) > size || len(run.refreshed) > size {
-			t.Errorf("space of %d addresses, yet %d holder and %d defense entries after %d forged frames",
-				size, len(d.holders), len(run.refreshed), forged)
+		if size := int(testSpace.Size()); len(d.holders) > size {
+			t.Errorf("space of %d addresses, yet %d holder entries after %d forged frames", size, len(d.holders), forged)
 		}
 		if e, _ := d.table.Get(testSpace.Lo); e.Status != addrspace.Occupied || d.holders[testSpace.Lo] != d.ID() {
 			t.Errorf("owner's own %v is %v, attributed to %d, after forged returns", testSpace.Lo, e.Status, d.holders[testSpace.Lo])
 		}
 	})
+	for _, e := range events.Snapshot() {
+		if e.Kind == obs.EvReclaimDefend && !testSpace.Contains(e.Addr) {
+			t.Fatalf("forged REC_REP defended %v, outside the space", e.Addr)
+		}
+	}
 }

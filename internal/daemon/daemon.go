@@ -21,8 +21,9 @@
 //   - members heartbeat with REP_REQ/REP_RSP; a silent member is declared
 //     dead after SuspectAfter, and the owner reclaims every address it
 //     held via ADDR_REC / REC_REP / QUORUM_UPD(free), then shrinks the
-//     electorate with a fresh REPLICA_DIST (§IV-D, §V-B). If the owner
-//     itself dies, the lowest-ID survivor promotes itself and reclaims.
+//     electorate with a fresh REPLICA_DIST (§IV-D, §V-B); a member heard
+//     from before the run settles keeps both. If the owner itself dies,
+//     the lowest-ID survivor promotes itself and reclaims.
 //
 // All protocol state lives on a single event-loop goroutine; the
 // transport's receive callback, timers and HTTP handlers post closures to
@@ -216,14 +217,6 @@ type ballot struct {
 	reply     func(addr addrspace.Addr, ok bool)
 }
 
-// reclaimRun tracks one in-progress reclamation of a dead member.
-type reclaimRun struct {
-	target    radio.NodeID
-	span      uint64 // causal trace minted when the reclamation started
-	startedAt time.Time
-	refreshed map[addrspace.Addr]bool
-}
-
 // Daemon is one protocol node over UDP. Create with New, then Start.
 type Daemon struct {
 	cfg    Config
@@ -269,8 +262,8 @@ type Daemon struct {
 	joinSpan     uint64 // span of this daemon's own join, minted on first CH_REQ
 	joinStarted  time.Time
 	ballots      map[uint64]*ballot
-	grants       *quorum.Grants // on the clock of time.Since(started)
-	reclaims     map[radio.NodeID]*reclaimRun
+	grants       *quorum.Grants  // on the clock of time.Since(started)
+	reclaims     quorum.Reclaims // on the clock of time.Since(started)
 	joinInFlight map[radio.NodeID]bool
 	joinTries    int
 	allocWaiters map[uint64]chan allocResult // forwarded /v1/allocate callers, by span
@@ -306,7 +299,7 @@ func New(cfg Config) (*Daemon, error) {
 		monitor:      health.New(health.Config{Target: cfg.ReplicationTarget, TTL: cfg.ReplicaTTL}, tracer),
 		ballots:      make(map[uint64]*ballot),
 		grants:       quorum.NewGrants(2 * cfg.QuorumTimeout),
-		reclaims:     make(map[radio.NodeID]*reclaimRun),
+		reclaims:     make(quorum.Reclaims),
 		joinInFlight: make(map[radio.NodeID]bool),
 		allocWaiters: make(map[uint64]chan allocResult),
 	}, nil

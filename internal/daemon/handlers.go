@@ -22,12 +22,12 @@ import (
 // admitted, an ID a raw socket invented — has no record to leave liveness
 // in (the owner stamps a joiner when it admits it, and tick grants grace on
 // first sight of a new member). It also overturns this daemon's own death
-// verdict on the sender, unless a reclamation of the sender is under way:
-// that run keeps its verdict and ends by expelling the member.
+// verdict on the sender; a reclamation of the sender under way spares it
+// when it settles (finishReclaim).
 func (d *Daemon) handle(env *wire.Envelope) {
 	if m := d.member(env.Src); m != nil {
 		m.lastSeen = time.Now()
-		if m.dead && d.reclaims[m.id] == nil {
+		if m.dead {
 			m.dead = false
 			d.coll.Inc("daemon.peer_revived")
 			d.logf("peer %d heard from again: alive", int(m.id))
@@ -578,23 +578,17 @@ func (d *Daemon) declareDead(m *member) {
 // ADDR_REC, collect REC_REP defenses for ReclaimSettle, then free whatever
 // the dead daemon still holds.
 func (d *Daemon) startReclaim(target *member) {
-	if d.reclaims[target.id] != nil {
+	if d.reclaims.Running(target.id) {
 		return
 	}
-	run := &reclaimRun{
-		target:    target.id,
-		span:      d.mintSpan(),
-		startedAt: time.Now(),
-		refreshed: make(map[addrspace.Addr]bool),
-	}
-	d.reclaims[target.id] = run
+	run := d.reclaims.Open(target.id, d.mintSpan(), time.Since(d.started))
 	d.coll.Inc("daemon.reclaims")
-	d.trace(obs.Event{Kind: obs.EvReclaimStart, Peer: target.id, Addr: target.ip, Span: run.span})
+	d.trace(obs.Event{Kind: obs.EvReclaimStart, Peer: target.id, Addr: target.ip, Span: run.Span})
 	rec := msg.AddrRec{Target: target.id, TargetIP: target.ip}
 	for _, m := range d.peers() {
-		d.sendSpan(m.id, msg.TAddrRec, metrics.CatReclamation, run.span, rec)
+		d.sendSpan(m.id, msg.TAddrRec, metrics.CatReclamation, run.Span, rec)
 	}
-	d.after(d.cfg.ReclaimSettle, func() { d.finishReclaim(target.id) })
+	d.after(d.cfg.ReclaimSettle, func() { d.finishReclaim(target.id, run) })
 }
 
 // onAddrRec is the member side of reclamation: align with the reclaimer's
@@ -618,43 +612,51 @@ func (d *Daemon) onAddrRec(src radio.NodeID, p msg.AddrRec, span uint64) {
 // daemon's to reclaim. Like onUpdateLoc it keeps nothing about an address
 // outside the space.
 func (d *Daemon) onRecRep(src radio.NodeID, p msg.RecRep) {
-	run := d.reclaims[p.Target]
-	if run == nil || !d.cfg.Space.Contains(p.Addr) {
+	if !d.cfg.Space.Contains(p.Addr) {
 		return
 	}
-	run.refreshed[p.Addr] = true
-	d.trace(obs.Event{Kind: obs.EvReclaimDefend, Peer: src, Addr: p.Addr, Span: run.span})
+	run, open := d.reclaims.Defend(p.Target, p.Addr)
+	if !open {
+		return
+	}
+	d.trace(obs.Event{Kind: obs.EvReclaimDefend, Peer: src, Addr: p.Addr, Span: run.Span})
 	if d.holders[p.Addr] == p.Target {
 		d.holders[p.Addr] = src
 	}
 }
 
 // finishReclaim frees every undefended address attributed to the dead
-// member, expels it from the electorate, and redistributes the replica.
-func (d *Daemon) finishReclaim(target radio.NodeID) {
-	run := d.reclaims[target]
-	if run == nil {
+// member, expels it from the electorate, and redistributes the replica. A
+// member heard from after the run opened was not dead: it keeps its
+// addresses and its place.
+func (d *Daemon) finishReclaim(target radio.NodeID, run *quorum.Reclaim) {
+	if !d.reclaims.Close(target, run) {
 		return
 	}
-	delete(d.reclaims, target)
+	if m := d.member(target); m != nil && m.lastSeen.Sub(d.started) > run.Opened {
+		d.coll.Inc("daemon.reclaims_spared")
+		d.logf("peer %d heard from during its reclamation: spared", int(target))
+		return
+	}
 
-	var toFree []addrspace.Addr
+	var held []addrspace.Addr
 	for addr, h := range d.holders {
-		if h == target && !run.refreshed[addr] {
-			toFree = append(toFree, addr)
+		if h == target {
+			held = append(held, addr)
 		}
 	}
-	slices.Sort(toFree)
+	slices.Sort(held)
+	toFree := run.Undefended(held)
 	for _, addr := range toFree {
 		e, ok := d.table.Get(addr)
 		if !ok {
 			continue
 		}
 		delete(d.holders, addr)
-		d.trace(obs.Event{Kind: obs.EvReclaimFree, Peer: target, Addr: addr, Span: run.span})
-		d.writeFree(addr, e, metrics.CatReclamation, run.span)
+		d.trace(obs.Event{Kind: obs.EvReclaimFree, Peer: target, Addr: addr, Span: run.Span})
+		d.writeFree(addr, e, metrics.CatReclamation, run.Span)
 	}
-	d.hists.Observe(obs.HistReclaimTime, 1e-6, time.Since(run.startedAt).Microseconds())
+	d.hists.Observe(obs.HistReclaimTime, 1e-6, (time.Since(d.started) - run.Opened).Microseconds())
 	d.coll.Add("daemon.reclaimed_addrs", int64(len(toFree)))
 	d.expel(target)
 	d.broadcastReplica()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"quorumconf/internal/addrspace"
 	"quorumconf/internal/radio"
 )
 
@@ -184,6 +185,53 @@ func TestPromotedOwnerAsksAMemberItOnceThoughtDead(t *testing.T) {
 	})
 	if _, code := allocate(t, ds[1]); code != http.StatusOK {
 		t.Errorf("allocate at the promoted owner: HTTP %d", code)
+	}
+}
+
+// TestReclaimSparesAMemberHeardDuringSettle: a death verdict on a live
+// member opens its reclamation, but the member's heartbeats go on, so when
+// the run settles it keeps its own address, its lease and its place. The
+// owner used to free both and expel it without telling it, and could then
+// grant them a second time.
+func TestReclaimSparesAMemberHeardDuringSettle(t *testing.T) {
+	ds := newCluster(t, 3)
+	waitFormed(t, ds)
+	owner, target := ds[0], ds[2]
+	v, code := allocate(t, target)
+	if code != http.StatusOK {
+		t.Fatalf("allocate at %d: HTTP %d", target.ID(), code)
+	}
+	var held []addrspace.Addr
+	onLoopSync(t, target, func() { held = []addrspace.Addr{target.selfIP, addrspace.Addr(v.Value)} })
+
+	onLoopSync(t, owner, func() { owner.declareDead(owner.member(target.ID())) })
+	waitFor(t, 10*time.Second, "the reclamation of daemon 3 to settle", func() bool {
+		running := true
+		onLoopSync(t, owner, func() { running = owner.reclaims.Running(target.ID()) })
+		return !running
+	})
+	onLoopSync(t, owner, func() {
+		if m := owner.member(target.ID()); m == nil || m.dead {
+			t.Errorf("daemon 3, heard from throughout, is %v at the owner after its reclamation", m)
+		}
+		for _, a := range held {
+			if h := owner.holders[a]; h != target.ID() {
+				t.Errorf("daemon 3's lease %v attributed to %d after the reclamation, want 3", a, h)
+			}
+		}
+	})
+	if n := counter(owner, "daemon.reclaimed_addrs"); n != 0 {
+		t.Errorf("daemon.reclaimed_addrs = %d, want 0", n)
+	}
+	if n := counter(owner, "daemon.reclaims_spared"); n != 1 {
+		t.Errorf("daemon.reclaims_spared = %d, want 1", n)
+	}
+	w, code := allocate(t, owner)
+	if code != http.StatusOK {
+		t.Fatalf("allocate at the owner: HTTP %d", code)
+	}
+	if a := addrspace.Addr(w.Value); slices.Contains(held, a) {
+		t.Errorf("%v granted again while daemon 3 holds it", a)
 	}
 }
 

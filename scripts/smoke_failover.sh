@@ -58,16 +58,20 @@ await() {
     fail "timed out waiting for $what"
 }
 
-status_says() { "$QUORUMCTL" -fleet "$FLEET" status 2>&1 | grep -q "$1"; }
-owner_lists_3() { "$QUORUMCTL" -fleet "$FLEET" member list | grep -Eq '^ *3 '; }
+# Piped checks grep to the end of quorumctl's output: `grep -q` stops at
+# the first match, and under pipefail quorumctl's SIGPIPE on the lines
+# after it would fail a check that matched (and pass owner_forgot_3).
+status_says() { "$QUORUMCTL" -fleet "$FLEET" status 2>&1 | grep "$1" >/dev/null; }
+owner_lists_3() { "$QUORUMCTL" -fleet "$FLEET" member list | grep -E '^ *3 ' >/dev/null; }
 owner_forgot_3() { "$QUORUMCTL" -fleet "$FLEET" member list >/dev/null && ! owner_lists_3; }
 
 start 1 -bootstrap
 start 2
 start 3
-# "up" only says the HTTP ports answer: daemon 3 may still be joining.
+# "up" only says the HTTP ports answer: daemons 2 and 3 may still be joining.
 await "formation" status_says "3/3 daemons up, owner 1"
-await "node 3 to join" owner_lists_3
+await "node 2 to join" status_says ":18412 *2 *member"
+await "node 3 to join" status_says ":18413 *3 *member"
 
 crash 3
 await "the owner to reclaim node 3" owner_forgot_3
@@ -81,7 +85,7 @@ await "node 3 to rejoin" status_says ":18413 *3 *member"
 crash 1
 await "daemon 2 to take over" status_says "2/3 daemons up, owner 2"
 
-"$QUORUMCTL" -fleet "$FLEET" allocate | grep -q "allocated 10.0.0." ||
+"$QUORUMCTL" -fleet "$FLEET" allocate | grep "allocated 10.0.0." >/dev/null ||
     fail "the promoted owner does not allocate"
 
 echo "smoke_failover: PASS"

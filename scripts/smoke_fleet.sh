@@ -39,11 +39,14 @@ pids+=($!)
     -heartbeat 100ms &
 pids+=($!)
 
-# Wait for formation: status exits 0 and reports the full fleet up.
+# Wait for formation: status exits 0, reports the full fleet up, and shows
+# daemons 2 and 3 as members ("up" only says their HTTP ports answer).
 formed=""
 for _ in $(seq 1 100); do
     if out=$("$QUORUMCTL" -fleet "$FLEET" status 2>&1) &&
-        grep -q "3/3 daemons up, owner 1" <<<"$out"; then
+        grep -q "3/3 daemons up, owner 1" <<<"$out" &&
+        grep -q ":18402 *2 *member" <<<"$out" &&
+        grep -q ":18403 *3 *member" <<<"$out"; then
         formed=yes
         break
     fi
@@ -52,17 +55,20 @@ done
 [ -n "$formed" ] || fail "cluster never formed; last status: $out"
 echo "$out"
 
+# Piped checks grep to the end of quorumctl's output: `grep -q` stops at
+# the first match, and under pipefail quorumctl's SIGPIPE on the lines
+# after it would fail a check that matched.
 "$QUORUMCTL" -fleet "$FLEET" member list || fail "member list exited $?"
 "$QUORUMCTL" -fleet "$FLEET" health || fail "health exited $?"
-"$QUORUMCTL" -fleet "$FLEET" allocate | grep -q "allocated 10.0.0." ||
+"$QUORUMCTL" -fleet "$FLEET" allocate | grep "allocated 10.0.0." >/dev/null ||
     fail "allocate did not report an address"
 
 # Graceful removal of node 3, then the fleet table must show it departed.
 "$QUORUMCTL" -fleet "$FLEET" member remove 3 || fail "member remove exited $?"
-"$QUORUMCTL" -fleet "$FLEET" status | grep -q "departed" ||
+"$QUORUMCTL" -fleet "$FLEET" status | grep "departed" >/dev/null ||
     fail "status does not show node 3 departed"
 "$QUORUMCTL" -fleet "$FLEET" trace tail -kind=node_departed |
-    grep -q node_departed || fail "no node_departed trace event"
+    grep node_departed >/dev/null || fail "no node_departed trace event"
 
 # Unknown node and unknown trace kind are clean failures (exit 1), not 0.
 if "$QUORUMCTL" -fleet "$FLEET" member remove 9 2>/dev/null; then
