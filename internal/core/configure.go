@@ -358,7 +358,6 @@ func (p *Protocol) initHead(nd *node, pool *addrspace.Pool, ip addrspace.Addr, n
 	nd.reclaims = make(quorum.Reclaims)
 	nd.grants = quorum.NewGrants(4 * p.p.QuorumTimeout)
 	nd.voteCache = newVoteCache(p.p.VoteCacheTTL)
-	nd.qdLastSeen = make(map[radio.NodeID]time.Duration)
 	nd.healthMon = health.New(health.Config{
 		Target: p.p.MinReplicas + 1, // MinReplicas holders plus the owner
 		TTL:    p.p.Td,
@@ -391,16 +390,16 @@ func (p *Protocol) completeHeadSetup(nd *node) {
 
 // distributeReplicas pushes this head's current pool to every QDSet member.
 func (p *Protocol) distributeReplicas(nd *node, cat metrics.Category) {
-	holders := nd.electorate(nd.id)
 	for _, h := range sortedIDs(nd.qdset) {
 		p.rt.Trace(obs.Event{Kind: obs.EvReplicaSync, Node: nd.id, Peer: h, Addr: nd.ip})
-		_, _ = p.send(nd.id, h, msg.TReplicaDist, cat, msg.ReplicaDist{Info: msg.HolderInfo{
-			Owner:   nd.id,
-			OwnerIP: nd.ip,
-			Pool:    nd.pools.Clone(),
-			Holders: holders,
-		}})
+		_, _ = p.send(nd.id, h, msg.TReplicaDist, cat, msg.ReplicaDist{Info: nd.holderInfo()})
 	}
+}
+
+// holderInfo is this head's replica as it travels in REPLICA_DIST and
+// REPLICA_ACK: a fresh clone of its pool and its current electorate.
+func (nd *node) holderInfo() msg.HolderInfo {
+	return msg.HolderInfo{Owner: nd.id, OwnerIP: nd.ip, Pool: nd.pools.Clone(), Holders: nd.electorate(nd.id)}
 }
 
 func (p *Protocol) onReplicaDist(nd *node, m netstack.Message, pl msg.ReplicaDist) {
@@ -411,12 +410,7 @@ func (p *Protocol) onReplicaDist(nd *node, m netstack.Message, pl msg.ReplicaDis
 	p.storeReplica(nd, pl.Info)
 	if !known {
 		// Reciprocate so the new adjacent head builds its QuorumSpace.
-		_, _ = p.send(nd.id, m.Src, msg.TReplicaAck, m.Category, msg.ReplicaAck{Info: msg.HolderInfo{
-			Owner:   nd.id,
-			OwnerIP: nd.ip,
-			Pool:    nd.pools.Clone(),
-			Holders: nd.electorate(nd.id),
-		}})
+		_, _ = p.send(nd.id, m.Src, msg.TReplicaAck, m.Category, msg.ReplicaAck{Info: nd.holderInfo()})
 	}
 }
 

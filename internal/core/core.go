@@ -236,7 +236,6 @@ type node struct {
 	allocQueue       []allocRequest                   // requests deferred by the ballot window
 	voteCache        *voteCache                       // allocator-side vote cache (nil when disabled)
 	healthMon        *health.Monitor                  // replica-health monitor (heads only)
-	qdLastSeen       map[radio.NodeID]time.Duration   // hello-driven liveness lease per QDSet member
 }
 
 // allocRequest is one address request waiting for a ballot-window slot.

@@ -87,28 +87,26 @@ func (p *Protocol) tick() {
 // type health.Monitor expects; only differences matter.
 var simEpoch = time.Unix(0, 0).UTC()
 
-// evaluateHealth runs the replica-health monitor (ROADMAP item 3) over a
-// head's QDSet, the same proactive check quorumd runs over its live
-// electorate. Hello-driven reachability stands in for REPLICA_ACK leases:
-// qdLastSeen is refreshed every hello interval a member stays reachable,
-// and a lease stale for Td/2 triggers a re-sync before the Td reclamation
-// machinery would have noticed anything.
+// evaluateHealth runs the replica-health monitor over a head's QDSet, the
+// same measurement quorumd takes of its live electorate, for its
+// health_check and under/restored events. Hello reachability is the lease:
+// checkHeadLiveness renewed it for every reachable member earlier in this
+// tick, so no lease is ever aging and Refresh stays empty. The repairs are
+// the paper's: maintainReplicationLevel (called right after on the same
+// cadence) recruits, and the Td quorum-shrink path retires dead holders.
 func (p *Protocol) evaluateHealth(nd *node) {
 	if nd.healthMon == nil {
 		return
 	}
 	snap := p.snapshot()
+	now := simEpoch.Add(p.rt.Sim.Now())
 	peers := make([]health.PeerState, 0, len(nd.qdset))
 	for _, m := range sortedIDs(nd.qdset) {
-		var acked time.Time
-		if seen, ok := nd.qdLastSeen[m]; ok {
-			acked = simEpoch.Add(seen)
-		}
 		peers = append(peers, health.PeerState{
 			ID:      m,
 			Dead:    !p.Alive(m) || !snap.Reachable(nd.id, m),
 			Holder:  true, // every QDSet member is a designated holder
-			AckedAt: acked,
+			AckedAt: now,
 		})
 	}
 	// Other heads in the component are the recruitable non-holders; without
@@ -120,20 +118,7 @@ func (p *Protocol) evaluateHealth(nd *node) {
 		}
 		peers = append(peers, health.PeerState{ID: h})
 	}
-	check := nd.healthMon.Evaluate(simEpoch.Add(p.rt.Sim.Now()), nd.id, peers)
-	for _, h := range check.Refresh {
-		p.rt.Trace(obs.Event{Kind: obs.EvReplicaSync, Node: nd.id, Peer: h, Addr: nd.ip})
-		_, _ = p.send(nd.id, h, msg.TReplicaDist, metrics.CatSync, msg.ReplicaDist{Info: msg.HolderInfo{
-			Owner:   nd.id,
-			OwnerIP: nd.ip,
-			Pool:    nd.pools.Clone(),
-			Holders: nd.electorate(nd.id),
-		}})
-	}
-	// check.Under needs no action here: maintainReplicationLevel (called
-	// right after on the same cadence) is the recruitment machinery, and
-	// dead holders are retired by the Td quorum-shrink path rather than
-	// check.Demote so the paper's failure-detection grace still applies.
+	nd.healthMon.Evaluate(now, nd.id, peers)
 }
 
 // checkHeadLiveness is the hello-driven failure detector: a head that
@@ -149,9 +134,6 @@ func (p *Protocol) checkHeadLiveness() {
 		for _, m := range sortedIDs(nd.qdset) {
 			reachable := p.Alive(m) && snap.Reachable(nd.id, m)
 			if reachable {
-				if nd.qdLastSeen != nil {
-					nd.qdLastSeen[m] = p.rt.Sim.Now()
-				}
 				if t, ok := nd.suspects[m]; ok {
 					t.Cancel()
 					delete(nd.suspects, m)
@@ -283,12 +265,7 @@ func (p *Protocol) maintainReplicationLevel(nd *node) {
 		recruited = true
 		p.rt.Coll.Inc(CounterQuorumRecruits)
 		p.rt.Trace(obs.Event{Kind: obs.EvQuorumRecruit, Node: nd.id, Peer: h})
-		_, _ = p.send(nd.id, h, msg.TReplicaDist, metrics.CatSync, msg.ReplicaDist{Info: msg.HolderInfo{
-			Owner:   nd.id,
-			OwnerIP: nd.ip,
-			Pool:    nd.pools.Clone(),
-			Holders: nd.electorate(nd.id),
-		}})
+		_, _ = p.send(nd.id, h, msg.TReplicaDist, metrics.CatSync, msg.ReplicaDist{Info: nd.holderInfo()})
 		if len(nd.qdset) >= p.p.MinReplicas {
 			break
 		}

@@ -200,7 +200,6 @@ func (p *Protocol) resetToUnconfigured(nd *node) {
 	nd.allocQueue = nil
 	nd.voteCache = nil
 	nd.healthMon = nil
-	nd.qdLastSeen = nil
 }
 
 // isolatedRestart implements the §V-C "isolated cluster head" rule: the

@@ -243,6 +243,33 @@ func TestForwardedAllocationSendsNoComAck(t *testing.T) {
 	}
 }
 
+// TestForwardedAllocationRefusedOnFullSpace: once the space is full, an
+// allocation forwarded by a member comes back as the owner's CFG_NACK — a
+// prompt 409 at the member — rather than timing out.
+func TestForwardedAllocationRefusedOnFullSpace(t *testing.T) {
+	ds := newCluster(t, 2, func(c *Config) { c.Space = addrspace.Block{Lo: testSpace.Lo, Hi: testSpace.Lo + 3} })
+	waitFormed(t, ds)
+	owner, member := ds[0], ds[1]
+
+	// The two daemons hold two of the four addresses; the member takes the rest.
+	for i := 0; i < 2; i++ {
+		if v, code := allocate(t, member); code != http.StatusOK {
+			t.Fatalf("allocate %d at the member: HTTP %d addr %s", i+1, code, v.Addr)
+		}
+	}
+	fails := counter(owner, "daemon.alloc_fail")
+	start := time.Now()
+	if v, code := allocate(t, member); code != http.StatusConflict {
+		t.Fatalf("allocate at the member on a full space: HTTP %d addr %s, want 409", code, v.Addr)
+	}
+	if took, limit := time.Since(start), member.cfg.AllocTimeout/4; took > limit {
+		t.Errorf("refusal took %v, want well inside AllocTimeout (%v)", took, limit)
+	}
+	if got := counter(owner, "daemon.alloc_fail"); got <= fails {
+		t.Errorf("owner daemon.alloc_fail %d -> %d, want it to count the refusal", fails, got)
+	}
+}
+
 var gaugeLine = regexp.MustCompile(`(?m)^quorumd_addresses_(occupied|free) (\d+)$`)
 
 // occupancyGauges scrapes the two pool gauges from /v1/metrics.

@@ -94,7 +94,7 @@ type Config struct {
 	// owner's table, including the owner itself — the deployment analogue
 	// of the paper's QDSet size. 0 replicates to every member (the
 	// pre-health-monitor behavior); values >= 2 keep a bounded QDSet that
-	// the health monitor maintains proactively, recruiting replacements
+	// every health check maintains proactively, recruiting replacements
 	// when holders die instead of waiting for T_d reclamation.
 	ReplicationTarget int
 	// HealthInterval is the replica-health check period (default

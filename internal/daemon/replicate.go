@@ -4,15 +4,16 @@ package daemon
 // on-demand graceful departure exchange. Everything here runs on the
 // event-loop goroutine (the public Depart posts into it).
 //
-// The owner designates a replica set — the deployment QDSet. With
-// Config.ReplicationTarget 0 every member is designated (full replication,
-// the pre-health behavior); with a target of R the owner keeps the R-1
+// The owner designates a replica set — the deployment QDSet — through one
+// rule, refreshReplicaSet. With Config.ReplicationTarget 0 every member is
+// designated (full replication); with a target of R the owner keeps the R-1
 // lowest-ID live members designated, so the owner-failover successor (the
 // lowest-ID survivor) holds a replica. Designated members receive
-// REPLICA_DIST with the table and confirm with REPLICA_ACK; confirmations
-// are leases the health monitor re-validates every HealthInterval,
-// re-syncing at half-life and recruiting replacements the moment a holder
-// dies — instead of waiting for the T_d reclamation path to redistribute.
+// REPLICA_DIST with the table and confirm with REPLICA_ACK. Every
+// HealthInterval the health monitor measures those leases and names the
+// aging ones for a re-sync, and the same rule retires dead holders and
+// recruits their replacements — instead of waiting for the T_d reclamation
+// path to redistribute.
 
 import (
 	"sort"
@@ -31,13 +32,18 @@ func (d *Daemon) fullReplication() bool { return d.cfg.ReplicationTarget <= 0 }
 
 // refreshReplicaSet re-derives the designated holder set from the current
 // roster: demote the dead (the departed took their designation with them),
-// then refill to target with the lowest-ID live non-holders.
-func (d *Daemon) refreshReplicaSet() {
+// then refill to target with the lowest-ID live non-holders. It returns the
+// dead holders it demoted and the members it recruited, ascending by ID.
+func (d *Daemon) refreshReplicaSet() (demoted, recruited []radio.NodeID) {
 	missing := d.cfg.ReplicationTarget - 1
 	for _, m := range d.roster {
-		if m.dead {
-			m.demote()
-		} else if m.holder {
+		switch {
+		case m.dead:
+			if m.holder {
+				demoted = append(demoted, m.id)
+			}
+			m.holder, m.acked = false, time.Time{} // the lease goes with the designation
+		case m.holder:
 			missing--
 		}
 	}
@@ -45,13 +51,11 @@ func (d *Daemon) refreshReplicaSet() {
 		if !m.holder && (missing > 0 || d.fullReplication()) {
 			m.holder = true
 			missing--
+			recruited = append(recruited, m.id)
 		}
 	}
+	return demoted, recruited
 }
-
-// demote retires m from the replica set; its lease goes with the
-// designation.
-func (m *member) demote() { m.holder, m.acked = false, time.Time{} }
 
 // replicaInfo builds the owner's REPLICA_DIST payload: always the
 // membership view, plus a table clone for designated holders.
@@ -88,9 +92,11 @@ func (d *Daemon) broadcastReplica() {
 	}
 }
 
-// onReplicaAck records one member's replica confirmation lease.
+// onReplicaAck records one designated holder's replica confirmation lease.
+// An ack that arrives after its sender was demoted grants nothing: a lease
+// belongs to the designation.
 func (d *Daemon) onReplicaAck(src radio.NodeID) {
-	if m := d.member(src); d.isOwner() && m != nil {
+	if m := d.member(src); d.isOwner() && m != nil && m.holder {
 		m.acked = time.Now()
 		d.coll.Inc("daemon.replica_acks")
 	}
@@ -107,24 +113,22 @@ func (d *Daemon) healthPeers() []health.PeerState {
 	return peers
 }
 
-// healthTick runs one replica-health check and applies its repairs:
-// demote dead holders, recruit replacements, re-sync aging leases. The
-// monitor emits health_check / replica_underreplicated / replica_restored;
-// the quorum adjustments and syncs trace through the existing kinds.
+// healthTick runs one replica-health check, then repairs the replica set:
+// refreshReplicaSet demotes dead holders and recruits their replacements,
+// each recruit gets the table, and aging leases are re-synced. The monitor
+// emits health_check / replica_underreplicated / replica_restored; the
+// quorum adjustments and syncs trace through the existing kinds.
 func (d *Daemon) healthTick() {
 	if !d.isOwner() || !d.joined {
 		return
 	}
 	d.coll.Inc("daemon.health_checks")
 	c := d.monitor.Evaluate(time.Now(), d.cfg.ID, d.healthPeers())
-	// The check names members of the snapshot it was handed, so every ID
-	// below has a record.
-	for _, id := range c.Demote {
-		d.member(id).demote()
+	demoted, recruited := d.refreshReplicaSet()
+	for _, id := range demoted {
 		d.trace(obs.Event{Kind: obs.EvQuorumShrink, Peer: id, Detail: "health_demote"})
 	}
-	for _, id := range c.Recruit {
-		d.member(id).holder = true
+	for _, id := range recruited {
 		d.coll.Inc("daemon.health_recruits")
 		d.trace(obs.Event{Kind: obs.EvQuorumRecruit, Peer: id, Detail: "health_recruit"})
 		d.sendReplicaTo(id)

@@ -1,23 +1,18 @@
-// Package health is the replica-health monitor: it keeps a space owner's
-// effective replication factor at target *proactively*, instead of leaving
-// repair to the T_d reclamation timeout.
+// Package health measures a space owner's replica set: replica
+// confirmations are leases (a REPLICA_ACK is fresh for a TTL), and every
+// check recomputes the effective replication factor from those leases plus
+// the failure detector's verdict.
 //
-// The paper's §IV-D machinery is purely reactive: a QDSet replica is only
-// re-established after a dead peer is detected (T_d) and reclamation has
-// settled. At fleet scale that window is where a crash of the owner plus a
-// replica holder loses addresses. The monitor closes it the way
-// ipfs-cluster re-pins underpinned CIDs: replica confirmations are leases
-// (a REPLICA_ACK is fresh for a TTL), every check recomputes the effective
-// replication factor from those leases plus the failure detector's verdict,
-// and the moment the factor drops below target the monitor directs the
-// owner to re-sync existing holders and recruit replacements — typically
-// one heartbeat after a death is declared, long before reclamation would
-// have redistributed the replica.
+// The monitor only measures. Deciding who holds a replica belongs to each
+// engine's one designation rule (quorumd's refreshReplicaSet, the
+// simulator's maintainReplicationLevel and Td path); Evaluate reports the
+// factor against target and names the live holders whose lease passed
+// half-life, so the owner re-syncs them before they lapse — the way
+// ipfs-cluster re-pins underpinned CIDs.
 //
-// The monitor itself is a pure state machine: Evaluate takes the owner's
-// current view of its electorate and returns the actions to take. It holds
-// no locks, does no I/O, and is driven from the daemon's event loop, which
-// makes the transition logic unit-testable without sockets or clocks.
+// Monitor is a pure state machine: it holds no locks, does no I/O, and is
+// driven from the owner's event loop, which makes it unit-testable without
+// sockets or clocks.
 //
 // Observability: Evaluate emits EvHealthCheck when the factor or target
 // moved, and the edge-triggered pair EvReplicaUnderreplicated /
@@ -27,7 +22,6 @@ package health
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"quorumconf/internal/obs"
@@ -59,8 +53,7 @@ type PeerState struct {
 	AckedAt time.Time
 }
 
-// Check is the outcome of one evaluation: the measured state plus the
-// repair actions the owner should take, in order.
+// Check is the outcome of one evaluation.
 type Check struct {
 	// Factor is the effective replication factor: the owner plus every
 	// live designated holder with a fresh acknowledgement.
@@ -70,13 +63,8 @@ type Check struct {
 	Target int
 	// Under reports Factor < Target.
 	Under bool
-	// Demote lists dead designated holders to retire from the replica set.
-	Demote []radio.NodeID
-	// Recruit lists live non-holders to promote into the replica set (and
-	// push a replica to), lowest ID first, enough to refill the target.
-	Recruit []radio.NodeID
 	// Refresh lists live designated holders whose lease passed half-life
-	// (or never arrived) and should be re-synced now.
+	// (or never arrived), in the order given, to be re-synced now.
 	Refresh []radio.NodeID
 }
 
@@ -99,16 +87,6 @@ func New(cfg Config, tracer *obs.Tracer) *Monitor {
 	return &Monitor{cfg: cfg, tracer: tracer}
 }
 
-// Under reports whether the last evaluation found the factor below target.
-func (m *Monitor) Under() bool { return m.under }
-
-// LastFactor returns the factor the last evaluation measured (0 before the
-// first check).
-func (m *Monitor) LastFactor() int { return m.lastFactor }
-
-// LastTarget returns the effective target of the last evaluation.
-func (m *Monitor) LastTarget() int { return m.lastTarget }
-
 // Measure computes the effective replication factor and target for one
 // owner view without emitting events or tracking transitions — the
 // read-only measurement /v1/health and /v1/status serve. Peers must not
@@ -120,7 +98,7 @@ func Measure(cfg Config, now time.Time, peers []PeerState) (factor, target int) 
 			continue
 		}
 		live++
-		if p.Holder && !p.AckedAt.IsZero() && now.Sub(p.AckedAt) < cfg.TTL {
+		if p.Holder && cfg.Fresh(now, p.AckedAt) {
 			factor++
 		}
 	}
@@ -139,45 +117,17 @@ func (c Config) Fresh(now, ackedAt time.Time) bool {
 }
 
 // Evaluate runs one health check for the owner self over its electorate
-// view and returns the repair actions. Peers must not contain self.
+// view, emits the edge events, and names the holders to re-sync. Peers must
+// not contain self.
 func (m *Monitor) Evaluate(now time.Time, self radio.NodeID, peers []PeerState) Check {
 	var c Check
-	liveHolders := 0
+	halfLife := Config{TTL: m.cfg.TTL / 2}
 	for _, p := range peers {
-		if p.Dead {
-			if p.Holder {
-				c.Demote = append(c.Demote, p.ID)
-			}
-			continue
-		}
-		if !p.Holder {
-			continue
-		}
-		liveHolders++
-		if p.AckedAt.IsZero() || now.Sub(p.AckedAt) >= m.cfg.TTL/2 {
+		if p.Holder && !p.Dead && !halfLife.Fresh(now, p.AckedAt) {
 			c.Refresh = append(c.Refresh, p.ID)
 		}
 	}
 	c.Factor, c.Target = Measure(m.cfg, now, peers)
-
-	// Refill the replica set from live non-holders, lowest ID first so the
-	// owner-failover successor (the lowest-ID survivor) tends to hold one.
-	if missing := c.Target - 1 - liveHolders; missing > 0 {
-		cands := make([]radio.NodeID, 0, len(peers))
-		for _, p := range peers {
-			if !p.Dead && !p.Holder {
-				cands = append(cands, p.ID)
-			}
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-		if missing < len(cands) {
-			cands = cands[:missing]
-		}
-		c.Recruit = cands
-	}
-	sort.Slice(c.Demote, func(i, j int) bool { return c.Demote[i] < c.Demote[j] })
-	sort.Slice(c.Refresh, func(i, j int) bool { return c.Refresh[i] < c.Refresh[j] })
-
 	c.Under = c.Factor < c.Target
 	m.emit(self, c)
 	return c

@@ -50,8 +50,8 @@ func TestHealthyClusterAtTarget(t *testing.T) {
 	if c.Factor != 3 || c.Target != 3 || c.Under {
 		t.Fatalf("healthy check = %+v, want rf 3/3", c)
 	}
-	if len(c.Recruit) != 0 || len(c.Demote) != 0 || len(c.Refresh) != 0 {
-		t.Fatalf("healthy check proposed actions: %+v", c)
+	if len(c.Refresh) != 0 {
+		t.Fatalf("healthy check re-syncs fresh holders: %v", ids(c.Refresh))
 	}
 }
 
@@ -75,24 +75,20 @@ func TestExpiredLeaseDropsFactor(t *testing.T) {
 	if !eqIDs(c.Refresh, 2, 3) {
 		t.Fatalf("Refresh = %v, want expired holders re-synced", ids(c.Refresh))
 	}
-	if len(c.Recruit) != 0 {
-		t.Fatalf("Recruit = %v: expired holders are refreshed, not replaced", ids(c.Recruit))
-	}
 }
 
-func TestDeadHolderDemotedAndReplaced(t *testing.T) {
+// TestDeadHolderDropsFactor: a dead holder stops counting at once, and is
+// not re-synced. Demoting it is the owner's designation rule's job.
+func TestDeadHolderDropsFactor(t *testing.T) {
 	m := New(Config{Target: 3, TTL: time.Second}, nil)
 	ps := peers(4, 2)
 	ps[1].Dead = true // holder 3 dies
-	c := m.Evaluate(t0.Add(100*time.Millisecond), 1, ps)
+	c := m.Evaluate(t0.Add(600*time.Millisecond), 1, ps)
 	if c.Factor != 2 || c.Target != 3 || !c.Under {
 		t.Fatalf("dead-holder check = %+v, want rf 2/3 under", c)
 	}
-	if !eqIDs(c.Demote, 3) {
-		t.Fatalf("Demote = %v, want the dead holder", ids(c.Demote))
-	}
-	if !eqIDs(c.Recruit, 4) {
-		t.Fatalf("Recruit = %v, want lowest live non-holder", ids(c.Recruit))
+	if !eqIDs(c.Refresh, 2) {
+		t.Fatalf("Refresh = %v, want only the live aging holder", ids(c.Refresh))
 	}
 }
 
@@ -101,7 +97,7 @@ func TestDeadNonHolderShrinksNothing(t *testing.T) {
 	ps := peers(4, 2)
 	ps[3].Dead = true // non-holder 5 dies
 	c := m.Evaluate(t0.Add(100*time.Millisecond), 1, ps)
-	if c.Factor != 3 || c.Under || len(c.Demote) != 0 || len(c.Recruit) != 0 {
+	if c.Factor != 3 || c.Target != 3 || c.Under {
 		t.Fatalf("dead non-holder check = %+v, want untouched rf 3/3", c)
 	}
 }
@@ -129,15 +125,6 @@ func TestFullReplicationTracksMembership(t *testing.T) {
 	// survivors is still full.
 	if c := m.Evaluate(t0.Add(2*time.Millisecond), 1, ps); c.Target != 3 || c.Factor != 3 || c.Under {
 		t.Fatalf("full-mode check after death = %+v, want rf 3/3", c)
-	}
-}
-
-func TestRecruitFillsOnlyToTarget(t *testing.T) {
-	m := New(Config{Target: 4, TTL: time.Second}, nil)
-	ps := peers(6, 1)
-	c := m.Evaluate(t0.Add(time.Millisecond), 1, ps)
-	if !eqIDs(c.Recruit, 3, 4) {
-		t.Fatalf("Recruit = %v, want exactly the two lowest non-holders", ids(c.Recruit))
 	}
 }
 
@@ -177,8 +164,8 @@ func TestEventEdges(t *testing.T) {
 	ps[0].Holder = false
 	ps[2].Holder = true
 	ps[2].AckedAt = now
-	if c := m.Evaluate(now.Add(time.Millisecond), 1, ps); c.Under {
-		t.Fatalf("check = %+v, want restored", c)
+	if c := m.Evaluate(now.Add(time.Millisecond), 1, ps); c.Factor != 3 || c.Target != 3 || c.Under {
+		t.Fatalf("check = %+v, want restored to rf 3/3", c)
 	}
 
 	var kinds []string
@@ -202,8 +189,5 @@ func TestEventEdges(t *testing.T) {
 		if kinds[i] != want[i] {
 			t.Fatalf("events = %v, want %v", kinds, want)
 		}
-	}
-	if m.LastFactor() != 3 || m.LastTarget() != 3 || m.Under() {
-		t.Fatalf("final state rf=%d/%d under=%v", m.LastFactor(), m.LastTarget(), m.Under())
 	}
 }
