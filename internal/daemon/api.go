@@ -95,6 +95,10 @@ type MemberInfo struct {
 	// ReplicaAgeMS is milliseconds since the member's last REPLICA_ACK;
 	// -1 when it never acknowledged one.
 	ReplicaAgeMS int64 `json:"replica_age_ms,omitempty"`
+	// PendingWrites is how many committed writes the owner holds back for
+	// the member until its next message to it (owner's view only): how
+	// far that replica trails.
+	PendingWrites int `json:"pending_writes,omitempty"`
 }
 
 // MembersResponse is the GET /v1/members response body.

@@ -18,6 +18,9 @@
 //     commits with QUORUM_UPD — the paper's guarantee that no address is
 //     ever handed out twice;
 //   - address-to-holder attribution propagates with UPDATE_LOC;
+//   - a commit goes at once to the voters the ballot asked, the requestor
+//     and the failover successor, and rides the next message — at the
+//     latest the heartbeat — to every other member (write.go);
 //   - members heartbeat with REP_REQ/REP_RSP; a silent member is declared
 //     dead after SuspectAfter, and the owner reclaims every address it
 //     held via ADDR_REC / REC_REP / QUORUM_UPD(free), then shrinks the
@@ -212,6 +215,7 @@ type ballot struct {
 	span      uint64         // causal trace of the allocation this ballot serves
 	openedAt  time.Time      // current round's open time (ballot RTT histogram)
 	tally     *quorum.Ballot // current round's votes, over the roster at open time
+	asked     []radio.NodeID // current round's voters, the peers its commit writes at once
 	attempts  int
 	timer     *time.Timer
 	reply     func(addr addrspace.Addr, ok bool)
@@ -597,10 +601,14 @@ func (d *Daemon) sendTo(dst radio.NodeID, typ string, cat metrics.Category, payl
 
 // sendSpan is sendTo carrying a causal span identifier: the envelope rides
 // the wire in the version-2 span extension, so the receiver's events join
-// the sender's trace.
+// the sender's trace. The writes deferred to dst leave ahead of it, so dst
+// sees every message in the order the owner produced it.
 func (d *Daemon) sendSpan(dst radio.NodeID, typ string, cat metrics.Category, span uint64, payload any) {
 	if dst == d.cfg.ID {
 		return
+	}
+	if m := d.member(dst); m != nil && len(m.pending) > 0 {
+		d.flushWrites(m)
 	}
 	env := &wire.Envelope{Type: typ, Dst: dst, Category: cat, Span: span, Payload: payload}
 	// Background context: the event loop must never block on a full peer
@@ -638,6 +646,7 @@ type member struct {
 	dead     bool           // the failure detector's verdict
 	holder   bool           // designated into the replica set (owner side)
 	acked    time.Time      // its last REPLICA_ACK (owner side); zero: never
+	pending  []write        // committed writes deferred to the next message to it (owner side)
 }
 
 // isOwner reports whether this daemon owns the space and runs its ballots.

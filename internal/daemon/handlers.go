@@ -350,11 +350,12 @@ func (d *Daemon) propose(b *ballot) {
 	// The allocator votes for itself with its own replica entry.
 	e, _ := d.table.Get(cand)
 	_ = b.tally.Cast(d.cfg.ID, e)
-	asked := d.voters(b)
-	for _, m := range asked {
+	b.asked = b.asked[:0]
+	for _, m := range d.voters(b) {
+		b.asked = append(b.asked, m.id)
 		d.sendSpan(m.id, msg.TQuorumClt, metrics.CatConfig, b.span, msg.QuorumClt{BallotID: b.id, Owner: d.cfg.ID, Addr: cand, Allocator: d.cfg.ID})
 	}
-	d.coll.Add("daemon.votes_asked", int64(len(asked)))
+	d.coll.Add("daemon.votes_asked", int64(len(b.asked)))
 	ballotID := b.id
 	b.timer = d.after(d.cfg.QuorumTimeout, func() { d.ballotTimeout(ballotID) })
 	d.evalBallot(b) // a single-member electorate commits immediately
@@ -488,9 +489,10 @@ func (d *Daemon) evalBallot(b *ballot) {
 }
 
 // commitBallot marks the address occupied with a version stamp strictly
-// above the freshest copy the quorum read, and pushes the update — and who
-// administers the address now — to the electorate. A joiner is not a peer
-// yet: it learns the holders from sendJoinGrant.
+// above the freshest copy the quorum read, and writes the update — and who
+// administers the address now — through writeEntry, before the reply sends
+// the requestor its COM_CFG. A joiner is not a peer yet: it learns the
+// holders from sendJoinGrant.
 func (d *Daemon) commitBallot(b *ballot, ver uint64) {
 	d.clearBallot(b)
 	e := addrspace.Entry{Status: addrspace.Occupied, Version: ver + 1}
@@ -500,19 +502,12 @@ func (d *Daemon) commitBallot(b *ballot, ver uint64) {
 	}
 	d.hists.Observe(obs.HistBallotRTT, 1e-6, time.Since(b.openedAt).Microseconds())
 	d.trace(obs.Event{Kind: obs.EvBallotCommit, Peer: b.requestor, Addr: b.addr, MsgID: b.id, Span: b.span})
-	// One peer at a time, the requestor last: what a peer gets out of this
-	// commit — QUORUM_UPD, the holder's UPDATE_LOC and, from reply below,
-	// the requestor's COM_CFG — is queued back to back, so it leaves as one
-	// frame even when the peer's transport worker wakes at the first send.
-	peers := d.peers()
-	if i := slices.IndexFunc(peers, func(m *member) bool { return m.id == b.requestor }); i >= 0 {
-		requestor := peers[i]
-		peers = append(slices.Delete(peers, i, i+1), requestor)
-	}
-	for _, m := range peers {
-		d.sendSpan(m.id, msg.TQuorumUpd, metrics.CatConfig, b.span, msg.QuorumUpd{Owner: d.cfg.ID, Addr: b.addr, Entry: e})
-		d.sendTo(m.id, msg.TUpdateLoc, metrics.CatSync, msg.UpdateLoc{Configurer: b.requestor, ConfigurerIP: d.ipOf(b.requestor), Addr: b.addr})
-	}
+	d.writeEntry(write{
+		upd:  msg.QuorumUpd{Owner: d.cfg.ID, Addr: b.addr, Entry: e},
+		loc:  &msg.UpdateLoc{Configurer: b.requestor, ConfigurerIP: d.ipOf(b.requestor), Addr: b.addr},
+		cat:  metrics.CatConfig,
+		span: b.span,
+	}, b.asked, b.requestor)
 	d.coll.Inc("daemon.allocs")
 	b.reply(b.addr, true)
 }

@@ -100,6 +100,7 @@ func (d *Daemon) membersView() MembersResponse {
 		}
 		if d.isOwner() {
 			info.ReplicaHolder = m.holder
+			info.PendingWrites = len(m.pending)
 			info.ReplicaAgeMS = -1
 			if !m.acked.IsZero() {
 				info.ReplicaAgeMS = now.Sub(m.acked).Milliseconds()

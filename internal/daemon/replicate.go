@@ -232,16 +232,6 @@ func (d *Daemon) onReturnAddr(src radio.NodeID, p msg.ReturnAddr) {
 	d.sendTo(src, msg.TDepartAck, metrics.CatConfig, msg.DepartAck{})
 }
 
-// writeFree frees a one version above cur, its entry here, and sends the
-// QUORUM_UPD to every live peer under traffic category cat and span.
-func (d *Daemon) writeFree(a addrspace.Addr, cur addrspace.Entry, cat metrics.Category, span uint64) {
-	e := addrspace.Entry{Status: addrspace.Free, Version: cur.Version + 1}
-	_ = d.table.Set(a, e)
-	for _, m := range d.peers() {
-		d.sendSpan(m.id, msg.TQuorumUpd, cat, span, msg.QuorumUpd{Owner: d.cfg.ID, Addr: a, Entry: e})
-	}
-}
-
 // onDepartAck completes the member-side departure.
 func (d *Daemon) onDepartAck() {
 	if !d.departing || d.departed {

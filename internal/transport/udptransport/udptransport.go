@@ -413,9 +413,9 @@ func (t *Transport) send(ctx context.Context, env *wire.Envelope, result chan er
 	}
 }
 
-// Close stops the workers, closes the
-// socket, and wait for them to exit — up to ctx, after which Close returns
-// the context error while teardown finishes in the background.
+// Close stops the workers, closes the socket, and waits for the workers to
+// exit — up to ctx, after which Close returns the context error while
+// teardown finishes in the background.
 func (t *Transport) Close(ctx context.Context) error {
 	t.mu.Lock()
 	if t.closed {
