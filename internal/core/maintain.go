@@ -83,10 +83,6 @@ func (p *Protocol) tick() {
 	}
 }
 
-// simEpoch anchors the simulator's virtual clock onto the wall-clock time
-// type health.Monitor expects; only differences matter.
-var simEpoch = time.Unix(0, 0).UTC()
-
 // evaluateHealth runs the replica-health monitor over a head's QDSet, the
 // same measurement quorumd takes of its live electorate, for its
 // health_check and under/restored events. Hello reachability is the lease:
@@ -99,7 +95,7 @@ func (p *Protocol) evaluateHealth(nd *node) {
 		return
 	}
 	snap := p.snapshot()
-	now := simEpoch.Add(p.rt.Sim.Now())
+	now := time.Time{}.Add(p.rt.Sim.Now()) // health measures on time.Time; only differences count
 	peers := make([]health.PeerState, 0, len(nd.qdset))
 	for _, m := range sortedIDs(nd.qdset) {
 		peers = append(peers, health.PeerState{

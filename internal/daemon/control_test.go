@@ -9,11 +9,13 @@ package daemon
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"quorumconf/internal/health"
 	"quorumconf/internal/obs"
 	"quorumconf/internal/radio"
 )
@@ -192,6 +194,84 @@ func TestV1HealthSoloOwner(t *testing.T) {
 	}
 	if !hv.Monitoring || hv.Factor != 1 || hv.Target != 1 || hv.Under || len(hv.Holders) != 0 {
 		t.Errorf("solo health = %+v, want monitoring, rf 1/1, no holders", hv)
+	}
+}
+
+// TestViewsReadTheEngineClock: /v1/members and /v1/health give a member's
+// ages on the engine clock, -1 for never and 0 for self, and call a lease
+// fresh only inside ReplicaTTL.
+func TestViewsReadTheEngineClock(t *testing.T) {
+	const ttl = time.Second
+	// ages are how long before the view the member was last heard from and
+	// last acknowledged; never is -1.
+	type ages struct{ seen, acked time.Duration }
+	cases := []struct {
+		name                  string
+		id                    radio.NodeID
+		ago                   ages
+		lastSeen, age, ackAge int64 // want, in ms: /v1/members' two, /v1/health's one
+		holder, fresh         bool
+	}{
+		{name: "self", id: 1, ago: ages{-1, -1}, lastSeen: 0, age: -1},
+		{name: "never seen, never acked", id: 2, ago: ages{-1, -1}, lastSeen: -1, age: -1, ackAge: -1, holder: true},
+		{name: "heard 250 ms ago, not a holder", id: 2, ago: ages{250 * time.Millisecond, -1}, lastSeen: 250, age: -1},
+		{name: "acked inside the TTL", id: 2, ago: ages{250 * time.Millisecond, ttl - 250*time.Millisecond},
+			lastSeen: 250, age: 750, ackAge: 750, holder: true, fresh: true},
+		{name: "acked past the TTL", id: 2, ago: ages{250 * time.Millisecond, ttl + 250*time.Millisecond},
+			lastSeen: 250, age: 1250, ackAge: 1250, holder: true},
+	}
+	// near reports whether a view read at most slack after the clock was
+	// read shows want: -1 and 0 exactly, an age from want to want+slack.
+	const slack = 200
+	near := func(got, want int64) bool {
+		if want <= 0 {
+			return got == want
+		}
+		return got >= want && got < want+slack
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := &Daemon{
+				cfg:     Config{ID: 1, ReplicaTTL: ttl},
+				started: time.Now().Add(-time.Hour),
+				ownerID: 1,
+				joined:  true,
+				monitor: health.New(health.Config{TTL: ttl}, nil),
+				roster:  []*member{{id: 1}},
+			}
+			m := d.roster[0]
+			if tc.id != 1 {
+				m = d.admit(tc.id)
+				m.holder = tc.holder
+			}
+			now := d.now()
+			if tc.ago.seen >= 0 {
+				m.lastSeen = now - tc.ago.seen
+			}
+			if tc.ago.acked >= 0 {
+				m.acked = now - tc.ago.acked
+			}
+
+			mv := d.membersView()
+			i := slices.IndexFunc(mv.Members, func(i MemberInfo) bool { return i.Node == int(tc.id) })
+			if i < 0 {
+				t.Fatalf("member %d missing from %+v", tc.id, mv.Members)
+			}
+			if got := mv.Members[i]; !near(got.LastSeenMS, tc.lastSeen) || !near(got.ReplicaAgeMS, tc.age) {
+				t.Errorf("/v1/members: last_seen_ms %d, replica_age_ms %d; want %d, %d",
+					got.LastSeenMS, got.ReplicaAgeMS, tc.lastSeen, tc.age)
+			}
+			hv := d.healthView()
+			j := slices.IndexFunc(hv.Holders, func(h HealthHolder) bool { return h.Node == int(tc.id) })
+			if (j >= 0) != tc.holder {
+				t.Fatalf("/v1/health holders %+v: member %d listed %v, want %v", hv.Holders, tc.id, j >= 0, tc.holder)
+			}
+			if j >= 0 {
+				if got := hv.Holders[j]; !near(got.AckAgeMS, tc.ackAge) || got.Fresh != tc.fresh {
+					t.Errorf("/v1/health: ack_age_ms %d, fresh %v; want %d, %v", got.AckAgeMS, got.Fresh, tc.ackAge, tc.fresh)
+				}
+			}
+		})
 	}
 }
 

@@ -213,11 +213,11 @@ type ballot struct {
 	addr      addrspace.Addr
 	requestor radio.NodeID
 	span      uint64         // causal trace of the allocation this ballot serves
-	openedAt  time.Time      // current round's open time (ballot RTT histogram)
+	openedAt  time.Duration  // current round's open time (ballot RTT histogram)
 	tally     *quorum.Ballot // current round's votes, over the roster at open time
 	asked     []radio.NodeID // current round's voters, the peers its commit writes at once
 	attempts  int
-	timer     *time.Timer
+	stop      func() bool // cancels the current round's timeout
 	reply     func(addr addrspace.Addr, ok bool)
 }
 
@@ -240,7 +240,7 @@ type Daemon struct {
 	done   chan struct{}
 	loopWG chan struct{} // closed when the event loop exits
 
-	started time.Time
+	started time.Time // the engine clock's origin, set by Start (see now)
 
 	// Protocol state: event-loop goroutine only.
 	ownerID        radio.NodeID
@@ -264,10 +264,10 @@ type Daemon struct {
 	ballotSeq    uint64
 	spanSeq      uint64 // per-daemon sequence behind mintSpan
 	joinSpan     uint64 // span of this daemon's own join, minted on first CH_REQ
-	joinStarted  time.Time
+	joinStarted  time.Duration
 	ballots      map[uint64]*ballot
-	grants       *quorum.Grants  // on the clock of time.Since(started)
-	reclaims     quorum.Reclaims // on the clock of time.Since(started)
+	grants       *quorum.Grants
+	reclaims     quorum.Reclaims
 	joinInFlight map[radio.NodeID]bool
 	joinTries    int
 	allocWaiters map[uint64]chan allocResult // forwarded /v1/allocate callers, by span
@@ -353,8 +353,7 @@ func (d *Daemon) Start() error {
 	}
 
 	d.started = time.Now()
-	started := d.started
-	d.tracer.SetClock(func() time.Duration { return time.Since(started) })
+	d.tracer.SetClock(d.now)
 	d.trace(obs.Event{Kind: obs.EvDaemonStart})
 	go d.loop()
 
@@ -501,10 +500,22 @@ func (d *Daemon) post(fn func()) {
 	}
 }
 
-// after schedules fn on the event loop.
-func (d *Daemon) after(dur time.Duration, fn func()) *time.Timer {
-	return time.AfterFunc(dur, func() { d.post(fn) })
+// now reads the engine clock, the time since Start. Every protocol time is a
+// reading of it, and no other engine code reads the wall clock. 0 means
+// never: Start sets started before the loop runs, so every reading on the
+// loop is positive.
+func (d *Daemon) now() time.Duration { return time.Since(d.started) }
+
+// after is the engine's only scheduler: it runs fn on the event loop once
+// dur has passed, unless the returned stop is called first.
+func (d *Daemon) after(dur time.Duration, fn func()) (stop func() bool) {
+	return time.AfterFunc(dur, func() { d.post(fn) }).Stop
 }
+
+// instant places engine time t on the time.Time scale package health
+// measures leases on, with the zero Time as origin: only differences count
+// there, and 0 (never) stays the zero Time that health reads as never.
+func instant(t time.Duration) time.Time { return time.Time{}.Add(t) }
 
 func (d *Daemon) logf(format string, args ...any) {
 	d.cfg.Logf("quorumd[%d]: "+format, append([]any{int(d.cfg.ID)}, args...)...)
@@ -549,7 +560,7 @@ func (d *Daemon) tryJoin() {
 	d.joinTries++
 	if d.joinSpan == 0 {
 		d.joinSpan = d.mintSpan()
-		d.joinStarted = time.Now()
+		d.joinStarted = d.now()
 		d.trace(obs.Event{Kind: obs.EvAllocRequest, Peer: seed, Span: d.joinSpan, Detail: "join"})
 	}
 	d.coll.Inc("daemon.join_attempts")
@@ -581,11 +592,11 @@ func (d *Daemon) tick() {
 	if !d.joined || d.departed {
 		return
 	}
-	now := time.Now()
+	now := d.now()
 	for _, m := range d.peers() {
-		if m.lastSeen.IsZero() {
+		if m.lastSeen == 0 {
 			m.lastSeen = now // grace period starts on first sight of the member
-		} else if now.Sub(m.lastSeen) > d.cfg.SuspectAfter {
+		} else if now-m.lastSeen > d.cfg.SuspectAfter {
 			d.declareDead(m)
 			continue
 		}
@@ -642,10 +653,10 @@ func (d *Daemon) trace(e obs.Event) {
 type member struct {
 	id       radio.NodeID
 	ip       addrspace.Addr // zero: not learned yet; self's lives in selfIP (see ipOf)
-	lastSeen time.Time      // last message from it; zero: never (tick then starts its grace)
+	lastSeen time.Duration  // last message from it; zero: never (tick then starts its grace)
 	dead     bool           // the failure detector's verdict
 	holder   bool           // designated into the replica set (owner side)
-	acked    time.Time      // its last REPLICA_ACK (owner side); zero: never
+	acked    time.Duration  // its last REPLICA_ACK (owner side); zero: never
 	pending  []write        // committed writes deferred to the next message to it (owner side)
 }
 

@@ -6,7 +6,6 @@ package daemon
 import (
 	"cmp"
 	"slices"
-	"time"
 
 	"quorumconf/internal/addrspace"
 	"quorumconf/internal/metrics"
@@ -26,7 +25,7 @@ import (
 // when it settles (finishReclaim).
 func (d *Daemon) handle(env *wire.Envelope) {
 	if m := d.member(env.Src); m != nil {
-		m.lastSeen = time.Now()
+		m.lastSeen = d.now()
 		if m.dead {
 			m.dead = false
 			d.coll.Inc("daemon.peer_revived")
@@ -118,7 +117,7 @@ func (d *Daemon) onJoinRequest(requestor, agent radio.NodeID, span uint64) {
 		}
 		m := d.admit(requestor)
 		m.ip = addr
-		m.lastSeen = time.Now()
+		m.lastSeen = d.now()
 		d.holders[addr] = requestor
 		d.coll.Inc("daemon.joins")
 		d.sendJoinGrant(requestor, agent, addr, span)
@@ -242,8 +241,8 @@ func (d *Daemon) checkJoined() {
 	}
 	d.joined = true
 	d.coll.Inc("daemon.joined")
-	if !d.joinStarted.IsZero() {
-		d.hists.Observe(obs.HistConfigLatency, 1e-6, time.Since(d.joinStarted).Microseconds())
+	if d.joinStarted != 0 {
+		d.hists.Observe(obs.HistConfigLatency, 1e-6, (d.now() - d.joinStarted).Microseconds())
 	}
 	d.trace(obs.Event{Kind: obs.EvNodeConfigured, Peer: d.ownerID, Addr: d.selfIP, Span: d.joinSpan})
 	d.logf("joined: ip=%v owner=%d electorate=%v", d.selfIP, int(d.ownerID), d.electorate())
@@ -337,11 +336,12 @@ func (d *Daemon) propose(b *ballot) {
 	d.ballotSeq++
 	b.id = d.ballotSeq
 	b.addr = cand
-	if !d.grants.Reserve(cand, d.cfg.ID, b.id, time.Since(d.started)) {
+	now := d.now()
+	if !d.grants.Reserve(cand, d.cfg.ID, b.id, now) {
 		d.abortBallot(b) // our own vote is promised to another allocator: Busy
 		return
 	}
-	b.openedAt = time.Now()
+	b.openedAt = now
 	b.tally = tally
 	d.ballots[b.id] = b
 	d.coll.Inc("daemon.ballots")
@@ -357,7 +357,7 @@ func (d *Daemon) propose(b *ballot) {
 	}
 	d.coll.Add("daemon.votes_asked", int64(len(b.asked)))
 	ballotID := b.id
-	b.timer = d.after(d.cfg.QuorumTimeout, func() { d.ballotTimeout(ballotID) })
+	b.stop = d.after(d.cfg.QuorumTimeout, func() { d.ballotTimeout(ballotID) })
 	d.evalBallot(b) // a single-member electorate commits immediately
 }
 
@@ -382,7 +382,7 @@ func (d *Daemon) voters(b *ballot) []*member {
 			}
 			return -1
 		}
-		return cmp.Or(y.lastSeen.Compare(x.lastSeen), cmp.Compare(x.id, y.id))
+		return cmp.Or(cmp.Compare(y.lastSeen, x.lastSeen), cmp.Compare(x.id, y.id))
 	})
 	if i := slices.IndexFunc(peers, func(m *member) bool { return m.holder }); i >= 0 {
 		peers = peers[:min(len(peers), i+len(d.roster)/2+1)]
@@ -416,8 +416,8 @@ func (d *Daemon) abortBallot(b *ballot) {
 func (d *Daemon) clearBallot(b *ballot) {
 	delete(d.ballots, b.id)
 	d.grants.Close(b.addr, d.cfg.ID, b.id)
-	if b.timer != nil {
-		b.timer.Stop()
+	if b.stop != nil {
+		b.stop()
 	}
 }
 
@@ -441,7 +441,7 @@ func (d *Daemon) onQuorumClt(src radio.NodeID, p msg.QuorumClt, span uint64) {
 		if e, ok := d.table.Get(p.Addr); ok {
 			cfm.HasReplica = true
 			cfm.Entry = e
-			cfm.Busy = !d.grants.Grant(p.Addr, src, p.BallotID, time.Since(d.started))
+			cfm.Busy = !d.grants.Grant(p.Addr, src, p.BallotID, d.now())
 		}
 	}
 	d.trace(obs.Event{Kind: obs.EvBallotVote, Peer: src, Addr: p.Addr, MsgID: p.BallotID, Span: span, Detail: "cast"})
@@ -500,7 +500,7 @@ func (d *Daemon) commitBallot(b *ballot, ver uint64) {
 		b.reply(0, false)
 		return
 	}
-	d.hists.Observe(obs.HistBallotRTT, 1e-6, time.Since(b.openedAt).Microseconds())
+	d.hists.Observe(obs.HistBallotRTT, 1e-6, (d.now() - b.openedAt).Microseconds())
 	d.trace(obs.Event{Kind: obs.EvBallotCommit, Peer: b.requestor, Addr: b.addr, MsgID: b.id, Span: b.span})
 	d.writeEntry(write{
 		upd:  msg.QuorumUpd{Owner: d.cfg.ID, Addr: b.addr, Entry: e},
@@ -576,7 +576,7 @@ func (d *Daemon) startReclaim(target *member) {
 	if d.reclaims.Running(target.id) {
 		return
 	}
-	run := d.reclaims.Open(target.id, d.mintSpan(), time.Since(d.started))
+	run := d.reclaims.Open(target.id, d.mintSpan(), d.now())
 	d.coll.Inc("daemon.reclaims")
 	d.trace(obs.Event{Kind: obs.EvReclaimStart, Peer: target.id, Addr: target.ip, Span: run.Span})
 	rec := msg.AddrRec{Target: target.id, TargetIP: target.ip}
@@ -596,6 +596,9 @@ func (d *Daemon) onAddrRec(src radio.NodeID, p msg.AddrRec, span uint64) {
 	if m := d.member(p.Target); m != nil {
 		m.dead = true
 	}
+	if d.departing {
+		return // what we hold is on its way back to the owner
+	}
 	for addr, h := range d.holders {
 		if h == d.cfg.ID {
 			d.sendSpan(src, msg.TRecRep, metrics.CatReclamation, span, msg.RecRep{Target: p.Target, Addr: addr})
@@ -606,6 +609,12 @@ func (d *Daemon) onAddrRec(src radio.NodeID, p msg.AddrRec, span uint64) {
 // onRecRep records a defense: src claims the address, so it is not the dead
 // daemon's to reclaim. Like onUpdateLoc it keeps nothing about an address
 // outside the space.
+//
+// A defense is also proof that the address is in use (§IV-D). An owner
+// promoted by failover may not have the commit behind it: the old owner
+// replied to the requestor before every write had left, and died with the
+// rest queued. Then its table shows the address free, so it occupies the
+// address one version up, attributes it to src and writes it like a commit.
 func (d *Daemon) onRecRep(src radio.NodeID, p msg.RecRep) {
 	if !d.cfg.Space.Contains(p.Addr) {
 		return
@@ -615,6 +624,20 @@ func (d *Daemon) onRecRep(src radio.NodeID, p msg.RecRep) {
 		return
 	}
 	d.trace(obs.Event{Kind: obs.EvReclaimDefend, Peer: src, Addr: p.Addr, Span: run.Span})
+	if d.table != nil {
+		if cur, ok := d.table.Get(p.Addr); ok && cur.Status == addrspace.Free {
+			e := addrspace.Entry{Status: addrspace.Occupied, Version: cur.Version + 1}
+			_ = d.table.Set(p.Addr, e)
+			d.holders[p.Addr] = src
+			d.writeEntry(write{
+				upd:  msg.QuorumUpd{Owner: d.cfg.ID, Addr: p.Addr, Entry: e},
+				loc:  &msg.UpdateLoc{Configurer: src, ConfigurerIP: d.ipOf(src), Addr: p.Addr},
+				cat:  metrics.CatReclamation,
+				span: run.Span,
+			}, nil, src)
+			return
+		}
+	}
 	if d.holders[p.Addr] == p.Target {
 		d.holders[p.Addr] = src
 	}
@@ -628,7 +651,7 @@ func (d *Daemon) finishReclaim(target radio.NodeID, run *quorum.Reclaim) {
 	if !d.reclaims.Close(target, run) {
 		return
 	}
-	if m := d.member(target); m != nil && m.lastSeen.Sub(d.started) > run.Opened {
+	if m := d.member(target); m != nil && m.lastSeen > run.Opened {
 		d.coll.Inc("daemon.reclaims_spared")
 		d.logf("peer %d heard from during its reclamation: spared", int(target))
 		return
@@ -651,7 +674,7 @@ func (d *Daemon) finishReclaim(target radio.NodeID, run *quorum.Reclaim) {
 		d.trace(obs.Event{Kind: obs.EvReclaimFree, Peer: target, Addr: addr, Span: run.Span})
 		d.writeFree(addr, e, metrics.CatReclamation, run.Span)
 	}
-	d.hists.Observe(obs.HistReclaimTime, 1e-6, (time.Since(d.started) - run.Opened).Microseconds())
+	d.hists.Observe(obs.HistReclaimTime, 1e-6, (d.now() - run.Opened).Microseconds())
 	d.coll.Add("daemon.reclaimed_addrs", int64(len(toFree)))
 	d.expel(target)
 	d.broadcastReplica()

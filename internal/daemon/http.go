@@ -7,9 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
-
-	"quorumconf/internal/health"
 )
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -32,7 +29,7 @@ func (d *Daemon) statusView() StatusResponse {
 		Space:      d.cfg.Space.String(),
 		Electorate: make([]int, 0, len(d.roster)),
 		Holders:    make(map[string]int, len(d.holders)),
-		UptimeMS:   time.Since(d.started).Milliseconds(),
+		UptimeMS:   d.now().Milliseconds(),
 	}
 	if d.tr != nil {
 		v.UDP = d.tr.LocalAddr().String()
@@ -62,7 +59,7 @@ func (d *Daemon) statusView() StatusResponse {
 		v.Departed = true
 	}
 	if d.isOwner() && d.joined {
-		factor, target := health.Measure(d.healthConfig(), time.Now(), d.healthPeers())
+		factor, target := d.monitor.Measure(instant(d.now()), d.healthPeers())
 		v.ReplicaFactor = factor
 		v.ReplicaTarget = target
 		v.QDSet = append(v.QDSet, int(d.cfg.ID))
@@ -75,14 +72,9 @@ func (d *Daemon) statusView() StatusResponse {
 	return v
 }
 
-// healthConfig is the monitor parameterization actually in force.
-func (d *Daemon) healthConfig() health.Config {
-	return health.Config{Target: d.cfg.ReplicationTarget, TTL: d.cfg.ReplicaTTL}
-}
-
 // membersView snapshots the electorate; event-loop goroutine only.
 func (d *Daemon) membersView() MembersResponse {
-	now := time.Now()
+	now := d.now()
 	v := MembersResponse{Owner: int(d.ownerID), Members: make([]MemberInfo, 0, len(d.roster))}
 	if !d.joined {
 		v.Owner = 0
@@ -95,15 +87,15 @@ func (d *Daemon) membersView() MembersResponse {
 		info.LastSeenMS = -1
 		if info.Self {
 			info.LastSeenMS = 0
-		} else if !m.lastSeen.IsZero() {
-			info.LastSeenMS = now.Sub(m.lastSeen).Milliseconds()
+		} else if m.lastSeen != 0 {
+			info.LastSeenMS = (now - m.lastSeen).Milliseconds()
 		}
 		if d.isOwner() {
 			info.ReplicaHolder = m.holder
 			info.PendingWrites = len(m.pending)
 			info.ReplicaAgeMS = -1
-			if !m.acked.IsZero() {
-				info.ReplicaAgeMS = now.Sub(m.acked).Milliseconds()
+			if m.acked != 0 {
+				info.ReplicaAgeMS = (now - m.acked).Milliseconds()
 			}
 		}
 		v.Members = append(v.Members, info)
@@ -118,9 +110,8 @@ func (d *Daemon) healthView() HealthResponse {
 	if !d.isOwner() || !d.joined {
 		return HealthResponse{}
 	}
-	now := time.Now()
-	cfg := d.healthConfig()
-	factor, target := health.Measure(cfg, now, d.healthPeers())
+	now := d.now()
+	factor, target := d.monitor.Measure(instant(now), d.healthPeers())
 	v := HealthResponse{
 		Monitoring: d.cfg.HealthInterval > 0,
 		Factor:     factor,
@@ -132,9 +123,9 @@ func (d *Daemon) healthView() HealthResponse {
 			continue
 		}
 		h := HealthHolder{Node: int(m.id), Dead: m.dead, AckAgeMS: -1}
-		if !m.acked.IsZero() {
-			h.Fresh = cfg.Fresh(now, m.acked)
-			h.AckAgeMS = now.Sub(m.acked).Milliseconds()
+		if m.acked != 0 {
+			h.Fresh = d.monitor.Fresh(instant(now), instant(m.acked))
+			h.AckAgeMS = (now - m.acked).Milliseconds()
 		}
 		v.Holders = append(v.Holders, h)
 	}

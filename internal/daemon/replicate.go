@@ -17,7 +17,6 @@ package daemon
 
 import (
 	"sort"
-	"time"
 
 	"quorumconf/internal/addrspace"
 	"quorumconf/internal/health"
@@ -42,7 +41,7 @@ func (d *Daemon) refreshReplicaSet() (demoted, recruited []radio.NodeID) {
 			if m.holder {
 				demoted = append(demoted, m.id)
 			}
-			m.holder, m.acked = false, time.Time{} // the lease goes with the designation
+			m.holder, m.acked = false, 0 // the lease goes with the designation
 		case m.holder:
 			missing--
 		}
@@ -97,7 +96,7 @@ func (d *Daemon) broadcastReplica() {
 // belongs to the designation.
 func (d *Daemon) onReplicaAck(src radio.NodeID) {
 	if m := d.member(src); d.isOwner() && m != nil && m.holder {
-		m.acked = time.Now()
+		m.acked = d.now()
 		d.coll.Inc("daemon.replica_acks")
 	}
 }
@@ -107,7 +106,7 @@ func (d *Daemon) healthPeers() []health.PeerState {
 	peers := make([]health.PeerState, 0, len(d.roster))
 	for _, m := range d.roster {
 		if m.id != d.cfg.ID {
-			peers = append(peers, health.PeerState{ID: m.id, Dead: m.dead, Holder: m.holder, AckedAt: m.acked})
+			peers = append(peers, health.PeerState{ID: m.id, Dead: m.dead, Holder: m.holder, AckedAt: instant(m.acked)})
 		}
 	}
 	return peers
@@ -123,7 +122,7 @@ func (d *Daemon) healthTick() {
 		return
 	}
 	d.coll.Inc("daemon.health_checks")
-	c := d.monitor.Evaluate(time.Now(), d.cfg.ID, d.healthPeers())
+	c := d.monitor.Evaluate(instant(d.now()), d.cfg.ID, d.healthPeers())
 	demoted, recruited := d.refreshReplicaSet()
 	for _, id := range demoted {
 		d.trace(obs.Event{Kind: obs.EvQuorumShrink, Peer: id, Detail: "health_demote"})

@@ -15,7 +15,7 @@ import (
 // dead holders, and refills to target with the lowest-ID live non-holders.
 // A lease that merely expired is the monitor's to re-sync, not a death.
 func TestRefreshReplicaSet(t *testing.T) {
-	t0 := time.Now()
+	const t0 = time.Minute
 	// peer is one roster entry besides self (ID 1); acked means it holds a
 	// lease from t0.
 	type peer struct {
@@ -70,7 +70,7 @@ func TestRefreshReplicaSet(t *testing.T) {
 				if m.holder {
 					holders = append(holders, m.id)
 				}
-				if !m.acked.IsZero() {
+				if m.acked != 0 {
 					leased = append(leased, m.id)
 				}
 			}
@@ -102,11 +102,11 @@ func TestLateReplicaAckGrantsNoLease(t *testing.T) {
 		roster:  []*member{{id: 1}, {id: 2}, {id: 3, holder: true}},
 	}
 	d.onReplicaAck(2)
-	if m := d.member(2); !m.acked.IsZero() {
+	if m := d.member(2); m.acked != 0 {
 		t.Errorf("a non-holder's ack set a lease at %v", m.acked)
 	}
 	d.onReplicaAck(3)
-	if m := d.member(3); m.acked.IsZero() {
+	if m := d.member(3); m.acked == 0 {
 		t.Error("a holder's ack set no lease")
 	}
 }

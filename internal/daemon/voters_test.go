@@ -19,7 +19,7 @@ import (
 // len(roster)/2+1 live replica holders heard from most recently (ties by
 // ascending ID); a retried round asks every live peer.
 func TestVoters(t *testing.T) {
-	t0 := time.Now()
+	const t0 = time.Minute
 	// peer is one roster entry besides self (ID 1): seen is how many
 	// seconds after t0 it was last heard from, -1 for never.
 	type peer struct {
@@ -72,7 +72,7 @@ func TestVoters(t *testing.T) {
 			for _, p := range tc.peers {
 				m := &member{id: p.id, holder: p.holder, dead: p.dead}
 				if p.seen >= 0 {
-					m.lastSeen = t0.Add(time.Duration(p.seen) * time.Second)
+					m.lastSeen = t0 + time.Duration(p.seen)*time.Second
 				}
 				d.roster = append(d.roster, m)
 			}
@@ -207,7 +207,7 @@ func TestRetriedRoundAsksEveryone(t *testing.T) {
 	// that every first round asks both of them and only one live voter.
 	onLoopSync(t, owner, func() {
 		for _, id := range []radio.NodeID{4, 5} {
-			owner.member(id).lastSeen = time.Now().Add(time.Hour)
+			owner.member(id).lastSeen = owner.now() + time.Hour
 		}
 	})
 	seq := lastSeq(owner)

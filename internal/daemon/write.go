@@ -9,7 +9,9 @@ package daemon
 //     address's vote, and the write releases it;
 //   - the requestor, whose COM_CFG follows in the same frame;
 //   - the failover successor, the lowest-ID live peer, which declareDead
-//     promotes when the owner dies — so failover stays a role change.
+//     promotes when the owner dies — so failover stays a role change for
+//     every write that left the owner (one still queued when it died comes
+//     back through the holder's defense, onRecRep).
 //
 // Every other live member gets the write queued on its roster record.
 // sendSpan sends that queue ahead of the next message to the member, so the
@@ -18,10 +20,10 @@ package daemon
 // HeartbeatInterval, or by maxPendingWrites writes.
 //
 // It is the paper's quorum intersection. Every vote a commit was decided on
-// came from a member the round asked, and the write leaves for each of them
-// before the reply does. Any later majority read — a promoted owner's ballot
-// included — shares a voter with that majority, which still holds its grant
-// (Busy) or holds the new version. A lagging member holds no vote for the
+// came from a member the round asked, and the write is handed to the
+// transport for each of them before the reply is. Any later majority read —
+// a promoted owner's ballot included — shares a voter with that majority,
+// which still holds its grant (Busy) or holds the new version. A lagging member holds no vote for the
 // address, and its stale copy is outvoted by the freshest version.
 
 import (

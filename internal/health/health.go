@@ -49,7 +49,8 @@ type PeerState struct {
 	// replica of the owner's table.
 	Holder bool
 	// AckedAt is when the member last confirmed its replica with
-	// REPLICA_ACK; zero means never.
+	// REPLICA_ACK; zero means never. Only its difference from the check's
+	// now counts, so an engine may put its own clock on any origin.
 	AckedAt time.Time
 }
 
@@ -91,19 +92,19 @@ func New(cfg Config, tracer *obs.Tracer) *Monitor {
 // owner view without emitting events or tracking transitions — the
 // read-only measurement /v1/health and /v1/status serve. Peers must not
 // contain the owner itself.
-func Measure(cfg Config, now time.Time, peers []PeerState) (factor, target int) {
+func (m *Monitor) Measure(now time.Time, peers []PeerState) (factor, target int) {
 	live := 0
 	for _, p := range peers {
 		if p.Dead {
 			continue
 		}
 		live++
-		if p.Holder && cfg.Fresh(now, p.AckedAt) {
+		if p.Holder && m.Fresh(now, p.AckedAt) {
 			factor++
 		}
 	}
 	factor++ // the owner's own copy is replica number one
-	target = cfg.Target
+	target = m.cfg.Target
 	if target <= 0 || target > live+1 {
 		target = live + 1
 	}
@@ -111,9 +112,11 @@ func Measure(cfg Config, now time.Time, peers []PeerState) (factor, target int) 
 }
 
 // Fresh reports whether one acknowledgement timestamp still counts toward
-// the factor under cfg's lease.
-func (c Config) Fresh(now, ackedAt time.Time) bool {
-	return !ackedAt.IsZero() && now.Sub(ackedAt) < c.TTL
+// the factor under the monitor's lease.
+func (m *Monitor) Fresh(now, ackedAt time.Time) bool { return fresh(now, ackedAt, m.cfg.TTL) }
+
+func fresh(now, ackedAt time.Time, ttl time.Duration) bool {
+	return !ackedAt.IsZero() && now.Sub(ackedAt) < ttl
 }
 
 // Evaluate runs one health check for the owner self over its electorate
@@ -121,13 +124,12 @@ func (c Config) Fresh(now, ackedAt time.Time) bool {
 // not contain self.
 func (m *Monitor) Evaluate(now time.Time, self radio.NodeID, peers []PeerState) Check {
 	var c Check
-	halfLife := Config{TTL: m.cfg.TTL / 2}
 	for _, p := range peers {
-		if p.Holder && !p.Dead && !halfLife.Fresh(now, p.AckedAt) {
+		if p.Holder && !p.Dead && !fresh(now, p.AckedAt, m.cfg.TTL/2) {
 			c.Refresh = append(c.Refresh, p.ID)
 		}
 	}
-	c.Factor, c.Target = Measure(m.cfg, now, peers)
+	c.Factor, c.Target = m.Measure(now, peers)
 	c.Under = c.Factor < c.Target
 	m.emit(self, c)
 	return c
