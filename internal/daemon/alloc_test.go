@@ -64,7 +64,7 @@ func TestCandidatesLowestFirstSkipPending(t *testing.T) {
 	// An open ballot of the owner's own, under an ID its ballots never reach.
 	const open = ^uint64(0)
 	reserve := func(a addrspace.Addr) {
-		if !d.grants.Reserve(a, d.cfg.ID, open, time.Since(d.started)) {
+		if !d.grants.Reserve(a, d.cfg.ID, open, d.now()) {
 			t.Errorf("reserve %v refused", a)
 		}
 	}

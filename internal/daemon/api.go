@@ -444,7 +444,7 @@ func (d *Daemon) handleV1Metrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "# TYPE quorumd_addresses_free gauge\nquorumd_addresses_free %d\n", occ.free)
 	}
 	fmt.Fprintf(&b, "# TYPE quorumd_uptime_seconds gauge\nquorumd_uptime_seconds %g\n",
-		time.Since(d.started).Seconds())
+		d.now().Seconds())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = io.WriteString(w, b.String())
 }

@@ -233,7 +233,7 @@ func TestViewsReadTheEngineClock(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			d := &Daemon{
 				cfg:     Config{ID: 1, ReplicaTTL: ttl},
-				started: time.Now().Add(-time.Hour),
+				clock:   func() time.Duration { return time.Hour },
 				ownerID: 1,
 				joined:  true,
 				monitor: health.New(health.Config{TTL: ttl}, nil),

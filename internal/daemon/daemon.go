@@ -240,7 +240,11 @@ type Daemon struct {
 	done   chan struct{}
 	loopWG chan struct{} // closed when the event loop exits
 
-	started time.Time // the engine clock's origin, set by Start (see now)
+	// The engine's seam: clock, scheduler and outbox. Start binds them to
+	// the wall clock and the UDP transport; a test harness binds its own.
+	clock func() time.Duration
+	sched func(time.Duration, func()) (stop func() bool)
+	out   func(*wire.Envelope) error
 
 	// Protocol state: event-loop goroutine only.
 	ownerID        radio.NodeID
@@ -339,6 +343,14 @@ func (d *Daemon) Start() error {
 		}
 	}
 	d.tr = tr
+	started := time.Now()
+	d.clock = func() time.Duration { return time.Since(started) }
+	d.sched = func(dur time.Duration, fn func()) func() bool {
+		return time.AfterFunc(dur, func() { d.post(fn) }).Stop
+	}
+	// Background context: the loop never blocks on a full peer queue; the
+	// protocol's own retries recover from ErrQueueFull.
+	d.out = func(env *wire.Envelope) error { return tr.Send(context.Background(), env) }
 	tr.SetHandler(func(env *wire.Envelope) { d.post(func() { d.handle(env) }) })
 
 	if d.cfg.HTTPListen != "" {
@@ -352,20 +364,11 @@ func (d *Daemon) Start() error {
 		go func() { _ = d.httpSrv.Serve(ln) }()
 	}
 
-	d.started = time.Now()
+	// Set before Start returns: a caller sharing the tracer resets it next.
 	d.tracer.SetClock(d.now)
 	d.trace(obs.Event{Kind: obs.EvDaemonStart})
 	go d.loop()
-
-	d.post(func() {
-		if d.cfg.Bootstrap {
-			d.bootstrap()
-		} else {
-			d.tryJoin()
-		}
-		d.scheduleTick()
-		d.scheduleHealth()
-	})
+	d.post(d.boot)
 	d.logf("started: udp=%s bootstrap=%v", tr.LocalAddr(), d.cfg.Bootstrap)
 	return nil
 }
@@ -409,12 +412,11 @@ func (d *Daemon) AddPeer(id radio.NodeID, addr string) error {
 // oldest first — the same view /v1/trace serves.
 func (d *Daemon) Trace() []obs.Event { return d.ring.Snapshot() }
 
-// Drain marks the daemon as shutting down: /v1/allocate (and its legacy
-// alias) refuse new work with 503 while in-flight protocol traffic keeps
-// flowing, so an operator can empty a node before Kill. Drain is
-// idempotent and safe under concurrent calls: exactly one caller observes
-// the transition (and triggers the trace event); every later or
-// concurrent call is a no-op returning false.
+// Drain marks the daemon as shutting down: /v1/allocate refuses new work
+// with 503 while in-flight protocol traffic keeps flowing, so an operator
+// can empty a node before Kill. Drain is idempotent and safe under
+// concurrent calls: exactly one caller observes the transition (and
+// triggers the trace event); every later or concurrent call returns false.
 func (d *Daemon) Drain() bool {
 	if d.draining.Swap(true) {
 		return false
@@ -502,14 +504,13 @@ func (d *Daemon) post(fn func()) {
 
 // now reads the engine clock, the time since Start. Every protocol time is a
 // reading of it, and no other engine code reads the wall clock. 0 means
-// never: Start sets started before the loop runs, so every reading on the
-// loop is positive.
-func (d *Daemon) now() time.Duration { return time.Since(d.started) }
+// never, so a bound clock reads positive on the loop.
+func (d *Daemon) now() time.Duration { return d.clock() }
 
 // after is the engine's only scheduler: it runs fn on the event loop once
 // dur has passed, unless the returned stop is called first.
 func (d *Daemon) after(dur time.Duration, fn func()) (stop func() bool) {
-	return time.AfterFunc(dur, func() { d.post(fn) }).Stop
+	return d.sched(dur, fn)
 }
 
 // instant places engine time t on the time.Time scale package health
@@ -522,6 +523,18 @@ func (d *Daemon) logf(format string, args ...any) {
 }
 
 // --- startup -------------------------------------------------------------
+
+// boot starts the protocol on the loop, however the seam is bound:
+// bootstrap or the first join attempt, then the heartbeat and health ticks.
+func (d *Daemon) boot() {
+	if d.cfg.Bootstrap {
+		d.bootstrap()
+	} else {
+		d.tryJoin()
+	}
+	d.scheduleTick()
+	d.scheduleHealth()
+}
 
 // bootstrap makes this daemon the first node: it owns the whole space and
 // configures itself with the lowest address (the paper's first cluster
@@ -622,13 +635,23 @@ func (d *Daemon) sendSpan(dst radio.NodeID, typ string, cat metrics.Category, sp
 		d.flushWrites(m)
 	}
 	env := &wire.Envelope{Type: typ, Dst: dst, Category: cat, Span: span, Payload: payload}
-	// Background context: the event loop must never block on a full peer
-	// queue, so full queues surface as ErrQueueFull and the protocol's
-	// own retries recover.
-	if err := d.tr.Send(context.Background(), env); err != nil {
+	if err := d.out(env); err != nil {
 		d.coll.Inc("daemon.send_err")
 		d.logf("send %s to %d: %v", typ, dst, err)
 	}
+}
+
+// heldBy lists the addresses attributed to id (to anyone when id is 0) in
+// ascending order, so what the engine sends about them keeps one order.
+func (d *Daemon) heldBy(id radio.NodeID) []addrspace.Addr {
+	var out []addrspace.Addr
+	for addr, h := range d.holders {
+		if id == 0 || h == id {
+			out = append(out, addr)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // mintSpan issues the next causal trace identifier originating at this

@@ -6,7 +6,6 @@ package daemon
 // address.
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -16,74 +15,31 @@ import (
 	"quorumconf/internal/addrspace"
 	"quorumconf/internal/msg"
 	"quorumconf/internal/radio"
-	"quorumconf/internal/transport/udptransport"
 	"quorumconf/internal/wire"
 )
 
-// rival is a bare transport under an ID of its own that asks a daemon for
-// votes the way a competing allocator does, or sends it anything else.
-type rival struct {
-	tr *udptransport.Transport
-	d  *Daemon
-	rx chan *wire.Envelope // what d sends back
-}
-
-func newRival(t *testing.T, d *Daemon, id radio.NodeID) *rival {
+// newBareOwner is a bare daemon that owns testSpace with itself and the
+// members others in the electorate, the way bootstrap leaves an owner.
+func newBareOwner(t *testing.T, others ...radio.NodeID) (*Daemon, *bareIO) {
 	t.Helper()
-	tr, err := udptransport.New(udptransport.Config{ID: id, Listen: "127.0.0.1:0", RetryBase: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	d, rec := newBareDaemon(t, 1)
+	d.bootstrap()
+	for _, id := range others {
+		d.admit(id)
 	}
-	t.Cleanup(func() { _ = tr.Close(context.Background()) })
-	// A few messages may arrive before the test reads the one it awaits;
-	// past that, drop rather than stall the transport's read loop.
-	r := &rival{tr: tr, d: d, rx: make(chan *wire.Envelope, 8)}
-	tr.SetHandler(func(env *wire.Envelope) {
-		select {
-		case r.rx <- env:
-		default:
-		}
-	})
-	if err := tr.AddPeer(d.ID(), d.UDPAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AddPeer(id, tr.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return d, rec
 }
 
-// send delivers payload to d as a message of type typ.
-func (r *rival) send(t *testing.T, typ string, payload any) {
-	t.Helper()
-	if err := r.tr.SendWait(context.Background(), &wire.Envelope{Type: typ, Dst: r.d.ID(), Payload: payload}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// await returns the next message of type typ from d, passing over others.
-func (r *rival) await(t *testing.T, typ string) *wire.Envelope {
-	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case env := <-r.rx:
-			if env.Type == typ {
-				return env
-			}
-		case <-deadline:
-			t.Fatalf("no %s from daemon %d", typ, r.d.ID())
-			return nil
-		}
-	}
-}
-
-// busy asks d to vote on a for the rival's ballot and reports whether d
+// busy asks d to vote on a for allocator's ballot and reports whether d
 // answered Busy.
-func (r *rival) busy(t *testing.T, ballot uint64, a addrspace.Addr) bool {
+func busy(t *testing.T, d *Daemon, rec *bareIO, allocator radio.NodeID, ballot uint64, a addrspace.Addr) bool {
 	t.Helper()
-	r.send(t, msg.TQuorumClt, msg.QuorumClt{BallotID: ballot, Owner: r.d.ID(), Addr: a, Allocator: r.tr.LocalID()})
-	cfm := r.await(t, msg.TQuorumCfm).Payload.(msg.QuorumCfm)
+	d.onQuorumClt(allocator, msg.QuorumClt{BallotID: ballot, Owner: allocator, Addr: a, Allocator: allocator}, 0)
+	sent := rec.take(msg.TQuorumCfm)
+	if len(sent) != 1 || sent[0].Dst != allocator {
+		t.Fatalf("%d answers to allocator %d's ballot %d on %v", len(sent), allocator, ballot, a)
+	}
+	cfm := sent[0].Payload.(msg.QuorumCfm)
 	if cfm.BallotID != ballot || !cfm.HasReplica {
 		t.Fatalf("answer %+v to ballot %d on %v", cfm, ballot, a)
 	}
@@ -95,33 +51,22 @@ func (r *rival) busy(t *testing.T, ballot uint64, a addrspace.Addr) bool {
 // for X Busy — whatever ID the rival's ballot carries — and grants an
 // address it has no ballot on.
 func TestOwnBallotHoldsOwnVote(t *testing.T) {
-	ds := newCluster(t, 2, func(c *Config) {
-		c.SuspectAfter = time.Minute // the silent voter stays in the electorate
-		c.QuorumTimeout = 5 * time.Second
-		c.HealthInterval = -1
-	})
-	waitFormed(t, ds)
-	owner := ds[0]
-	ds[1].Kill() // the owner's ballots now wait for a vote that never comes
-
+	owner, rec := newBareOwner(t, 2) // 2 never answers: the ballot stays open
+	owner.startBallot(owner.ID(), 0, func(addrspace.Addr, bool) {})
 	var own uint64
 	var x addrspace.Addr
-	onLoopSync(t, owner, func() {
-		owner.startBallot(owner.ID(), 0, func(addrspace.Addr, bool) {})
-		for _, b := range owner.ballots {
-			own, x = b.id, b.addr
-		}
-	})
+	for _, b := range owner.ballots {
+		own, x = b.id, b.addr
+	}
 	if own == 0 {
 		t.Fatal("no ballot open at the owner")
 	}
-	r := newRival(t, owner, 9)
 	for _, id := range []uint64{own, own + 100} {
-		if !r.busy(t, id, x) {
+		if !busy(t, owner, rec, 9, id, x) {
 			t.Errorf("owner granted rival ballot %d on %v while its own ballot %d on it is open", id, x, own)
 		}
 	}
-	if r.busy(t, 1, x+1) {
+	if busy(t, owner, rec, 9, 1, x+1) {
 		t.Errorf("owner answered Busy for %v, which no ballot holds", x+1)
 	}
 }
@@ -130,16 +75,16 @@ func TestOwnBallotHoldsOwnVote(t *testing.T) {
 // granted allocator A's ballot 7 on X answers allocator B's ballot 7 on X
 // Busy, and keeps granting A's.
 func TestGrantKeyedByAllocator(t *testing.T) {
-	d := newSoloOwner(t)
-	a, b := newRival(t, d, 7), newRival(t, d, 8)
+	d, rec := newBareOwner(t)
+	const a, b = 7, 8
 	x := testSpace.Lo + 5
-	if a.busy(t, 7, x) {
+	if busy(t, d, rec, a, 7, x) {
 		t.Fatal("a free voter answered Busy")
 	}
-	if !b.busy(t, 7, x) {
+	if !busy(t, d, rec, b, 7, x) {
 		t.Error("voter granted B's ballot 7 while A's ballot 7 holds its vote")
 	}
-	if a.busy(t, 7, x) {
+	if busy(t, d, rec, a, 7, x) {
 		t.Error("voter refused A's ballot 7 the vote it holds")
 	}
 }
@@ -200,24 +145,21 @@ func TestTwoOwnersNeverGrantOneAddress(t *testing.T) {
 
 // TestForgedSelfGrantMakesNoTablelessOwner: a forged COM_CFG naming the
 // joiner itself as configurer makes it take itself for the owner before it
-// holds any table. A CH_REQ must then not panic the daemon: it answers the
-// RepReq sent after it, in order.
+// holds any table. A CH_REQ must then not panic the daemon, which answers
+// the RepReq sent after it.
 func TestForgedSelfGrantMakesNoTablelessOwner(t *testing.T) {
-	cfg := Config{ID: 2, Space: testSpace, Seeds: []radio.NodeID{9}, Listen: "127.0.0.1:0", Logf: t.Logf}
-	fastTimings(&cfg)
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	d, rec := newBareDaemon(t, 2)
+	for _, env := range []*wire.Envelope{
+		{Type: msg.TComCfg, Payload: msg.ComCfg{Addr: testSpace.Lo + 1, Configurer: d.ID()}},
+		{Type: msg.TChReq, Payload: msg.ChReq{}},
+		{Type: msg.TRepReq, Payload: msg.RepReq{}},
+	} {
+		env.Src, env.Dst = 9, d.ID()
+		d.handle(env)
 	}
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
+	if rsp := rec.take(msg.TRepRsp); len(rsp) != 1 || rsp[0].Dst != 9 {
+		t.Errorf("%d REP_RSP to the sender, want 1", len(rsp))
 	}
-	t.Cleanup(d.Kill)
-	r := newRival(t, d, 9)
-	r.send(t, msg.TComCfg, msg.ComCfg{Addr: testSpace.Lo + 1, Configurer: d.ID()})
-	r.send(t, msg.TChReq, msg.ChReq{})
-	r.send(t, msg.TRepReq, msg.RepReq{})
-	r.await(t, msg.TRepRsp)
 }
 
 // postAllocate is allocate for any goroutine: a transport or decode error

@@ -136,7 +136,8 @@ func (d *Daemon) sendJoinGrant(requestor, agent radio.NodeID, ip addrspace.Addr,
 		d.sendSpan(requestor, msg.TComCfg, metrics.CatConfig, span, grant)
 	}
 	d.broadcastReplica()
-	for addr, h := range d.holders {
+	for _, addr := range d.heldBy(0) {
+		h := d.holders[addr]
 		d.sendTo(requestor, msg.TUpdateLoc, metrics.CatSync, msg.UpdateLoc{Configurer: h, ConfigurerIP: d.ipOf(h), Addr: addr})
 	}
 }
@@ -227,6 +228,13 @@ func (d *Daemon) onReplicaDist(src radio.NodeID, p msg.ReplicaDist) {
 			}
 		}
 		if !d.isOwner() {
+			// Read repair toward the owner: an entry newer here is a commit
+			// whose write never reached it (lost on the way to the successor).
+			for _, ae := range d.table.Entries() {
+				if cur, ok := info.Pool.Get(ae.Addr); ok && ae.Entry.Newer(cur) {
+					d.sendTo(src, msg.TQuorumUpd, metrics.CatSync, msg.QuorumUpd{Owner: info.Owner, Addr: ae.Addr, Entry: ae.Entry})
+				}
+			}
 			d.sendTo(src, msg.TReplicaAck, metrics.CatSync,
 				msg.ReplicaAck{Info: msg.HolderInfo{Owner: d.cfg.ID, OwnerIP: d.selfIP}})
 		}
@@ -571,9 +579,10 @@ func (d *Daemon) declareDead(m *member) {
 
 // startReclaim begins address reclamation for a dead member: announce
 // ADDR_REC, collect REC_REP defenses for ReclaimSettle, then free whatever
-// the dead daemon still holds.
+// the dead daemon still holds. An owner without a table — promoted after
+// every replica holder died — has nothing to free addresses in.
 func (d *Daemon) startReclaim(target *member) {
-	if d.reclaims.Running(target.id) {
+	if d.reclaims.Running(target.id) || d.table == nil {
 		return
 	}
 	run := d.reclaims.Open(target.id, d.mintSpan(), d.now())
@@ -587,22 +596,24 @@ func (d *Daemon) startReclaim(target *member) {
 }
 
 // onAddrRec is the member side of reclamation: align with the reclaimer's
-// death verdict and defend every address we hold ourselves, so a stale
-// attribution at the reclaimer cannot free an address still in use.
+// death verdict — a member reclaiming the owner has taken its place — and
+// defend every address we hold ourselves, so a stale attribution at the
+// reclaimer cannot free an address still in use.
 func (d *Daemon) onAddrRec(src radio.NodeID, p msg.AddrRec, span uint64) {
 	if p.Target == d.cfg.ID {
 		return // we are alive; our heartbeats are the real rebuttal
 	}
 	if m := d.member(p.Target); m != nil {
 		m.dead = true
+		if m.id == d.ownerID && d.member(src) != nil {
+			d.ownerID = src
+		}
 	}
 	if d.departing {
 		return // what we hold is on its way back to the owner
 	}
-	for addr, h := range d.holders {
-		if h == d.cfg.ID {
-			d.sendSpan(src, msg.TRecRep, metrics.CatReclamation, span, msg.RecRep{Target: p.Target, Addr: addr})
-		}
+	for _, addr := range d.heldBy(d.cfg.ID) {
+		d.sendSpan(src, msg.TRecRep, metrics.CatReclamation, span, msg.RecRep{Target: p.Target, Addr: addr})
 	}
 }
 
@@ -656,15 +667,7 @@ func (d *Daemon) finishReclaim(target radio.NodeID, run *quorum.Reclaim) {
 		d.logf("peer %d heard from during its reclamation: spared", int(target))
 		return
 	}
-
-	var held []addrspace.Addr
-	for addr, h := range d.holders {
-		if h == target {
-			held = append(held, addr)
-		}
-	}
-	slices.Sort(held)
-	toFree := run.Undefended(held)
+	toFree := run.Undefended(d.heldBy(target))
 	for _, addr := range toFree {
 		e, ok := d.table.Get(addr)
 		if !ok {

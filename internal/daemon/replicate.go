@@ -16,7 +16,7 @@ package daemon
 // path to redistribute.
 
 import (
-	"sort"
+	"slices"
 
 	"quorumconf/internal/addrspace"
 	"quorumconf/internal/health"
@@ -57,14 +57,15 @@ func (d *Daemon) refreshReplicaSet() (demoted, recruited []radio.NodeID) {
 }
 
 // replicaInfo builds the owner's REPLICA_DIST payload: always the
-// membership view, plus a table clone for designated holders.
+// membership view, plus a table clone for designated holders when the owner
+// has a table to clone.
 func (d *Daemon) replicaInfo(withPool bool) msg.HolderInfo {
 	info := msg.HolderInfo{
 		Owner:   d.cfg.ID,
 		OwnerIP: d.selfIP,
 		Holders: d.electorate(),
 	}
-	if withPool {
+	if withPool && d.table != nil {
 		info.Pool = addrspace.NewPool(d.table.Clone())
 	}
 	return info
@@ -118,8 +119,8 @@ func (d *Daemon) healthPeers() []health.PeerState {
 // emits health_check / replica_underreplicated / replica_restored; the
 // quorum adjustments and syncs trace through the existing kinds.
 func (d *Daemon) healthTick() {
-	if !d.isOwner() || !d.joined {
-		return
+	if !d.isOwner() || !d.joined || d.table == nil {
+		return // a tableless owner has no replica to keep
 	}
 	d.coll.Inc("daemon.health_checks")
 	c := d.monitor.Evaluate(instant(d.now()), d.cfg.ID, d.healthPeers())
@@ -174,19 +175,11 @@ func (d *Daemon) sendReturns() {
 	if !d.departing || d.departed {
 		return
 	}
-	var leases []addrspace.Addr
-	for addr, h := range d.holders {
-		if h == d.cfg.ID && addr != d.selfIP {
-			leases = append(leases, addr)
-		}
-	}
-	sort.Slice(leases, func(i, j int) bool { return leases[i] < leases[j] })
-	for _, addr := range leases {
+	leases := slices.DeleteFunc(d.heldBy(d.cfg.ID), func(a addrspace.Addr) bool { return a == d.selfIP })
+	for _, addr := range append(leases, d.selfIP) {
 		d.sendTo(d.ownerID, msg.TReturnAddr, metrics.CatConfig,
 			msg.ReturnAddr{Configurer: d.cfg.ID, ConfigurerIP: d.selfIP, Addr: addr})
 	}
-	d.sendTo(d.ownerID, msg.TReturnAddr, metrics.CatConfig,
-		msg.ReturnAddr{Configurer: d.cfg.ID, ConfigurerIP: d.selfIP, Addr: d.selfIP})
 	d.after(d.cfg.JoinRetry, d.sendReturns)
 }
 

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"quorumconf/internal/addrspace"
 	"quorumconf/internal/metrics"
+	"quorumconf/internal/msg"
 	"quorumconf/internal/radio"
 )
 
@@ -97,6 +99,7 @@ func TestRefreshReplicaSet(t *testing.T) {
 func TestLateReplicaAckGrantsNoLease(t *testing.T) {
 	d := &Daemon{
 		cfg:     Config{ID: 1},
+		clock:   func() time.Duration { return time.Second },
 		ownerID: 1,
 		coll:    metrics.NewSync(),
 		roster:  []*member{{id: 1}, {id: 2}, {id: 3, holder: true}},
@@ -108,5 +111,47 @@ func TestLateReplicaAckGrantsNoLease(t *testing.T) {
 	d.onReplicaAck(3)
 	if m := d.member(3); m.acked == 0 {
 		t.Error("a holder's ack set no lease")
+	}
+}
+
+// TestHolderSendsTheOwnerWhatItsReplicaLacks: an owner promoted by failover
+// may lack a commit whose write to it was lost. A holder whose own copy of an
+// address is newer than the owner's replica sends the entry back as a
+// QUORUM_UPD, ahead of its REPLICA_ACK; entries the owner has are not sent.
+func TestHolderSendsTheOwnerWhatItsReplicaLacks(t *testing.T) {
+	d, rec := newBareDaemon(t, 3)
+	d.roster = []*member{{id: 2}, {id: 3}}
+	mine, err := addrspace.NewTable(testSpace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ahead, same := testSpace.Lo+5, testSpace.Lo+6
+	newer := addrspace.Entry{Status: addrspace.Occupied, Version: 2}
+	for _, a := range []addrspace.Addr{ahead, same} {
+		if err := mine.Set(a, newer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.table = mine
+	owners, err := addrspace.NewTable(testSpace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = owners.Set(ahead, addrspace.Entry{Status: addrspace.Free, Version: 1})
+	_ = owners.Set(same, newer)
+
+	d.onReplicaDist(2, msg.ReplicaDist{Info: msg.HolderInfo{Owner: 2, Holders: []radio.NodeID{2, 3}, Pool: addrspace.NewPool(owners)}})
+	var got []string
+	for _, env := range rec.sent {
+		got = append(got, env.Type)
+		if env.Dst != 2 {
+			t.Errorf("%s to %d, want the owner 2", env.Type, env.Dst)
+		}
+	}
+	if want := []string{msg.TQuorumUpd, msg.TReplicaAck}; !slices.Equal(got, want) {
+		t.Fatalf("holder sent %v, want %v", got, want)
+	}
+	if upd := rec.sent[0].Payload.(msg.QuorumUpd); upd.Addr != ahead || upd.Entry != newer {
+		t.Errorf("QUORUM_UPD %+v, want %v at %+v", upd, ahead, newer)
 	}
 }

@@ -69,6 +69,7 @@ package udptransport
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -80,8 +81,26 @@ import (
 	"quorumconf/internal/netstack"
 	"quorumconf/internal/obs"
 	"quorumconf/internal/radio"
-	"quorumconf/internal/transport"
 	"quorumconf/internal/wire"
+)
+
+// Handler consumes envelopes delivered to the local node. It runs on the
+// socket read loop, so it must be fast and must not block.
+type Handler func(env *wire.Envelope)
+
+// Sentinel errors, matched with errors.Is; they may wrap destination detail.
+var (
+	// ErrUnknownPeer reports a destination with no known address.
+	ErrUnknownPeer = errors.New("transport: unknown peer")
+	// ErrClosed reports use after Close.
+	ErrClosed = errors.New("transport: closed")
+	// ErrQueueFull reports backpressure: the per-destination send queue
+	// is at capacity and the caller declined to wait (no cancellable
+	// context).
+	ErrQueueFull = errors.New("transport: send queue full")
+	// ErrRetriesExhausted reports a message dropped unacknowledged after
+	// its whole retransmission schedule (SendWait; Send only counts it).
+	ErrRetriesExhausted = errors.New("transport: retries exhausted")
 )
 
 // Frame kind bytes.
@@ -241,7 +260,7 @@ type Transport struct {
 	conn *net.UDPConn
 
 	mu       sync.Mutex
-	handler  transport.Handler
+	handler  Handler
 	peers    map[radio.NodeID]*net.UDPAddr
 	queues   map[radio.NodeID]chan outgoing
 	acks     map[uint64]chan struct{}
@@ -302,7 +321,7 @@ func (t *Transport) Metrics() *metrics.SyncCollector { return t.cfg.Metrics }
 
 // SetHandler installs the delivery callback. Must be called before traffic
 // is expected; a nil handler drops deliveries.
-func (t *Transport) SetHandler(h transport.Handler) {
+func (t *Transport) SetHandler(h Handler) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.handler = h
@@ -317,7 +336,7 @@ func (t *Transport) AddPeer(id radio.NodeID, addr string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
-		return transport.ErrClosed
+		return ErrClosed
 	}
 	t.peers[id] = uaddr
 	return nil
@@ -350,7 +369,7 @@ func (t *Transport) SendWait(ctx context.Context, env *wire.Envelope) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-t.done:
-		return transport.ErrClosed
+		return ErrClosed
 	}
 }
 
@@ -375,11 +394,11 @@ func (t *Transport) send(ctx context.Context, env *wire.Envelope, result chan er
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		return transport.ErrClosed
+		return ErrClosed
 	}
 	if _, ok := t.peers[env.Dst]; !ok {
 		t.mu.Unlock()
-		return fmt.Errorf("%w: %d", transport.ErrUnknownPeer, env.Dst)
+		return fmt.Errorf("%w: %d", ErrUnknownPeer, env.Dst)
 	}
 	q, ok := t.queues[env.Dst]
 	if !ok {
@@ -400,7 +419,7 @@ func (t *Transport) send(ctx context.Context, env *wire.Envelope, result chan er
 	if ctx.Done() == nil {
 		t.cfg.Metrics.Inc(CtrSendDrop)
 		t.trace(obs.EvTransportDrop, env.Dst, env.MsgID, "queue_full")
-		return fmt.Errorf("%w: to %d", transport.ErrQueueFull, env.Dst)
+		return fmt.Errorf("%w: to %d", ErrQueueFull, env.Dst)
 	}
 	select {
 	case q <- out:
@@ -409,7 +428,7 @@ func (t *Transport) send(ctx context.Context, env *wire.Envelope, result chan er
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-t.done:
-		return transport.ErrClosed
+		return ErrClosed
 	}
 }
 
@@ -672,7 +691,7 @@ func (w *worker) transmit(frame []byte, msgID uint64) error {
 		} else if _, err := t.conn.WriteToUDP(datagram, addr); err != nil {
 			select {
 			case <-t.done:
-				return transport.ErrClosed
+				return ErrClosed
 			default:
 			}
 		}
@@ -696,7 +715,7 @@ func (w *worker) transmit(frame []byte, msgID uint64) error {
 			return nil
 		case <-t.done:
 			w.stopTimer()
-			return transport.ErrClosed
+			return ErrClosed
 		case <-w.timer.C:
 		}
 		if attempt+1 >= t.cfg.MaxAttempts && time.Since(first) >= horizon {
@@ -704,7 +723,7 @@ func (w *worker) transmit(frame []byte, msgID uint64) error {
 			w.est.backed = t.cfg.RetryBase
 			t.cfg.Metrics.Inc(CtrSendDrop)
 			t.trace(obs.EvTransportDrop, w.dst, msgID, "retries_exhausted")
-			return fmt.Errorf("%w: to %d after %d attempts", transport.ErrRetriesExhausted, w.dst, attempt+1)
+			return fmt.Errorf("%w: to %d after %d attempts", ErrRetriesExhausted, w.dst, attempt+1)
 		}
 	}
 }

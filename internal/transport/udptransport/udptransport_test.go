@@ -12,7 +12,6 @@ import (
 	"quorumconf/internal/metrics"
 	"quorumconf/internal/msg"
 	"quorumconf/internal/obs"
-	"quorumconf/internal/transport"
 	"quorumconf/internal/wire"
 )
 
@@ -109,7 +108,7 @@ func TestPayloadSurvivesSocketRoundTrip(t *testing.T) {
 func TestUnknownPeer(t *testing.T) {
 	a, _ := newPair(t)
 	err := a.Send(context.Background(), &wire.Envelope{Type: msg.TRepReq, Dst: 99, Category: metrics.CatSync, Payload: msg.RepReq{}})
-	if !errors.Is(err, transport.ErrUnknownPeer) {
+	if !errors.Is(err, ErrUnknownPeer) {
 		t.Errorf("send to unknown peer: %v", err)
 	}
 }
@@ -120,7 +119,7 @@ func TestSendAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := a.Send(context.Background(), &wire.Envelope{Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}})
-	if !errors.Is(err, transport.ErrClosed) {
+	if !errors.Is(err, ErrClosed) {
 		t.Errorf("send after close: %v", err)
 	}
 }
@@ -274,7 +273,7 @@ func TestSendWaitRetriesExhausted(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	err = a.SendWait(ctx, &wire.Envelope{Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}})
-	if !errors.Is(err, transport.ErrRetriesExhausted) {
+	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("SendWait to silent peer: %v, want ErrRetriesExhausted", err)
 	}
 	var sends, retries, drops int
