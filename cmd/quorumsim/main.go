@@ -8,6 +8,7 @@
 //	quorumsim -fig table1            # Table 1 message trace
 //	quorumsim -fig 4 -nodes 100      # Figure 4 layout
 //	quorumsim -fig ablations         # design-choice ablation studies
+//	quorumsim -fig ablation-td       # any catalog entry by its figure ID
 //	quorumsim -fig 5 -rounds 50      # more rounds per data point
 //	quorumsim -fig all -parallel 8   # sweep rounds on an 8-worker pool
 //
@@ -44,7 +45,8 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("quorumsim", flag.ContinueOnError)
-	figFlag := fs.String("fig", "all", "figure to regenerate: 4..14, table1, all, ablations, loss, byzantine")
+	_, keys := experiment.Lookup("")
+	figFlag := fs.String("fig", "all", "figure to regenerate: "+figKeys(keys))
 	format := fs.String("format", "table", "output format: table or csv")
 	rounds := fs.Int("rounds", 3, "simulation rounds per data point (paper: 1000)")
 	seed := fs.Int64("seed", 1, "base random seed")
@@ -126,7 +128,8 @@ func run(args []string, out io.Writer) error {
 		return f.String()
 	}
 
-	switch strings.ToLower(*figFlag) {
+	key := strings.ToLower(*figFlag)
+	switch key {
 	case "table1", "t1":
 		events, err := experiment.Table1Trace()
 		if err != nil {
@@ -141,57 +144,23 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprint(out, layout.String())
 		return nil
-	case "all":
-		figs, err := experiment.All(cfg)
-		if err != nil {
-			return err
-		}
-		for _, f := range figs {
-			fmt.Fprintln(out, render(f))
-		}
-		return nil
-	case "ablations", "ablation":
-		figs, err := experiment.Ablations(cfg)
-		if err != nil {
-			return err
-		}
-		for _, f := range figs {
-			fmt.Fprintln(out, render(f))
-		}
-		return nil
-	case "loss", "ext-loss":
-		f, err := experiment.ExtensionLossTolerance(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, render(f))
-		return nil
-	case "byzantine", "byz":
-		res, err := experiment.ByzantineSweep(cfg, nil)
-		if err != nil {
-			return err
-		}
-		for _, f := range res.Figures {
-			fmt.Fprintln(out, render(f))
-		}
-		return nil
 	}
-
-	runners := map[string]func(experiment.Config) (experiment.Figure, error){
-		"5": experiment.Fig5, "6": experiment.Fig6, "7": experiment.Fig7,
-		"8": experiment.Fig8, "9": experiment.Fig9, "10": experiment.Fig10,
-		"11": experiment.Fig11, "12": experiment.Fig12, "13": experiment.Fig13,
-		"14": experiment.Fig14,
+	runFig, keys := experiment.Lookup(key)
+	if runFig == nil {
+		return fmt.Errorf("unknown figure %q (want %s)", *figFlag, figKeys(keys))
 	}
-	key := strings.TrimPrefix(strings.ToLower(*figFlag), "fig")
-	runner, ok := runners[key]
-	if !ok {
-		return fmt.Errorf("unknown figure %q (want 4..14, table1, all, ablations)", *figFlag)
-	}
-	f, err := runner(cfg)
+	figs, err := runFig(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(out, render(f))
+	for _, f := range figs {
+		fmt.Fprintln(out, render(f))
+	}
 	return nil
+}
+
+// figKeys lists every -fig key: Table 1 and the Fig 4 layout, which
+// quorumsim renders itself, then the figure catalog's.
+func figKeys(catalog []string) string {
+	return strings.Join(append([]string{"table1/t1", "4/fig4/layout"}, catalog...), ", ")
 }

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"quorumconf/internal/experiment"
 )
 
 func TestRunTable1(t *testing.T) {
@@ -51,13 +53,37 @@ func TestRunSingleFigureCSV(t *testing.T) {
 	}
 }
 
+// TestRunUnknownFigure pins that an unknown -fig is refused with a message
+// naming every key quorumsim accepts: its own and the figure catalog's.
 func TestRunUnknownFigure(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-fig", "99"}, &b); err == nil {
-		t.Error("unknown figure accepted")
-	}
 	if err := run([]string{"-fig", "bogus"}, &b); err == nil {
 		t.Error("bogus figure accepted")
+	}
+	err := run([]string{"-fig", "99"}, &b)
+	if err == nil {
+		t.Fatal("unknown figure accepted")
+	}
+	_, keys := experiment.Lookup("")
+	want := []string{"table1", "t1", "4", "fig4", "layout", "5", "fig14", "loss", "byzantine", "ablation-td", "all", "ablations"}
+	for _, entry := range keys {
+		want = append(want, strings.Split(entry, "/")...)
+	}
+	for _, k := range want {
+		if !strings.Contains(err.Error(), k) {
+			t.Errorf("error %q does not name key %q", err, k)
+		}
+	}
+}
+
+// TestRunCatalogEntryByID runs an entry that only its Figure ID selects.
+func TestRunCatalogEntryByID(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"-fig", "ablation-td", "-rounds", "1", "-format", "csv"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	if out := b.String(); !strings.Contains(out, "# ablation-td") || !strings.Contains(out, "Td (s),reclamation hops,failed ballots") {
+		t.Errorf("ablation-td output wrong:\n%.300s", out)
 	}
 }
 

@@ -834,7 +834,7 @@ func (p *Protocol) finishCommonBallot(alloc *node, pb *pendingBallot, dec quorum
 		alloc.applyNewer(pb.owner, pb.addr, dec.Entry)
 		p.rt.Coll.Inc(CounterProposalsRejected)
 		p.rt.Trace(obs.Event{Kind: obs.EvBallotAbort, Node: alloc.id, Addr: pb.addr, MsgID: pb.id, Span: pb.span, Detail: "occupied"})
-		if pb.proposals >= p.p.MaxProposals {
+		if pb.proposals >= maxProposals {
 			p.rt.Coll.Inc(CounterConfigNacks)
 			p.nack(alloc, pb.requestor, pb.reqPathHops)
 			return

@@ -61,6 +61,9 @@ func (r Role) String() string {
 	}
 }
 
+// maxProposals bounds address proposals per configuration request.
+const maxProposals = 16
+
 // Params configures the protocol. Zero fields take the defaults the
 // simulation section of the paper implies.
 type Params struct {
@@ -101,9 +104,6 @@ type Params struct {
 	// MinReplicas is the QDSet size below which a head recruits more
 	// replica holders (3 in §V-B).
 	MinReplicas int
-	// MaxProposals bounds address proposals per configuration request
-	// (default 16).
-	MaxProposals int
 
 	// BallotWindow bounds the common ballots one allocator keeps in
 	// flight concurrently. Requests beyond the window queue FIFO and are
@@ -181,9 +181,6 @@ func (p *Params) setDefaults() {
 	}
 	if p.MinReplicas == 0 {
 		p.MinReplicas = 3
-	}
-	if p.MaxProposals == 0 {
-		p.MaxProposals = 16
 	}
 }
 

@@ -101,7 +101,7 @@ func TestCandidatesLowestFirstSkipPending(t *testing.T) {
 // TestBallotRetryMovesToNextCandidate: a ballot round that times out is
 // retried on the next address. Retrying the same one cannot succeed — every
 // voter that granted the timed-out round answers the new ballot Busy for
-// 2*QuorumTimeout — so the allocation used to burn all MaxProposals rounds
+// 2*QuorumTimeout — so the allocation used to burn all maxProposals rounds
 // and fail although the slow voters were back a moment later.
 func TestBallotRetryMovesToNextCandidate(t *testing.T) {
 	ds := newCluster(t, 4, func(c *Config) {

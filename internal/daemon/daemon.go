@@ -59,6 +59,9 @@ import (
 	"quorumconf/internal/wire"
 )
 
+// maxProposals bounds candidate addresses per allocation.
+const maxProposals = 16
+
 // Config parameterizes one daemon. Zero durations take defaults sized for
 // LAN deployments; tests shrink them.
 type Config struct {
@@ -90,9 +93,6 @@ type Config struct {
 	JoinRetry time.Duration
 	// AllocTimeout bounds one HTTP /v1/allocate request (default 5s).
 	AllocTimeout time.Duration
-	// MaxProposals bounds candidate addresses per allocation (default 16).
-	MaxProposals int
-
 	// ReplicationTarget is the desired number of replica holders for the
 	// owner's table, including the owner itself — the deployment analogue
 	// of the paper's QDSet size. 0 replicates to every member (the
@@ -179,9 +179,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.AllocTimeout == 0 {
 		c.AllocTimeout = 5 * time.Second
-	}
-	if c.MaxProposals == 0 {
-		c.MaxProposals = 16
 	}
 	if c.ReplicationTarget < 0 || c.ReplicationTarget == 1 {
 		return fmt.Errorf("daemon: replication target %d: want 0 (full) or >= 2", c.ReplicationTarget)

@@ -318,7 +318,7 @@ func (d *Daemon) startBallot(requestor radio.NodeID, span uint64, reply func(add
 // that granted the aborted round keep answering Busy for until their grant
 // expires.
 func (d *Daemon) propose(b *ballot) {
-	if b.attempts >= d.cfg.MaxProposals || d.table == nil { // no table: a forged owner view
+	if b.attempts >= maxProposals || d.table == nil { // no table: a forged owner view
 		b.reply(0, false)
 		return
 	}

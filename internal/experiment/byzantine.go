@@ -160,34 +160,48 @@ func recoveryIndex(res *workload.Result, counter string) float64 {
 	return float64(res.Metrics().Counter(counter)) / float64(abrupt)
 }
 
-// byzProto is one protocol column of the sweep.
-type byzProto struct {
-	name            string
-	recoveryCounter string
-	// build receives the active malicious subset; only the quorum
-	// protocol consumes it (the baselines face just the generic attacks).
-	build func(c Config, active []radio.NodeID) workload.BuildFunc
-}
-
-func byzProtos() []byzProto {
-	return []byzProto{
-		{"quorum", core.CounterAddrReclaimed, func(c Config, active []radio.NodeID) workload.BuildFunc {
-			return c.buildQuorum(func(p *core.Params) {
+// byzantineRow is the catalog row of the sweep over ks: one arm per
+// protocol, each round measuring conflict rate, configuration latency and
+// recovery index, reduced into one figure per metric. Only the quorum
+// protocol's build reads k, to arm the active malicious subset; the
+// baselines face just the generic attacks.
+func (c Config) byzantineRow(ks []int) row {
+	byz := func(name, recoveryCounter string, build builder) arm {
+		return arm{name: name, build: build, measure: func(res *workload.Result, sc workload.Scenario) []float64 {
+			return []float64{conflictRate(res, sc), meanLatency(res), recoveryIndex(res, recoveryCounter)}
+		}}
+	}
+	return row{
+		id: "byzantine", keys: []string{"byz"},
+		xs:       floats(ks),
+		scenario: func(x float64) workload.Scenario { return c.byzScenario(int(x)) },
+		arms: []arm{
+			byz("quorum", core.CounterAddrReclaimed, c.quorum(func(p *core.Params, x float64) {
+				active, _ := splitMalicious(int(x))
 				p.Byzantine = core.ByzantineParams{
 					Nodes:     active,
 					Behaviors: core.ByzVoteLiar | core.ByzDupClaimer,
 				}
-			})
-		}},
-		{"manetconf", manetconf.CounterCleanups, func(c Config, _ []radio.NodeID) workload.BuildFunc {
-			return c.buildMANETconf()
-		}},
-		{"buddy", buddy.CounterBuddyReclaims, func(c Config, _ []radio.NodeID) workload.BuildFunc {
-			return c.buildBuddy()
-		}},
-		{"ctree", ctree.CounterRootReclamations, func(c Config, _ []radio.NodeID) workload.BuildFunc {
-			return c.buildCTree()
-		}},
+			})),
+			byz("manetconf", manetconf.CounterCleanups, c.manetconf()),
+			byz("buddy", buddy.CounterBuddyReclaims, c.buddy()),
+			byz("ctree", ctree.CounterRootReclamations, c.ctree()),
+		},
+		plot: func(g *grid) []Figure {
+			var figs []Figure
+			for m, f := range []struct{ id, title, ylabel string }{
+				{"byz-conflict", "Address-conflict rate vs malicious nodes k", "% conflicted identities"},
+				{"byz-latency", "Configuration latency vs malicious nodes k", "latency (hops)"},
+				{"byz-recovery", "Reclamation recovery index vs malicious nodes k", "addresses recovered / crash"},
+			} {
+				fig := Figure{ID: f.id, Title: fmt.Sprintf("%s (nn=%d)", f.title, c.MidSize), XLabel: "malicious nodes k", YLabel: f.ylabel}
+				for ai, a := range g.row.arms {
+					fig.Series = append(fig.Series, g.series(a.name, ai, m, meanErr))
+				}
+				figs = append(figs, fig)
+			}
+			return figs
+		},
 	}
 }
 
@@ -200,75 +214,18 @@ func ByzantineSweep(cfg Config, ks []int) (ByzantineResult, error) {
 	if len(ks) == 0 {
 		ks = DefaultByzantineKs
 	}
-	protos := byzProtos()
-
-	type cell struct{ conflict, latency, recovery sampleStats }
-	cells := make([]cell, len(ks)*len(protos))
-	err := cfg.parallelDo(len(ks)*len(protos), func(i int) error {
-		ki, pi := i/len(protos), i%len(protos)
-		k, proto := ks[ki], protos[pi]
-		sc := cfg.byzScenario(k)
-		active, _ := splitMalicious(k)
-		build := proto.build(cfg, active)
-		vals := make([][3]float64, cfg.Rounds)
-		err := cfg.parallelDo(cfg.Rounds, func(r int) error {
-			round := sc
-			round.Seed = cfg.BaseSeed + int64(r)*7919
-			res, err := cfg.runRound(round, build)
-			if err != nil {
-				return fmt.Errorf("byzantine %s k=%d: %w", proto.name, k, err)
-			}
-			vals[r] = [3]float64{
-				conflictRate(res, round),
-				meanLatency(res),
-				recoveryIndex(res, proto.recoveryCounter),
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		for _, v := range vals {
-			cells[i].conflict.add(v[0])
-			cells[i].latency.add(v[1])
-			cells[i].recovery.add(v[2])
-		}
-		return nil
-	})
+	rw := cfg.byzantineRow(ks)
+	figs, err := cfg.sweep(&rw)
 	if err != nil {
 		return ByzantineResult{}, err
 	}
-
-	metrics := []struct {
-		id, title, ylabel string
-		pick              func(cell) sampleStats
-	}{
-		{"byz-conflict", "Address-conflict rate vs malicious nodes k", "% conflicted identities",
-			func(c cell) sampleStats { return c.conflict }},
-		{"byz-latency", "Configuration latency vs malicious nodes k", "latency (hops)",
-			func(c cell) sampleStats { return c.latency }},
-		{"byz-recovery", "Reclamation recovery index vs malicious nodes k", "addresses recovered / crash",
-			func(c cell) sampleStats { return c.recovery }},
-	}
-	res := ByzantineResult{Summary: make(map[string]float64)}
-	for _, m := range metrics {
-		fig := Figure{
-			ID:     m.id,
-			Title:  fmt.Sprintf("%s (nn=%d)", m.title, cfg.MidSize),
-			XLabel: "malicious nodes k",
-			YLabel: m.ylabel,
-		}
-		for pi, proto := range protos {
-			s := Series{Name: proto.name}
-			for ki, k := range ks {
-				st := m.pick(cells[ki*len(protos)+pi])
-				s.Points = append(s.Points, Point{X: float64(k), Y: st.Mean(), Err: st.Stddev()})
-				key := fmt.Sprintf("byz_%s_%s_k%d", m.id[len("byz-"):], proto.name, k)
-				res.Summary[key] = st.Mean()
+	res := ByzantineResult{Figures: figs, Summary: make(map[string]float64)}
+	for _, f := range figs {
+		for _, s := range f.Series {
+			for _, p := range s.Points {
+				res.Summary[fmt.Sprintf("byz_%s_%s_k%d", f.ID[len("byz-"):], s.Name, int(p.X))] = p.Y
 			}
-			fig.Series = append(fig.Series, s)
 		}
-		res.Figures = append(res.Figures, fig)
 	}
 	return res, nil
 }

@@ -1,9 +1,12 @@
 // Package experiment regenerates every table and figure of the paper's
-// evaluation (§VI). Each FigN function runs the corresponding parameter
-// sweep over the quorum protocol and the baseline the paper compares it
-// against, averaging over seeded rounds, and returns the series the paper
-// plots. cmd/quorumsim renders them as text tables; bench_test.go at the
-// repository root wraps each one in a testing.B benchmark.
+// evaluation (§VI). Every figure is one row of the catalog (catalog.go):
+// the parameter sweep over the quorum protocol and the baselines the paper
+// compares it against, and how its seeded rounds reduce to the series the
+// paper plots. One grid engine (parallel.go) runs every row. The exported
+// FigN, Ablation* and ExtensionLossTolerance functions, All, Ablations and
+// ByzantineSweep all read the catalog; cmd/quorumsim renders the figures as
+// text tables, and bench_test.go at the repository root wraps each one in
+// a testing.B benchmark.
 package experiment
 
 import (
@@ -204,93 +207,45 @@ func csvEscape(s string) string {
 
 // --- protocol builders ----------------------------------------------------
 
-func (c Config) buildQuorum(extra func(*core.Params)) workload.BuildFunc {
-	return func(rt *protocol.Runtime) (protocol.Protocol, error) {
-		params := core.Params{Space: c.Space}
-		if extra != nil {
-			extra(&params)
+// A builder makes an arm's protocol for the row's x value; only the arms
+// whose parameters follow the x axis (ablation-borrow's tight space, the
+// byzantine insiders) read it.
+type builder func(x float64) workload.BuildFunc
+
+// quorum builds the quorum protocol over the configured space; extra,
+// when set, adjusts its parameters for x.
+func (c Config) quorum(extra func(p *core.Params, x float64)) builder {
+	return func(x float64) workload.BuildFunc {
+		return func(rt *protocol.Runtime) (protocol.Protocol, error) {
+			params := core.Params{Space: c.Space}
+			if extra != nil {
+				extra(&params, x)
+			}
+			return core.New(rt, params)
 		}
-		return core.New(rt, params)
 	}
 }
 
-func (c Config) buildMANETconf() workload.BuildFunc {
-	return func(rt *protocol.Runtime) (protocol.Protocol, error) {
-		return manetconf.New(rt, manetconf.Params{Space: c.Space})
-	}
-}
-
-func (c Config) buildBuddy() workload.BuildFunc {
-	return func(rt *protocol.Runtime) (protocol.Protocol, error) {
-		return buddy.New(rt, buddy.Params{Space: c.Space})
-	}
-}
-
-func (c Config) buildCTree() workload.BuildFunc {
-	return func(rt *protocol.Runtime) (protocol.Protocol, error) {
-		return ctree.New(rt, ctree.Params{Space: c.Space})
-	}
-}
-
-// averageOver runs the scenario Rounds times with distinct seeds and
-// averages the metric.
-func (c Config) averageOver(sc workload.Scenario, build workload.BuildFunc, metric func(*workload.Result) float64) (float64, error) {
-	m, _, err := c.statsOver(sc, build, metric)
-	return m, err
-}
-
-// statsOver is averageOver returning the standard deviation as well. The
-// rounds fan out onto the worker pool; the metric values are collected by
-// round index and reduced in index order, so mean and stddev are
-// bit-identical to the serial loop for any Workers setting.
-func (c Config) statsOver(sc workload.Scenario, build workload.BuildFunc, metric func(*workload.Result) float64) (mean, stddev float64, err error) {
-	vals := make([]float64, c.Rounds)
-	err = c.parallelDo(c.Rounds, func(r int) error {
-		round := sc
-		round.Seed = c.BaseSeed + int64(r)*7919
-		res, err := c.runRound(round, build)
-		if err != nil {
-			return err
+func (c Config) manetconf() builder {
+	return func(float64) workload.BuildFunc {
+		return func(rt *protocol.Runtime) (protocol.Protocol, error) {
+			return manetconf.New(rt, manetconf.Params{Space: c.Space})
 		}
-		vals[r] = metric(res)
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
 	}
-	var st sampleStats
-	for _, v := range vals {
-		st.add(v)
-	}
-	return st.Mean(), st.Stddev(), nil
 }
 
-// meanLatency extracts the mean configuration latency in hops.
-func meanLatency(res *workload.Result) float64 {
-	return res.Metrics().Summarize(core.SampleConfigLatency).Mean
-}
-
-// All runs every figure and returns them in paper order. Table 1 is
-// produced by Trace (see trace.go) and Fig 4 by Layout (see layout.go).
-// Figures fan out concurrently, all drawing simulation slots from one
-// shared admission semaphore, and are collected by index so the output
-// order (and content) never depends on scheduling.
-func All(cfg Config) ([]Figure, error) {
-	cfg.setDefaults() // create the shared semaphore before fanning out
-	runners := []func(Config) (Figure, error){
-		Fig5, Fig6, Fig7, Fig8, Fig9, Fig10, Fig11, Fig12, Fig13, Fig14,
-	}
-	figs := make([]Figure, len(runners))
-	err := cfg.parallelDo(len(runners), func(i int) error {
-		f, err := runners[i](cfg)
-		if err != nil {
-			return err
+func (c Config) buddy() builder {
+	return func(float64) workload.BuildFunc {
+		return func(rt *protocol.Runtime) (protocol.Protocol, error) {
+			return buddy.New(rt, buddy.Params{Space: c.Space})
 		}
-		figs[i] = f
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return figs, nil
+}
+
+func (c Config) ctree() builder {
+	return func(float64) workload.BuildFunc {
+		return func(rt *protocol.Runtime) (protocol.Protocol, error) {
+			return ctree.New(rt, ctree.Params{Space: c.Space})
+		}
+	}
 }

@@ -1,175 +1,179 @@
 package experiment
 
 import (
-	"fmt"
-
+	"quorumconf/internal/baseline/ctree"
+	"quorumconf/internal/core"
 	"quorumconf/internal/metrics"
+	"quorumconf/internal/radio"
 	"quorumconf/internal/workload"
 )
 
-// Fig5 reproduces Figure 5: configuration latency (hops) versus network
-// size, quorum protocol against MANETconf, tr = 150m. The paper reports
-// the quorum protocol cutting latency roughly in half.
-func Fig5(cfg Config) (Figure, error) {
-	cfg.setDefaults()
-	fig := Figure{
-		ID:     "fig5",
-		Title:  "Configuration latency vs network size (tr=150m)",
-		XLabel: "nodes",
-		YLabel: "latency (hops)",
-	}
-	series, err := cfg.gridSweep("fig5", floats(cfg.Sizes), func(i int) workload.Scenario {
-		return workload.Scenario{
-			NumNodes:          cfg.Sizes[i],
-			TransmissionRange: 150,
-			Speed:             20,
-			ArrivalInterval:   cfg.ArrivalInterval,
-		}
-	}, []sweepSpec{
-		{Name: "quorum", Build: cfg.buildQuorum(nil), Metric: meanLatency},
-		{Name: "manetconf", Build: cfg.buildMANETconf(), Metric: meanLatency},
-	}, true)
-	if err != nil {
-		return Figure{}, err
-	}
-	fig.Series = series
-	return fig, nil
+// The round metrics the catalog's rows read.
+
+// meanLatency is the mean configuration latency in hops.
+func meanLatency(res *workload.Result) float64 {
+	return res.Metrics().Summarize(core.SampleConfigLatency).Mean
 }
 
-// Fig6 reproduces Figure 6: configuration latency versus transmission
-// range at a fixed network size. The quorum protocol stays below ~10 hops
-// across ranges while MANETconf stays above ~15.
-func Fig6(cfg Config) (Figure, error) {
-	cfg.setDefaults()
-	fig := Figure{
-		ID:     "fig6",
-		Title:  fmt.Sprintf("Configuration latency vs transmission range (nn=%d)", cfg.MidSize),
-		XLabel: "range (m)",
-		YLabel: "latency (hops)",
-	}
-	series, err := cfg.gridSweep("fig6", cfg.Ranges, func(i int) workload.Scenario {
-		return workload.Scenario{
-			NumNodes:          cfg.MidSize,
-			TransmissionRange: cfg.Ranges[i],
-			Speed:             20,
-			ArrivalInterval:   cfg.ArrivalInterval,
-		}
-	}, []sweepSpec{
-		{Name: "quorum", Build: cfg.buildQuorum(nil), Metric: meanLatency},
-		{Name: "manetconf", Build: cfg.buildMANETconf(), Metric: meanLatency},
-	}, true)
-	if err != nil {
-		return Figure{}, err
-	}
-	fig.Series = series
-	return fig, nil
+// hops is the message overhead, in hops, over the given categories.
+func hops(cats ...metrics.Category) func(*workload.Result) float64 {
+	return func(res *workload.Result) float64 { return float64(res.Metrics().TotalHops(cats...)) }
 }
 
-// Fig7 reproduces Figure 7: the quorum protocol's configuration latency
-// over the (transmission range x network size) grid. Every series of the
-// surface fans out concurrently and each series fans its sizes, so the
-// whole grid saturates the worker pool.
-func Fig7(cfg Config) (Figure, error) {
-	cfg.setDefaults()
-	fig := Figure{
-		ID:     "fig7",
-		Title:  "Quorum configuration latency vs size, per transmission range",
-		XLabel: "nodes",
-		YLabel: "latency (hops)",
+// counter reads a protocol counter.
+func counter(name string) func(*workload.Result) float64 {
+	return func(res *workload.Result) float64 { return float64(res.Metrics().Counter(name)) }
+}
+
+// configuredFraction is the share of the network's nodes holding an
+// address.
+func configuredFraction(res *workload.Result) float64 {
+	return float64(res.Proto.(*core.Protocol).ConfiguredCount()) / float64(res.RT.Topo.Len())
+}
+
+// quorumStructure measures Figure 12 over the quorum protocol's heads:
+// the mean QDSet size, the aggregate extension factor (total usable space,
+// IPSpace plus QuorumSpace, over total owned space) and the mean usable
+// space per head.
+func quorumStructure(res *workload.Result, _ workload.Scenario) []float64 {
+	qp := res.Proto.(*core.Protocol)
+	heads := qp.Heads()
+	if len(heads) == 0 {
+		return []float64{0, 0, 0}
 	}
-	series := make([]Series, len(cfg.Ranges))
-	err := cfg.parallelDo(len(cfg.Ranges), func(ri int) error {
-		tr := cfg.Ranges[ri]
-		ss, err := cfg.gridSweep("fig7", floats(cfg.Sizes), func(i int) workload.Scenario {
-			return workload.Scenario{
-				NumNodes:          cfg.Sizes[i],
-				TransmissionRange: tr,
-				Speed:             20,
-				ArrivalInterval:   cfg.ArrivalInterval,
+	var qd, ownTot, effTot float64
+	for _, h := range heads {
+		qd += float64(qp.QDSetSize(h))
+		ownTot += float64(qp.OwnSpaceSize(h))
+		effTot += float64(qp.EffectiveSpaceSize(h))
+	}
+	ext := 0.0
+	if ownTot > 0 {
+		ext = effTot / ownTot
+	}
+	n := float64(len(heads))
+	return []float64{qd / n, ext, effTot / n}
+}
+
+// ctreePool is the C-tree scheme's mean pool per coordinator.
+func ctreePool(res *workload.Result, _ workload.Scenario) []float64 {
+	cp := res.Proto.(*ctree.Protocol)
+	coords := cp.Coordinators()
+	if len(coords) == 0 {
+		return []float64{0}
+	}
+	var pool float64
+	for _, id := range coords {
+		pool += float64(cp.PoolSize(id))
+	}
+	return []float64{pool / float64(len(coords))}
+}
+
+// fig12Plot reduces Figure 12: the per-round means of QDSet size and
+// extension factor, and the quorum protocol's usable space over the C-tree
+// pool, each summed over the rounds.
+func fig12Plot(g *grid) []Figure {
+	ratio := Series{Name: "vs ctree (x)", Points: make([]Point, len(g.row.xs))}
+	for xi, x := range g.row.xs {
+		eff, pool := sum(g.at(xi, 0, 2)), sum(g.at(xi, 1, 0))
+		ratio.Points[xi] = Point{X: x}
+		if pool > 0 {
+			ratio.Points[xi].Y = eff / pool
+		}
+	}
+	return []Figure{g.figure(g.series("avg |QDSet|", 0, 0, avg), g.series("space extension (x)", 0, 1, avg), ratio)}
+}
+
+// quorumKill kills a fraction of the heads at once and returns the share
+// of killed heads whose state is unrecoverable: fewer than half their
+// QDSet survived (§VI-D2).
+func quorumKill(res *workload.Result, frac float64) []float64 {
+	qp := res.Proto.(*core.Protocol)
+	// Measure the replication mechanism: draw victims among heads that can
+	// hold replicas (heads alone in a one-head island have no replication
+	// story under either protocol; see EXPERIMENTS.md).
+	var heads []radio.NodeID
+	for _, h := range qp.Heads() {
+		if len(qp.HoldersOf(h)) > 1 {
+			heads = append(heads, h)
+		}
+	}
+	victims := pickVictims(res, heads, frac)
+	holders := make(map[radio.NodeID][]radio.NodeID, len(victims))
+	dead := make(map[radio.NodeID]bool, len(victims))
+	for _, v := range victims {
+		holders[v] = qp.HoldersOf(v)
+		dead[v] = true
+	}
+	for _, v := range victims {
+		qp.NodeDeparting(v, false)
+	}
+	var lost float64
+	for _, v := range victims {
+		// QDSet = holders minus the owner itself.
+		var qd, survivors int
+		for _, h := range holders[v] {
+			if h == v {
+				continue
 			}
-		}, []sweepSpec{
-			{Name: fmt.Sprintf("tr=%gm", tr), Build: cfg.buildQuorum(nil), Metric: meanLatency},
-		}, false)
-		if err != nil {
-			return err
+			qd++
+			if !dead[h] {
+				survivors++
+			}
 		}
-		series[ri] = ss[0]
-		return nil
-	})
-	if err != nil {
-		return Figure{}, err
+		if qd == 0 || 2*survivors < qd {
+			lost++
+		}
 	}
-	fig.Series = series
-	return fig, nil
+	return []float64{lostShare(lost, len(victims))}
 }
 
-// Fig8 reproduces Figure 8: total configuration message overhead (hops)
-// versus network size, quorum against Mohsin–Prakash. The buddy scheme's
-// cheap splits are swamped by its periodic global table synchronization,
-// so its total grows superlinearly while the quorum protocol stays local.
-func Fig8(cfg Config) (Figure, error) {
-	cfg.setDefaults()
-	fig := Figure{
-		ID:     "fig8",
-		Title:  "Configuration message overhead vs network size (tr=150m)",
-		XLabel: "nodes",
-		YLabel: "overhead (hops)",
-	}
-	configCost := func(res *workload.Result) float64 {
-		// Configuration plus whatever state synchronization the protocol
-		// needs to keep configuring correctly (the paper's point: [2]
-		// pays for global table sync, we do not).
-		return float64(res.Metrics().TotalHops(metrics.CatConfig, metrics.CatSync))
-	}
-	series, err := cfg.gridSweep("fig8", floats(cfg.Sizes), func(i int) workload.Scenario {
-		return workload.Scenario{
-			NumNodes:          cfg.Sizes[i],
-			TransmissionRange: 150,
-			Speed:             20,
-			ArrivalInterval:   cfg.ArrivalInterval,
+// ctreeKill does the same over the C-tree scheme: a killed coordinator's
+// state survives only if it had reported to a C-root that is itself still
+// alive.
+func ctreeKill(res *workload.Result, frac float64) []float64 {
+	cp := res.Proto.(*ctree.Protocol)
+	// Same victim rule as the quorum round: coordinators that can be
+	// backed up, i.e. can reach the C-root.
+	snap := res.RT.Net.Snapshot()
+	root, hasRoot := cp.Root()
+	var coords []radio.NodeID
+	for _, c := range cp.Coordinators() {
+		if c == root || (hasRoot && snap.Reachable(c, root)) {
+			coords = append(coords, c)
 		}
-	}, []sweepSpec{
-		{Name: "quorum", Build: cfg.buildQuorum(nil), Metric: configCost},
-		{Name: "buddy", Build: cfg.buildBuddy(), Metric: configCost},
-	}, true)
-	if err != nil {
-		return Figure{}, err
 	}
-	fig.Series = series
-	return fig, nil
+	victims := pickVictims(res, coords, frac)
+	for _, v := range victims {
+		cp.NodeDeparting(v, false)
+	}
+	var lost float64
+	for _, v := range victims {
+		if !cp.StatePreserved(v) {
+			lost++
+		}
+	}
+	return []float64{lostShare(lost, len(victims))}
 }
 
-// Fig9 reproduces Figure 9: departure message overhead versus network
-// size, quorum against Mohsin–Prakash. Half the nodes depart gracefully;
-// the buddy scheme floods a table update per departure while the quorum
-// protocol returns each address locally.
-func Fig9(cfg Config) (Figure, error) {
-	cfg.setDefaults()
-	fig := Figure{
-		ID:     "fig9",
-		Title:  "Departure message overhead vs network size (tr=150m)",
-		XLabel: "nodes",
-		YLabel: "overhead (hops)",
+// pickVictims draws frac of the candidates (at least one when frac > 0)
+// from the round's seeded randomness.
+func pickVictims(res *workload.Result, candidates []radio.NodeID, frac float64) []radio.NodeID {
+	k := int(float64(len(candidates)) * frac)
+	if k == 0 && frac > 0 && len(candidates) > 0 {
+		k = 1
 	}
-	departCost := func(res *workload.Result) float64 {
-		return float64(res.Metrics().Hops(metrics.CatDeparture))
+	perm := res.RT.Sim.Rand().Perm(len(candidates))
+	victims := make([]radio.NodeID, 0, k)
+	for _, idx := range perm[:k] {
+		victims = append(victims, candidates[idx])
 	}
-	series, err := cfg.gridSweep("fig9", floats(cfg.Sizes), func(i int) workload.Scenario {
-		return workload.Scenario{
-			NumNodes:          cfg.Sizes[i],
-			TransmissionRange: 150,
-			Speed:             20,
-			ArrivalInterval:   cfg.ArrivalInterval,
-			DepartFraction:    0.5,
-			AbruptFraction:    0,
-		}
-	}, []sweepSpec{
-		{Name: "quorum", Build: cfg.buildQuorum(nil), Metric: departCost},
-		{Name: "buddy", Build: cfg.buildBuddy(), Metric: departCost},
-	}, true)
-	if err != nil {
-		return Figure{}, err
+	return victims
+}
+
+func lostShare(lost float64, killed int) float64 {
+	if killed == 0 {
+		return 0
 	}
-	fig.Series = series
-	return fig, nil
+	return lost / float64(killed)
 }

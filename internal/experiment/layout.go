@@ -42,7 +42,7 @@ func GenerateLayout(cfg Config, nn int, seed int64) (Layout, error) {
 		Speed:             0,
 		ArrivalInterval:   cfg.ArrivalInterval,
 	}
-	res, err := workload.Run(sc, cfg.buildQuorum(nil))
+	res, err := workload.Run(sc, cfg.quorum(nil)(float64(nn)))
 	if err != nil {
 		return Layout{}, fmt.Errorf("layout: %w", err)
 	}

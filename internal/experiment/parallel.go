@@ -3,26 +3,26 @@ package experiment
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"quorumconf/internal/workload"
 )
 
-// The sweep engine fans independent seeded simulation rounds onto a
-// bounded worker pool while keeping figures bit-identical to a serial run.
-// The determinism contract has three parts:
+// The grid engine runs every row of the catalog: it fans the independent
+// seeded rounds of a row onto a bounded worker pool while keeping figures
+// bit-identical to a serial run. The determinism contract has three parts:
 //
-//  1. Seeds are a pure function of the round index (BaseSeed + r*7919),
-//     never of scheduling order.
-//  2. Every goroutine writes its result into its own index slot; nothing
-//     is appended from a worker.
-//  3. Reductions (mean, stddev, series assembly) run after the fan-in, in
-//     index order, so floating-point accumulation order matches the old
-//     serial loops exactly.
+//  1. Seeds are a pure function of the round index (Config.seed), never of
+//     scheduling order.
+//  2. Every round writes its metrics into its own index slot; nothing is
+//     appended from a worker.
+//  3. Reductions (mean, stddev, sums) run after the fan-in, in round order,
+//     so floating-point accumulation order is the serial loop's.
 //
 // Concurrency is admitted only at the leaf — around one simulated round —
-// via Config.acquire. Outer fan-out levels (figures under All, grid points
-// under a figure) spawn cheap goroutines freely, so nested parallelism can
-// never deadlock on the semaphore and memory stays bounded by Workers
+// via Config.acquire. Outer fan-out levels (rows under All, cells under a
+// row) spawn cheap goroutines freely, so nested parallelism can never
+// deadlock on the semaphore and memory stays bounded by Workers
 // concurrently-live simulations.
 
 // parallelDo runs jobs 0..n-1 and waits for all of them. With Workers <= 1
@@ -70,62 +70,143 @@ func (c Config) acquire() func() {
 	return func() { <-c.sem }
 }
 
-// runRound executes one scenario under the admission semaphore. Every
-// experiment round funnels through here, so attaching Config.Tracer at
-// this seam covers all sweeps.
-func (c Config) runRound(sc workload.Scenario, build workload.BuildFunc) (*workload.Result, error) {
+// seed is the scenario seed of round r, the same at every x and arm.
+func (c Config) seed(r int) int64 { return c.BaseSeed + int64(r)*7919 }
+
+// runRound runs one round of arm a at x under the admission semaphore and
+// returns the metrics that a.kill, or else measure, read from it. Every
+// simulated round of every row funnels through here, so attaching
+// Config.Tracer at this seam covers all sweeps.
+func (c Config) runRound(sc workload.Scenario, a *arm, x float64, measure measure) ([]float64, error) {
 	release := c.acquire()
 	defer release()
 	if sc.Tracer == nil {
 		sc.Tracer = c.Tracer
 	}
-	return workload.Run(sc, build)
+	res, err := workload.Prepare(sc, a.build(x))
+	if err != nil {
+		return nil, err
+	}
+	var vals []float64
+	if a.kill != nil {
+		res.RT.Sim.ScheduleAt(res.Horizon-time.Second, func() { vals = a.kill(res, x) })
+	}
+	if err := res.RT.Sim.RunUntil(res.Horizon); err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
+	}
+	if a.kill == nil {
+		vals = measure(res, sc)
+	}
+	return vals, nil
 }
 
-// sweepSpec is one series of a grid sweep: a protocol builder and the
-// metric extracted from each round.
-type sweepSpec struct {
-	Name   string
-	Build  workload.BuildFunc
-	Metric func(*workload.Result) float64
+// A grid holds the metrics of every (x, arm, round) cell of one row.
+type grid struct {
+	row    *row
+	vals   [][]float64 // [(xi*len(arms)+ai)*rounds+r] -> metrics
+	rounds int
 }
 
-// gridSweep evaluates every (x, series, round) cell of a figure grid on the
-// worker pool and assembles one Series per spec with points in x order.
-// scenario(i) builds the scenario column for xs[i] (Seed is assigned per
-// round by statsOver). When withErr is false the sample standard deviation
-// is dropped from the points, matching the figures that historically used
-// averageOver.
-func (c Config) gridSweep(figID string, xs []float64, scenario func(i int) workload.Scenario, specs []sweepSpec, withErr bool) ([]Series, error) {
-	type cell struct{ mean, std float64 }
-	cells := make([]cell, len(xs)*len(specs))
-	err := c.parallelDo(len(cells), func(i int) error {
-		xi, si := i/len(specs), i%len(specs)
-		sp := specs[si]
-		mean, std, err := c.statsOver(scenario(xi), sp.Build, sp.Metric)
-		if err != nil {
-			return fmt.Errorf("%s %s x=%g: %w", figID, sp.Name, xs[xi], err)
+// at returns metric m of arm ai at x index xi, one value per round in
+// round order.
+func (g *grid) at(xi, ai, m int) []float64 {
+	k := (xi*len(g.row.arms) + ai) * g.rounds
+	out := make([]float64, g.rounds)
+	for r := range out {
+		out[r] = g.vals[k+r][m]
+	}
+	return out
+}
+
+// series reduces metric m of arm ai at every x to one point.
+func (g *grid) series(name string, ai, m int, red reducer) Series {
+	s := Series{Name: name, Points: make([]Point, len(g.row.xs))}
+	for xi, x := range g.row.xs {
+		y, e := red(g.at(xi, ai, m))
+		s.Points[xi] = Point{X: x, Y: y, Err: e}
+	}
+	return s
+}
+
+// figure wraps series in the row's header.
+func (g *grid) figure(series ...Series) Figure {
+	return Figure{ID: g.row.id, Title: g.row.title, XLabel: g.row.xlabel, YLabel: g.row.ylabel, Series: series}
+}
+
+// sweep runs every (x, arm, round) cell of rw exactly once and reduces the
+// rounds into the row's figures. Cells run x by x (arm by arm for a
+// bySeries row), rounds innermost; with Workers <= 1 that is the order the
+// rounds run and trace in.
+func (c Config) sweep(rw *row) ([]Figure, error) {
+	nx, na := len(rw.xs), len(rw.arms)
+	g := &grid{row: rw, vals: make([][]float64, nx*na*c.Rounds), rounds: c.Rounds}
+	err := c.parallelDo(len(g.vals), func(i int) error {
+		cell, r := i/c.Rounds, i%c.Rounds
+		xi, ai := cell/na, cell%na
+		if rw.bySeries {
+			xi, ai = cell%nx, cell/nx
 		}
-		cells[i] = cell{mean, std}
+		x, a := rw.xs[xi], &rw.arms[ai]
+		sc := rw.scenario(x)
+		if a.at != nil {
+			a.at(&sc)
+		}
+		sc.Seed = c.seed(r)
+		measure := a.measure
+		if measure == nil {
+			measure = rw.measureMetric
+		}
+		vals, err := c.runRound(sc, a, x, measure)
+		if err != nil {
+			return fmt.Errorf("%s %s x=%g: %w", rw.id, a.name, x, err)
+		}
+		g.vals[(xi*na+ai)*c.Rounds+r] = vals
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	series := make([]Series, len(specs))
-	for si, sp := range specs {
-		s := Series{Name: sp.Name, Points: make([]Point, len(xs))}
-		for xi := range xs {
-			cl := cells[xi*len(specs)+si]
-			p := Point{X: xs[xi], Y: cl.mean}
-			if withErr {
-				p.Err = cl.std
-			}
-			s.Points[xi] = p
-		}
-		series[si] = s
+	if rw.plot != nil {
+		return rw.plot(g), nil
 	}
-	return series, nil
+	series := make([]Series, na)
+	for ai, a := range rw.arms {
+		series[ai] = g.series(a.name, ai, 0, rw.reduce)
+	}
+	return []Figure{g.figure(series...)}, nil
+}
+
+// A reducer turns one cell's per-round values, in round order, into a
+// point's Y and Err.
+type reducer func(vals []float64) (y, err float64)
+
+// meanErr is the Welford mean with the sample standard deviation as Err.
+func meanErr(vals []float64) (float64, float64) {
+	var st sampleStats
+	for _, v := range vals {
+		st.add(v)
+	}
+	return st.Mean(), st.Stddev()
+}
+
+// mean is the Welford mean without error bars.
+func mean(vals []float64) (float64, float64) {
+	y, _ := meanErr(vals)
+	return y, 0
+}
+
+// avg is the plain sum over rounds divided by their number.
+func avg(vals []float64) (float64, float64) { return sum(vals) / float64(len(vals)), 0 }
+
+// percent is avg in percent, computed as 100·sum/n.
+func percent(vals []float64) (float64, float64) { return 100 * sum(vals) / float64(len(vals)), 0 }
+
+func sum(vals []float64) float64 {
+	var s float64
+	for _, v := range vals {
+		s += v
+	}
+	return s
 }
 
 // floats converts a sweep axis of ints to the float64 x values figures

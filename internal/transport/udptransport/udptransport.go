@@ -310,9 +310,6 @@ func New(cfg Config) (*Transport, error) {
 	return t, nil
 }
 
-// LocalID returns the node this transport endpoint belongs to.
-func (t *Transport) LocalID() radio.NodeID { return t.cfg.ID }
-
 // LocalAddr returns the bound UDP address (useful with ephemeral ports).
 func (t *Transport) LocalAddr() *net.UDPAddr { return t.conn.LocalAddr().(*net.UDPAddr) }
 
