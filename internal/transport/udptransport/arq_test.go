@@ -3,6 +3,7 @@ package udptransport
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -399,5 +400,57 @@ func TestOversizeFrameBehindSmallOnes(t *testing.T) {
 			}
 			rec.checkInOrder(t, small+2)
 		})
+	}
+}
+
+// TestLateAckDoesNotCompleteNextExchange: a peer that acknowledges the
+// first exchange and then answers every later frame with that same stale
+// ack has acknowledged nothing else. The second exchange must run its whole
+// retransmission schedule and fail, not complete on the late duplicate.
+func TestLateAckDoesNotCompleteNextExchange(t *testing.T) {
+	a, err := New(Config{ID: 1, RetryBase: 5 * time.Millisecond, MaxAttempts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close(context.Background()) })
+	peer := rawSocket(t)
+	if err := a.AddPeer(2, peer.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		buf := make([]byte, 64*1024)
+		var first uint64
+		for {
+			n, raddr, err := peer.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			if n < 1 || buf[0] != frameData {
+				continue
+			}
+			env, err := wire.Decode(buf[1:n])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if first == 0 {
+				first = env.MsgID
+			}
+			if _, err := peer.WriteToUDP(binary.AppendUvarint([]byte{frameAck}, first), raddr); err != nil {
+				return
+			}
+		}
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := a.SendWait(ctx, numbered(0)); err != nil {
+		t.Fatalf("first exchange: %v", err)
+	}
+	if err := a.SendWait(ctx, numbered(1)); !errors.Is(err, ErrRetriesExhausted) {
+		t.Fatalf("second exchange answered only by the first one's ack: %v, want ErrRetriesExhausted", err)
+	}
+	if got := a.Metrics().Counter(CtrAckRx); got < 2 {
+		t.Errorf("ack_rx = %d, want at least 2: the peer sent no late ack", got)
 	}
 }

@@ -171,3 +171,27 @@ func TestBatchSendWaitShareFate(t *testing.T) {
 		}
 	}
 }
+
+// TestFlushDelayLingers: with a flush delay set, a message that finds the
+// queue dry waits for stragglers. A second message sent 5ms later, well
+// inside the 50ms linger, leaves in the same batch frame.
+func TestFlushDelayLingers(t *testing.T) {
+	a, b := newPairWith(t, Config{BatchFlushDelay: 50 * time.Millisecond})
+	var rec orderRecorder
+	b.SetHandler(rec.handle)
+	if err := a.Send(context.Background(), numbered(0)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if err := a.Send(context.Background(), numbered(1)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return rec.len() == 2 })
+	rec.checkInOrder(t, 2)
+	if got := a.Metrics().Counter(CtrBatchTx); got != 1 {
+		t.Errorf("batch frames = %d, want 1: the second message did not ride the first one's frame", got)
+	}
+	if got := a.Metrics().Counter(CtrBatched); got != 2 {
+		t.Errorf("batched envelopes = %d, want 2", got)
+	}
+}
