@@ -492,7 +492,14 @@ func (d *Daemon) loop() {
 }
 
 // post hands a closure to the event loop; drops it when the daemon died.
+// The queue almost always has room, and a non-blocking send is cheaper
+// than the two-way select, which only a full queue needs.
 func (d *Daemon) post(fn func()) {
+	select {
+	case d.events <- fn:
+		return
+	default:
+	}
 	select {
 	case d.events <- fn:
 	case <-d.done:

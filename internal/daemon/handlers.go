@@ -371,24 +371,36 @@ func (d *Daemon) propose(b *ballot) {
 
 // voters returns the peers b's current round sends QUORUM_CLT to. A first
 // round asks every live peer outside the replica set (it answers without a
-// replica and leaves the tally) and, of the live replica holders, the
-// len(roster)/2+1 heard from most recently: one more than the allocator's
-// own vote needs for a majority, so one silent voter costs no timeout. A
-// retried round asks every live peer. The tally stays over the whole
-// roster, so every decision still rests on a majority of it.
+// replica and leaves the tally) and len(roster)/2+1 of the live replica
+// holders: one more than the allocator's own vote needs for a majority, so
+// one silent voter costs no timeout. Holders of the commit's write set
+// rank first — the requestor and the failover successor, the lowest-ID
+// live peer, get the write at once whether asked or not (writeSet) — and
+// then the holders heard from most recently. A retried round asks every
+// live peer. The tally stays over the whole roster, so every decision
+// still rests on a majority of it.
 func (d *Daemon) voters(b *ballot) []*member {
 	peers := d.peers()
-	if b.attempts > 1 {
+	if b.attempts > 1 || len(peers) == 0 {
 		return peers
 	}
-	// Non-holders first, then holders freshest first (ties by ascending ID),
-	// cut after the first len(roster)/2+1 holders.
+	successor := peers[0].id // peers ascend by ID
+	written := func(m *member) bool { return m.id == b.requestor || m.id == successor }
+	// Non-holders first, then holders in the write set, then the other
+	// holders freshest first (ties by ascending ID), cut after the first
+	// len(roster)/2+1 holders.
 	slices.SortFunc(peers, func(x, y *member) int {
 		if x.holder != y.holder {
 			if x.holder {
 				return 1
 			}
 			return -1
+		}
+		if wx, wy := written(x), written(y); wx != wy {
+			if wx {
+				return -1
+			}
+			return 1
 		}
 		return cmp.Or(cmp.Compare(y.lastSeen, x.lastSeen), cmp.Compare(x.id, y.id))
 	})

@@ -35,36 +35,50 @@ func TestVoters(t *testing.T) {
 		return out
 	}
 	cases := []struct {
-		name     string
-		peers    []peer
-		attempts int
-		want     []radio.NodeID
+		name      string
+		peers     []peer
+		attempts  int
+		want      []radio.NodeID
+		requestor radio.NodeID // 0: self, the owner's own allocation
 	}{
-		{"full n=3 asks both", holders(1, 2), 1, []radio.NodeID{2, 3}},
-		{"full n=4 asks all three", holders(3, 1, 2), 1, []radio.NodeID{2, 3, 4}},
-		{"full n=5 asks the three freshest", holders(4, 1, 3, 2), 1, []radio.NodeID{2, 4, 5}},
-		{"full n=7 asks the four freshest", holders(6, 1, 5, 2, 4, 3), 1, []radio.NodeID{2, 4, 6, 7}},
-		{"never heard from sorts last", holders(-1, 1, 2, 3), 1, []radio.NodeID{3, 4, 5}},
-		{"ties go to the lower ID", holders(1, 1, 1, 1), 1, []radio.NodeID{2, 3, 4}},
-		{"retried round asks everyone", holders(4, 1, 3, 2), 2, []radio.NodeID{2, 3, 4, 5}},
-		{"no holder flags yet (promoted owner) asks everyone", []peer{{id: 2}, {id: 3}, {id: 4}, {id: 5}}, 1, []radio.NodeID{2, 3, 4, 5}},
+		{"full n=3 asks both", holders(1, 2), 1, []radio.NodeID{2, 3}, 0},
+		{"full n=4 asks all three", holders(3, 1, 2), 1, []radio.NodeID{2, 3, 4}, 0},
+		{"full n=5 asks the three freshest", holders(4, 1, 3, 2), 1, []radio.NodeID{2, 4, 5}, 0},
+		{"full n=7 asks the four freshest", holders(6, 1, 5, 2, 4, 3), 1, []radio.NodeID{2, 4, 6, 7}, 0},
+		{"never heard from sorts last", holders(1, -1, 2, 3), 1, []radio.NodeID{2, 4, 5}, 0},
+		{"the successor is asked however stale", holders(-1, 1, 2, 3), 1, []radio.NodeID{2, 4, 5}, 0},
+		{"ties go to the lower ID", holders(1, 1, 1, 1), 1, []radio.NodeID{2, 3, 4}, 0},
+		{"retried round asks everyone", holders(4, 1, 3, 2), 2, []radio.NodeID{2, 3, 4, 5}, 0},
+		{"no holder flags yet (promoted owner) asks everyone", []peer{{id: 2}, {id: 3}, {id: 4}, {id: 5}}, 1, []radio.NodeID{2, 3, 4, 5}, 0},
 		{"bounded target 3 of 5 asks everyone", []peer{
 			{id: 2, seen: 1, holder: true}, {id: 3, seen: 2, holder: true}, {id: 4, seen: 3}, {id: 5, seen: 4},
-		}, 1, []radio.NodeID{2, 3, 4, 5}},
+		}, 1, []radio.NodeID{2, 3, 4, 5}, 0},
 		{"bounded target 6 of 7 keeps the non-holder", []peer{
 			{id: 2, seen: 5, holder: true}, {id: 3, seen: 1, holder: true}, {id: 4, seen: 4, holder: true},
 			{id: 5, seen: 3, holder: true}, {id: 6, seen: 2, holder: true}, {id: 7, seen: 0},
-		}, 1, []radio.NodeID{2, 4, 5, 6, 7}},
+		}, 1, []radio.NodeID{2, 4, 5, 6, 7}, 0},
 		{"dead members are never asked", []peer{
 			{id: 2, seen: 9, holder: true, dead: true}, {id: 3, seen: 1, holder: true}, {id: 4, seen: 2, holder: true}, {id: 5, seen: 3, holder: true},
-		}, 1, []radio.NodeID{3, 4, 5}},
+		}, 1, []radio.NodeID{3, 4, 5}, 0},
 		{"dead members still count in the majority", []peer{
 			{id: 2, seen: 1, holder: true}, {id: 3, seen: 2, holder: true}, {id: 4, seen: 3, holder: true}, {id: 5, seen: 4, holder: true},
 			{id: 6, seen: 5, holder: true}, {id: 7, seen: 6, holder: true, dead: true},
-		}, 1, []radio.NodeID{3, 4, 5, 6}},
+		}, 1, []radio.NodeID{2, 4, 5, 6}, 0},
 		{"dead members are not asked on a retry either", []peer{
 			{id: 2, seen: 1, holder: true}, {id: 3, seen: 2, holder: true, dead: true}, {id: 4, seen: 3, holder: true}, {id: 5, seen: 4, holder: true},
-		}, 3, []radio.NodeID{2, 4, 5}},
+		}, 3, []radio.NodeID{2, 4, 5}, 0},
+		{"the requestor ranks first", holders(4, 1, 3, 2), 1, []radio.NodeID{2, 3, 4}, 3},
+		{"the requestor and the successor rank first", holders(4, 1, 2, 3, 6, 5), 1, []radio.NodeID{2, 3, 6, 7}, 3},
+		{"a requestor that is the successor", holders(1, 4, 3, 2), 1, []radio.NodeID{2, 3, 4}, 2},
+		{"a requestor outside the roster changes nothing", holders(4, 1, 3, 2), 1, []radio.NodeID{2, 4, 5}, 9},
+		{"a requestor outside the replica set is asked as a non-holder", []peer{
+			{id: 2, seen: 1, holder: true}, {id: 3, seen: 2, holder: true}, {id: 4, seen: 3, holder: true}, {id: 5, seen: 4},
+		}, 1, []radio.NodeID{2, 3, 4, 5}, 5},
+		{"a retried round asks everyone whoever requested", holders(4, 1, 3, 2), 2, []radio.NodeID{2, 3, 4, 5}, 3},
+		{"a dead successor: the next live peer succeeds", []peer{
+			{id: 2, seen: 9, holder: true, dead: true}, {id: 3, seen: 1, holder: true}, {id: 4, seen: 2, holder: true}, {id: 5, seen: 3, holder: true},
+			{id: 6, seen: 4, holder: true}, {id: 7, seen: 5, holder: true},
+		}, 1, []radio.NodeID{3, 5, 6, 7}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,7 +91,7 @@ func TestVoters(t *testing.T) {
 				d.roster = append(d.roster, m)
 			}
 			var got []radio.NodeID
-			for _, m := range d.voters(&ballot{attempts: tc.attempts}) {
+			for _, m := range d.voters(&ballot{attempts: tc.attempts, requestor: tc.requestor}) {
 				got = append(got, m.id)
 			}
 			slices.Sort(got)

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"quorumconf/internal/addrspace"
+	"quorumconf/internal/msg"
+	"quorumconf/internal/obs"
 	"quorumconf/internal/radio"
 )
 
@@ -223,16 +225,17 @@ func TestDeferredWritesStayBounded(t *testing.T) {
 }
 
 // TestFailoverAfterDeferredWrites: the owner dies holding writes back for
-// a lagging member, while the failover successor was not among the voters
-// either. The successor gets every commit at once all the same — or, for a
-// commit still queued at the owner when it died, from the holder's defense
-// — so within one reclamation of its promotion its table holds every
-// address granted before the crash, and no address is granted twice.
+// a lagging member, with the failover successor among the voters, as a
+// first round always asks it. The successor gets every commit at once — or,
+// for a commit still queued at the owner when it died, from the holder's
+// defense — so within one reclamation of its promotion its table holds
+// every address granted before the crash, and no address is granted twice.
 func TestFailoverAfterDeferredWrites(t *testing.T) {
 	ds := newCluster(t, 7, func(c *Config) {
 		c.HeartbeatInterval = 500 * time.Millisecond
 		c.SuspectAfter = 1500 * time.Millisecond
 		c.HealthInterval = -1
+		c.TraceRing = 1 << 14
 	})
 	waitFormed(t, ds)
 	owner, successor, lagging := ds[0], ds[1], ds[6]
@@ -250,32 +253,32 @@ func TestFailoverAfterDeferredWrites(t *testing.T) {
 		granted[a] = d.ID()
 	}
 
-	// A first round on seven daemons asks four of the six peers: make the
-	// successor and the lagging member the stalest, so that neither is
-	// asked. Allocate through members — a member's lease survives the
-	// owner's reclamation, the owner's own would not — and crash the owner
-	// once it holds writes back for the lagging member and has heard
-	// nothing from the successor since, so the successor did not vote.
+	// A first round on seven daemons asks four of the six peers: the
+	// successor, the requestor and the two freshest others. Make the
+	// lagging member the stalest, so that no round asks it. Allocate
+	// through members — a member's lease survives the owner's reclamation,
+	// the owner's own would not — and crash the owner once it holds writes
+	// back for the lagging member.
 	for attempt := 1; ; attempt++ {
-		var stale time.Duration
+		seq := lastSeq(owner)
 		onLoopSync(t, owner, func() {
-			stale = owner.now() - time.Second
-			owner.member(successor.ID()).lastSeen = stale
-			owner.member(lagging.ID()).lastSeen = stale
+			owner.member(lagging.ID()).lastSeen = owner.now() - time.Second
 		})
 		for i := 0; i < 8; i++ {
 			grant(ds[2+i%2])
 		}
-		lagged, unasked := false, false
+		lagged := false
 		onLoopSync(t, owner, func() {
 			lagged = len(owner.member(lagging.ID()).pending) > 0
-			unasked = owner.member(successor.ID()).lastSeen == stale
 		})
-		if lagged && unasked {
+		if lagged {
+			if !votesAsked(owner, seq, successor.ID()) {
+				t.Fatal("no ballot round asked the successor for its vote")
+			}
 			break
 		}
 		if attempt == 10 {
-			t.Fatalf("no attempt left the successor unasked and the lagging member behind (last: %v, %v)", unasked, lagged)
+			t.Fatal("no attempt left the lagging member behind")
 		}
 	}
 	before := make([]addrspace.Addr, 0, len(granted))
@@ -305,4 +308,15 @@ func TestFailoverAfterDeferredWrites(t *testing.T) {
 	if n := occupiedAt(t, successor, before); n != len(before) {
 		t.Errorf("after more allocations the promoted owner shows %d of the %d earlier grants occupied", n, len(before))
 	}
+}
+
+// votesAsked reports whether d sent QUORUM_CLT to peer after the event
+// numbered seq.
+func votesAsked(d *Daemon, seq uint64, peer radio.NodeID) bool {
+	for _, e := range d.Trace() {
+		if e.Seq > seq && e.Kind == obs.EvTransportSend && e.Detail == msg.TQuorumClt && e.Peer == peer {
+			return true
+		}
+	}
+	return false
 }

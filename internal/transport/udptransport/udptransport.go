@@ -4,8 +4,8 @@
 // are lost, reordered and duplicated. The transport adds the minimum ARQ a
 // deployable daemon needs without becoming TCP:
 //
-//   - per-destination send queues: one worker per peer drains messages in
-//     order, so a slow peer cannot stall traffic to the others;
+//   - per-destination senders: each peer's messages queue on their own
+//     sender, so a slow peer cannot stall traffic to the others;
 //   - stop-and-wait retransmission, one exchange in flight per peer, so
 //     per-(source, destination) FIFO delivery needs no sequence numbers;
 //   - positive acknowledgements by message ID, and receive-side
@@ -22,22 +22,43 @@
 //	'B' <wire batch frame>       coalesced data (N envelopes, one header)
 //	'A' <uvarint message ID>     acknowledgement
 //
+// # The sender
+//
+// Each destination's ARQ is an explicit state machine, a sender record
+// under its own mutex: the queue, the exchange in flight (its members, the
+// first message ID, the sealed datagram, the attempt, the back-off and the
+// first-send time), the round-trip estimator and one reusable timer. Three
+// transitions move it:
+//
+//   - start runs on the destination's goroutine, which does nothing else.
+//     It drains the queue into one exchange, builds and seals the frame
+//     outside the lock, arms the timer and writes the first copy. Send
+//     wakes the goroutine only when the destination is idle.
+//   - ack runs on the socket read loop. It stops the timer, samples the
+//     round trip, hands every member its fate and wakes the goroutine only
+//     if messages queued meanwhile, so an ack that ends a burst wakes
+//     nobody.
+//   - expire is the timer's callback. It sends another copy or gives the
+//     exchange up, and ignores a stale fire by checking the deadline it
+//     armed.
+//
 // # Coalescing
 //
-// Every exchange carries whatever its destination's queue holds: the worker
+// Every exchange carries whatever its destination's queue holds: start
 // drains what is already waiting — messages pile up during the previous
-// exchange's round trip — into one 'B' frame and flushes when the queue runs
-// dry; a lone message leaves as a plain 'D' frame. BatchFlushBytes caps a
-// batch's payload (default about one MTU; the message that would overflow
-// it opens the next exchange) and BatchFlushDelay optionally lingers for
-// stragglers. A batch rides the ARQ as a unit, keyed on its first envelope's
-// message ID; the receiver acknowledges that ID once and delivers each
-// inner envelope through the usual per-envelope dedup, so a retransmitted
-// batch cannot double-deliver.
+// exchange's round trip, and while the goroutine is being scheduled — into
+// one 'B' frame; a lone message leaves as a plain 'D' frame. That wake-up
+// lag is what lets a burst share a frame. BatchFlushBytes caps a batch's
+// payload (default about one MTU; the message that would overflow it opens
+// the next exchange) and BatchFlushDelay optionally lingers for
+// stragglers. A batch rides the ARQ as a unit, keyed on its first
+// envelope's message ID; the receiver acknowledges that ID once and
+// delivers each inner envelope through the usual per-envelope dedup, so a
+// retransmitted batch cannot double-deliver.
 //
 // # Retransmission
 //
-// Each worker keeps a Jacobson/Karels estimate of its peer's ack round trip
+// Each sender keeps a Jacobson/Karels estimate of its peer's ack round trip
 // (SRTT, RTTVAR; by Karn's rule only exchanges acknowledged on their first
 // transmission are sampled, and a backed-off delay that got an ack stays in
 // force until the next sample). The first retransmission fires after
@@ -60,10 +81,11 @@
 // wire.Seal) and inbound datagrams that do not verify are dropped with an
 // auth_reject before any ARQ, dedup or handler state is touched. The HMAC
 // is keyed once per goroutine that seals or opens — the receive loop and
-// each destination's worker own one wire.Auth — not once per datagram. With
-// Config.RateLimit set, a per-remote-address token bucket is charged even
-// earlier: over-rate datagrams are dropped with a rate_limited before the
-// HMAC is even computed, so a flood cannot buy CPU with garbage.
+// each destination's goroutine own one wire.Auth — not once per datagram;
+// a retransmission resends the sealed bytes. With Config.RateLimit set, a
+// per-remote-address token bucket is charged even earlier: over-rate
+// datagrams are dropped with a rate_limited before the HMAC is even
+// computed, so a flood cannot buy CPU with garbage.
 package udptransport
 
 import (
@@ -73,6 +95,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -179,7 +202,7 @@ type Config struct {
 	// carry are capped internally.
 	BatchFlushBytes int
 	// BatchFlushDelay is the optional coalescing linger: after the queue
-	// runs dry the worker waits at most this long for more messages
+	// runs dry the sender waits at most this long for more messages
 	// before flushing. Zero (the default) flushes as soon as the queue is
 	// empty.
 	BatchFlushDelay time.Duration
@@ -261,9 +284,9 @@ type Transport struct {
 
 	mu       sync.Mutex
 	handler  Handler
-	peers    map[radio.NodeID]*net.UDPAddr
-	queues   map[radio.NodeID]chan outgoing
-	acks     map[uint64]chan struct{}
+	peers    map[radio.NodeID]netip.AddrPort
+	senders  map[radio.NodeID]*sender
+	inflight map[uint64]*sender // each sender's latest exchange, by its ack key
 	seen     map[dedupKey]struct{}
 	seenRing []dedupKey
 	seenPos  int
@@ -292,13 +315,13 @@ func New(cfg Config) (*Transport, error) {
 		return nil, fmt.Errorf("udptransport: %w", err)
 	}
 	t := &Transport{
-		cfg:    cfg,
-		conn:   conn,
-		peers:  make(map[radio.NodeID]*net.UDPAddr),
-		queues: make(map[radio.NodeID]chan outgoing),
-		acks:   make(map[uint64]chan struct{}),
-		seen:   make(map[dedupKey]struct{}),
-		done:   make(chan struct{}),
+		cfg:      cfg,
+		conn:     conn,
+		peers:    make(map[radio.NodeID]netip.AddrPort),
+		senders:  make(map[radio.NodeID]*sender),
+		inflight: make(map[uint64]*sender),
+		seen:     make(map[dedupKey]struct{}),
+		done:     make(chan struct{}),
 	}
 	// Message IDs start at a random offset: peers remember (source, ID)
 	// pairs across this endpoint's lifetime, so a node restarted under its
@@ -335,8 +358,27 @@ func (t *Transport) AddPeer(id radio.NodeID, addr string) error {
 	if t.closed {
 		return ErrClosed
 	}
-	t.peers[id] = uaddr
+	t.peers[id] = socketAddr(uaddr)
 	return nil
+}
+
+// socketAddr is uaddr as the socket's AddrPort calls take it: an IPv4
+// address unmapped, which an IPv4 socket requires, and a missing IP as the
+// unspecified IPv4 address, the local host, as WriteToUDP reads a nil IP.
+func socketAddr(uaddr *net.UDPAddr) netip.AddrPort {
+	ap := uaddr.AddrPort()
+	ip := ap.Addr().Unmap()
+	if !ip.IsValid() {
+		ip = netip.IPv4Unspecified()
+	}
+	return netip.AddrPortFrom(ip, ap.Port())
+}
+
+// peerAddr returns dst's current socket address.
+func (t *Transport) peerAddr(dst radio.NodeID) netip.AddrPort {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.peers[dst]
 }
 
 // Send stamps env (Src always, MsgID when zero), encodes and enqueues it.
@@ -397,41 +439,32 @@ func (t *Transport) send(ctx context.Context, env *wire.Envelope, result chan er
 		t.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrUnknownPeer, env.Dst)
 	}
-	q, ok := t.queues[env.Dst]
+	s, ok := t.senders[env.Dst]
 	if !ok {
-		q = make(chan outgoing, t.cfg.QueueLen)
-		t.queues[env.Dst] = q
+		s = t.newSender(env.Dst)
+		t.senders[env.Dst] = s
 		t.wg.Add(1)
-		go t.sendLoop(env.Dst, q)
+		go s.run()
 	}
 	t.mu.Unlock()
 
-	out := outgoing{frame: frame, msgID: env.MsgID, result: result}
-	select {
-	case q <- out:
+	switch err := s.enqueue(ctx, outgoing{frame: frame, msgID: env.MsgID, result: result}); err {
+	case nil:
 		t.trace(obs.EvTransportSend, env.Dst, env.MsgID, env.Type)
 		return nil
-	default:
-	}
-	if ctx.Done() == nil {
+	case ErrQueueFull:
 		t.cfg.Metrics.Inc(CtrSendDrop)
 		t.trace(obs.EvTransportDrop, env.Dst, env.MsgID, "queue_full")
 		return fmt.Errorf("%w: to %d", ErrQueueFull, env.Dst)
-	}
-	select {
-	case q <- out:
-		t.trace(obs.EvTransportSend, env.Dst, env.MsgID, env.Type)
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.done:
-		return ErrClosed
+	default:
+		return err
 	}
 }
 
-// Close stops the workers, closes the socket, and waits for the workers to
-// exit — up to ctx, after which Close returns the context error while
-// teardown finishes in the background.
+// Close stops the senders, closes the socket, and waits for the
+// destinations' goroutines and the read loop to exit — up to ctx, after
+// which Close returns the context error while teardown finishes in the
+// background.
 func (t *Transport) Close(ctx context.Context) error {
 	t.mu.Lock()
 	if t.closed {
@@ -440,6 +473,9 @@ func (t *Transport) Close(ctx context.Context) error {
 	}
 	t.closed = true
 	close(t.done)
+	for _, s := range t.senders {
+		s.signal()
+	}
 	t.mu.Unlock()
 	err := t.conn.Close()
 	idle := make(chan struct{})
@@ -466,8 +502,24 @@ func (t *Transport) trace(kind obs.EventKind, peer radio.NodeID, msgID uint64, d
 	})
 }
 
+// isClosed reports whether Close has been called.
+func (t *Transport) isClosed() bool {
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// horizon is how long after its first copy an exchange may be given up:
+// the time MaxAttempts copies spaced from RetryBase take.
+func (t *Transport) horizon() time.Duration {
+	return t.cfg.RetryBase<<t.cfg.MaxAttempts - t.cfg.RetryBase
+}
+
 // rttEstimator is one destination's Jacobson/Karels round-trip estimate,
-// owned by that destination's worker goroutine.
+// guarded by its sender's mutex.
 type rttEstimator struct {
 	srtt, rttvar time.Duration
 	sampled      bool
@@ -515,213 +567,344 @@ func (e *rttEstimator) rto(ceil time.Duration) time.Duration {
 	return rto
 }
 
-// worker is one destination's sender state, touched only by its sendLoop
-// goroutine.
-type worker struct {
+// sender is one destination's stop-and-wait ARQ as an explicit state
+// machine. Its transitions — start on run's goroutine, ack on the read
+// loop, expire on the timer's callback — each hold mu while they touch the
+// fields below it.
+type sender struct {
 	t       *Transport
 	dst     radio.NodeID
-	q       chan outgoing
-	auth    *wire.Auth // nil: authentication off
-	timer   *time.Timer
-	est     rttEstimator
-	rttHist *obs.Histogram // obs.HistTransportRTT
-	occHist *obs.Histogram // obs.HistBatchOccupancy
-	// carry is the message that would have pushed the previous batch past
-	// the byte cap; it opens the next one. Its frame is nil when there is
-	// none.
-	carry outgoing
+	wake    chan struct{} // holds run's one pending wake-up: start an exchange
+	timer   *time.Timer   // runs expire
+	rttHist *obs.Histogram
+	occHist *obs.Histogram
+
+	// Owned by run's goroutine.
+	auth   *wire.Auth // nil: authentication off
+	batch  []outgoing // the members being collected; the exchange's once started
+	frames [][]byte   // scratch for a batch frame's envelopes
+	lastID uint64     // the ack key start last registered in Transport.inflight
+
+	mu    sync.Mutex
+	queue []outgoing
+	// space is closed when messages leave a full queue; nil while no
+	// blocked Send waits on it.
+	space chan struct{}
+	// busy holds from the wake-up that starts an exchange until that
+	// exchange ends with the queue empty; Send wakes run only when it is
+	// clear. lingering holds while run waits out BatchFlushDelay, when
+	// every Send wakes it.
+	busy, lingering bool
+
+	// The exchange in flight; members is nil when there is none.
+	members  []outgoing
+	firstID  uint64        // the ack key: the first member's message ID
+	datagram []byte        // the sealed frame every copy resends
+	attempt  int           // copies sent before the latest one
+	backoff  time.Duration // the latest copy's wait before jitter
+	rto      time.Duration // the first copy's wait, the least the last one gets
+	first    time.Time     // when the first copy left
+	deadline time.Time     // when the armed timer fires; an earlier fire is stale
+	est      rttEstimator
 }
 
-// sendLoop drains one destination's queue, one stop-and-wait exchange at a
-// time. Each exchange carries whatever the queue holds — messages pile up
-// naturally during the previous exchange's round trip — so a busy peer gets
-// batch frames and an idle one plain data frames from the same code.
-func (t *Transport) sendLoop(dst radio.NodeID, q chan outgoing) {
-	defer t.wg.Done()
-	w := worker{t: t, dst: dst, q: q, auth: t.newAuth(), timer: time.NewTimer(0),
+func (t *Transport) newSender(dst radio.NodeID) *sender {
+	s := &sender{t: t, dst: dst, wake: make(chan struct{}, 1), auth: t.newAuth(),
 		rttHist: t.cfg.Histograms.Get(obs.HistTransportRTT, 1e-9),
 		occHist: t.cfg.Histograms.Get(obs.HistBatchOccupancy, 1)}
-	w.stopTimer()
+	s.timer = time.AfterFunc(time.Hour, s.expire)
+	s.timer.Stop()
+	return s
+}
+
+// signal leaves run a wake-up unless one is pending.
+func (s *sender) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// enqueue appends out to the queue, waking run if the destination is idle.
+// On a full queue it returns ErrQueueFull for a context that cannot be
+// cancelled, and otherwise waits for space until ctx is done.
+func (s *sender) enqueue(ctx context.Context, out outgoing) error {
 	for {
-		first := w.carry
-		w.carry = outgoing{}
-		if first.frame == nil {
-			select {
-			case <-t.done:
-				return
-			case first = <-q:
+		s.mu.Lock()
+		if len(s.queue) < s.t.cfg.QueueLen {
+			s.queue = append(s.queue, out)
+			if !s.busy || s.lingering {
+				s.busy = true
+				s.signal()
 			}
+			s.mu.Unlock()
+			return nil
 		}
-		w.exchange(w.collect(first))
-	}
-}
-
-func (w *worker) stopTimer() {
-	if !w.timer.Stop() {
-		<-w.timer.C
-	}
-}
-
-// collect gathers the messages of one exchange: first, everything already
-// queued, then — when a flush delay is configured — stragglers until the
-// deadline. The message that would take the payload past BatchFlushBytes
-// is carried over to open the next exchange, so a frame exceeds the cap
-// only when a single message does.
-func (w *worker) collect(first outgoing) []outgoing {
-	cfg := &w.t.cfg
-	batch := []outgoing{first}
-	size := len(first.frame) - 1
-	lingering := false
-	for len(batch) < wire.MaxBatch && size < cfg.BatchFlushBytes {
-		var out outgoing
+		if ctx.Done() == nil {
+			s.mu.Unlock()
+			return ErrQueueFull
+		}
+		if s.space == nil {
+			s.space = make(chan struct{})
+		}
+		space := s.space
+		s.mu.Unlock()
 		select {
-		case out = <-w.q:
-		default:
-			if cfg.BatchFlushDelay <= 0 {
-				return batch
-			}
-			if !lingering {
-				lingering = true
-				w.timer.Reset(cfg.BatchFlushDelay)
-			}
-			select {
-			case out = <-w.q:
-			case <-w.timer.C:
-				return batch
-			case <-w.t.done:
-				w.stopTimer()
-				return batch
-			}
+		case <-space:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-s.t.done:
+			return ErrClosed
 		}
-		if size += len(out.frame) - 1; size > cfg.BatchFlushBytes {
-			w.carry = out
+	}
+}
+
+// run is the destination's goroutine: each wake-up starts one exchange.
+// Close wakes it too, and it then fails the exchange in flight and exits.
+// It looks for Close both before it waits, since a lingering collect may
+// take Close's wake-up, and after, so that Close's wake-up starts nothing.
+func (s *sender) run() {
+	defer s.t.wg.Done()
+	for !s.t.isClosed() {
+		<-s.wake
+		if !s.t.isClosed() && s.collect() {
+			s.start()
+		}
+	}
+	s.close()
+}
+
+// collect moves the next exchange's members off the queue into s.batch,
+// lingering up to BatchFlushDelay for stragglers when that is set and the
+// frame has room. It reports false, leaving the sender idle, when the
+// queue was empty.
+func (s *sender) collect() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	clear(s.batch)
+	var size int
+	var full bool
+	s.batch, size, full = s.take(s.batch[:0], 0)
+	if len(s.batch) == 0 {
+		s.busy = false
+		return false
+	}
+	delay := s.t.cfg.BatchFlushDelay
+	if full || delay <= 0 {
+		return true
+	}
+	linger := time.NewTimer(delay)
+	defer linger.Stop()
+	s.lingering = true
+	for waiting := true; waiting && !full; {
+		s.mu.Unlock()
+		select {
+		case <-s.wake:
+		case <-linger.C:
+			waiting = false
+		case <-s.t.done:
+			waiting = false
+		}
+		s.mu.Lock()
+		s.batch, size, full = s.take(s.batch, size)
+	}
+	s.lingering = false
+	// A Send's wake-up left behind while lingering: its message is in this
+	// batch or waits for the next exchange, which the ack wakes run for.
+	select {
+	case <-s.wake:
+	default:
+	}
+	return true
+}
+
+// take moves queued messages into batch, whose payload is size bytes,
+// until it holds wire.MaxBatch messages or BatchFlushBytes of payload. The
+// message that would take it past the cap stays queued and opens the next
+// exchange, so a frame exceeds the cap only when one message does. full
+// reports that the batch closed for one of these reasons rather than
+// because the queue ran dry. Callers hold mu.
+func (s *sender) take(batch []outgoing, size int) (_ []outgoing, _ int, full bool) {
+	limit := s.t.cfg.BatchFlushBytes
+	n := 0
+	for ; n < len(s.queue); n++ {
+		next := len(s.queue[n].frame) - 1
+		if len(batch) == wire.MaxBatch || size >= limit || (len(batch) > 0 && size+next > limit) {
 			break
 		}
-		batch = append(batch, out)
+		batch = append(batch, s.queue[n])
+		size += next
 	}
-	if lingering {
-		w.stopTimer()
+	if n > 0 {
+		rest := copy(s.queue, s.queue[n:])
+		clear(s.queue[rest:])
+		s.queue = s.queue[:rest]
+		if s.space != nil {
+			close(s.space)
+			s.space = nil
+		}
 	}
-	return batch
+	return batch, size, len(s.queue) > 0 || len(batch) == wire.MaxBatch || size >= limit
 }
 
-// exchange sends one collected batch through the ARQ cycle as a unit and
-// hands every member its fate: a lone message leaves as its own 'D' frame,
-// several as one 'B' frame acknowledged once by the first envelope's
-// message ID.
-func (w *worker) exchange(batch []outgoing) {
-	t := w.t
-	frame, msgID := batch[0].frame, batch[0].msgID
+// start sends s.batch as one exchange: a lone message as its own 'D'
+// frame, several as one 'B' frame acknowledged once by the first message's
+// ID. It builds and seals the frame outside the lock, then arms the timer
+// and writes the first copy.
+func (s *sender) start() {
+	t := s.t
+	batch := s.batch
+	frame, id := batch[0].frame, batch[0].msgID
 	var err error
 	if len(batch) > 1 {
-		frames := make([][]byte, len(batch))
-		for i, out := range batch {
-			frames[i] = out.frame[1:]
+		s.frames = s.frames[:0]
+		for _, out := range batch {
+			s.frames = append(s.frames, out.frame[1:])
 		}
-		if frame, err = wire.AppendBatchRaw([]byte{frameBatch}, frames); err != nil {
+		if frame, err = wire.AppendBatchRaw([]byte{frameBatch}, s.frames); err != nil {
 			// Cannot happen for frames we encoded ourselves; fail the members
-			// rather than wedge the worker.
+			// rather than wedge the sender.
 			t.cfg.Metrics.Inc(CtrSendDrop)
 		} else {
 			t.cfg.Metrics.Inc(CtrBatchTx)
 			t.cfg.Metrics.Add(CtrBatched, int64(len(batch)))
-			w.occHist.Observe(int64(len(batch)))
+			s.occHist.Observe(int64(len(batch)))
 			if t.cfg.Tracer.Enabled() {
-				t.trace(obs.EvFrameBatched, w.dst, msgID, fmt.Sprintf("n=%d", len(batch)))
+				t.trace(obs.EvFrameBatched, s.dst, id, fmt.Sprintf("n=%d", len(batch)))
 			}
 		}
 	}
-	if err == nil {
-		err = w.transmit(frame, msgID)
-	}
-	for _, out := range batch {
-		if out.result != nil {
-			out.result <- err // buffered; never blocks the worker
-		}
-	}
-}
-
-// transmit runs the transmit/back-off cycle for one frame and reports its
-// fate: nil once acknowledged, ErrRetriesExhausted when given up,
-// ErrUnknownPeer if the peer was removed while queued, ErrClosed if the
-// transport shut down first.
-//
-// The first retransmission fires after the destination's adaptive RTO,
-// unjittered so it never undercuts the estimate; every later delay doubles
-// and is stretched — never shortened — by up to half. The frame is given up
-// only once MaxAttempts copies were sent and RetryBase·(2^MaxAttempts − 1)
-// has passed since the first: the time MaxAttempts copies spaced from
-// RetryBase take. A short RTO therefore buys earlier recovery, not less
-// patience — a peer that stalls gets more copies inside the same horizon.
-func (w *worker) transmit(frame []byte, msgID uint64) error {
-	t := w.t
 	// Seal once at the socket boundary: the MAC is deterministic, so every
 	// retransmission reuses the same sealed bytes, and frames stay
 	// plaintext while queued (batch composition slices them apart).
-	datagram := seal(w.auth, frame)
-	ackCh := make(chan struct{}, 1)
+	var datagram []byte
+	if err == nil {
+		datagram = seal(s.auth, frame)
+	}
+
+	s.mu.Lock()
+	s.members, s.firstID = batch, id
+	if err != nil {
+		s.finish(err)
+		s.mu.Unlock()
+		return
+	}
+	s.datagram, s.attempt, s.first = datagram, 0, time.Now()
+	s.rto = s.est.rto(t.cfg.RetryBase)
+	s.backoff = s.rto
+	s.arm(s.rto)
+	s.mu.Unlock()
+
 	t.mu.Lock()
-	t.acks[msgID] = ackCh
+	delete(t.inflight, s.lastID)
+	t.inflight[id] = s
+	addr := t.peers[s.dst] // per copy: AddPeer may have re-pointed the peer
 	t.mu.Unlock()
-	defer func() {
-		t.mu.Lock()
-		delete(t.acks, msgID)
-		t.mu.Unlock()
-	}()
+	s.lastID = id
+	s.write(datagram, addr)
+}
 
-	rto := w.est.rto(t.cfg.RetryBase)
-	horizon := t.cfg.RetryBase<<t.cfg.MaxAttempts - t.cfg.RetryBase
-	first := time.Now()
-	for attempt, backoff := 0, rto; ; attempt, backoff = attempt+1, 2*backoff {
-		t.mu.Lock()
-		addr := t.peers[w.dst] // per attempt: AddPeer may have re-pointed the peer
-		t.mu.Unlock()
-		wait := backoff
-		if attempt > 0 {
-			t.cfg.Metrics.Inc(CtrRetries)
-			t.trace(obs.EvTransportRetry, w.dst, msgID, "")
-			wait += time.Duration(rand.Int63n(int64(backoff)/2 + 1))
-		}
-		t.cfg.Metrics.Inc(CtrDataTx)
-		if t.cfg.DropRate > 0 && rand.Float64() < t.cfg.DropRate {
-			t.cfg.Metrics.Inc(CtrChaosDrop)
-		} else if _, err := t.conn.WriteToUDP(datagram, addr); err != nil {
-			select {
-			case <-t.done:
-				return ErrClosed
-			default:
-			}
-		}
+// arm sets the timer for the latest copy's wait, but ends the last wait at
+// the give-up horizon while still giving its copy one RTO to be
+// acknowledged. Callers hold mu.
+func (s *sender) arm(wait time.Duration) {
+	now := time.Now()
+	if left := s.t.horizon() - now.Sub(s.first); wait > left {
+		wait = max(left, s.rto)
+	}
+	s.deadline = now.Add(wait)
+	s.timer.Reset(wait)
+}
 
-		// The last wait ends at the horizon, but still gives its copy one
-		// RTO to be acknowledged.
-		if left := horizon - time.Since(first); wait > left {
-			wait = max(left, rto)
+// write sends one copy of the exchange's datagram. A copy that fails to
+// leave is a lost copy: the timer sends another, and on a closed socket run
+// fails the exchange.
+func (s *sender) write(datagram []byte, addr netip.AddrPort) {
+	t := s.t
+	t.cfg.Metrics.Inc(CtrDataTx)
+	if t.cfg.DropRate > 0 && rand.Float64() < t.cfg.DropRate {
+		t.cfg.Metrics.Inc(CtrChaosDrop)
+		return
+	}
+	_, _ = t.conn.WriteToUDPAddrPort(datagram, addr)
+}
+
+// ack ends the exchange in flight when id is its key. By Karn's rule only
+// an exchange acknowledged on its first copy samples the round trip; one
+// that needed retransmissions keeps the back-off that got it through. A
+// late duplicate of an earlier exchange's ack matches nothing.
+func (s *sender) ack(id uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.members == nil || s.firstID != id {
+		return
+	}
+	s.timer.Stop()
+	if s.attempt == 0 {
+		rtt := time.Since(s.first)
+		s.est.sample(rtt)
+		s.rttHist.Observe(int64(rtt))
+	} else {
+		s.est.backed = s.backoff
+	}
+	s.finish(nil)
+}
+
+// expire is the timer's callback. It sends another copy after a doubled
+// wait stretched by up to half — never shortened — or, once MaxAttempts
+// copies were sent and the horizon has passed, gives the exchange up. A
+// short RTO therefore buys earlier recovery, not less patience. A fire
+// that an ack or a later arm overtook finds no exchange or a deadline
+// still ahead, and does nothing.
+func (s *sender) expire() {
+	t := s.t
+	s.mu.Lock()
+	if s.members == nil || time.Now().Before(s.deadline) {
+		s.mu.Unlock()
+		return
+	}
+	if s.attempt+1 >= t.cfg.MaxAttempts && time.Since(s.first) >= t.horizon() {
+		// Greet a peer this silent like a fresh one: from RetryBase.
+		s.est.backed = t.cfg.RetryBase
+		t.cfg.Metrics.Inc(CtrSendDrop)
+		t.trace(obs.EvTransportDrop, s.dst, s.firstID, "retries_exhausted")
+		s.finish(fmt.Errorf("%w: to %d after %d attempts", ErrRetriesExhausted, s.dst, s.attempt+1))
+		s.mu.Unlock()
+		return
+	}
+	s.attempt++
+	s.backoff *= 2
+	t.cfg.Metrics.Inc(CtrRetries)
+	t.trace(obs.EvTransportRetry, s.dst, s.firstID, "")
+	s.arm(s.backoff + time.Duration(rand.Int63n(int64(s.backoff)/2+1)))
+	datagram := s.datagram
+	s.mu.Unlock()
+	s.write(datagram, t.peerAddr(s.dst))
+}
+
+// finish hands every member of the exchange in flight its fate and wakes
+// run for the next exchange, or leaves the sender idle. Callers hold mu.
+func (s *sender) finish(err error) {
+	for _, out := range s.members {
+		if out.result != nil {
+			out.result <- err // buffered; never blocks
 		}
-		w.timer.Reset(wait)
-		select {
-		case <-ackCh:
-			w.stopTimer()
-			if attempt == 0 {
-				rtt := time.Since(first)
-				w.est.sample(rtt)
-				w.rttHist.Observe(int64(rtt))
-			} else {
-				w.est.backed = backoff
-			}
-			return nil
-		case <-t.done:
-			w.stopTimer()
-			return ErrClosed
-		case <-w.timer.C:
-		}
-		if attempt+1 >= t.cfg.MaxAttempts && time.Since(first) >= horizon {
-			// Greet a peer this silent like a fresh one: from RetryBase.
-			w.est.backed = t.cfg.RetryBase
-			t.cfg.Metrics.Inc(CtrSendDrop)
-			t.trace(obs.EvTransportDrop, w.dst, msgID, "retries_exhausted")
-			return fmt.Errorf("%w: to %d after %d attempts", ErrRetriesExhausted, w.dst, attempt+1)
-		}
+	}
+	s.members, s.datagram = nil, nil
+	if len(s.queue) > 0 {
+		s.signal()
+	} else {
+		s.busy = false
+	}
+}
+
+// close fails the exchange in flight once the transport has closed.
+func (s *sender) close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.timer.Stop()
+	if s.members != nil {
+		s.finish(ErrClosed)
 	}
 }
 
@@ -729,51 +912,20 @@ func (w *worker) transmit(frame []byte, msgID uint64) error {
 // cycling source ports cannot grow it without bound.
 const maxBuckets = 4096
 
-// bucket is one remote address's token-bucket state. The limiter is owned
-// by the single readLoop goroutine, so no locking is needed.
+// bucket is one remote address's token-bucket state.
 type bucket struct {
 	tokens float64
 	last   time.Time
 }
 
-// admit charges one datagram from raddr against its bucket and reports
-// whether it may pass. Limiting disabled admits everything.
-func (t *Transport) admit(buckets map[string]*bucket, raddr *net.UDPAddr) bool {
-	if t.cfg.RateLimit <= 0 {
-		return true
-	}
-	now := time.Now()
-	key := raddr.String()
-	b, ok := buckets[key]
-	if !ok {
-		if len(buckets) >= maxBuckets {
-			// Prune remotes whose buckets have fully refilled — they have
-			// been idle at least RateBurst/RateLimit seconds.
-			refill := time.Duration(float64(t.cfg.RateBurst) / t.cfg.RateLimit * float64(time.Second))
-			for k, old := range buckets {
-				if now.Sub(old.last) >= refill {
-					delete(buckets, k)
-				}
-			}
-			if len(buckets) >= maxBuckets {
-				// Table still full of active remotes: refuse the newcomer
-				// rather than evict someone who is behaving.
-				return false
-			}
-		}
-		b = &bucket{tokens: float64(t.cfg.RateBurst), last: now}
-		buckets[key] = b
-	}
-	b.tokens += now.Sub(b.last).Seconds() * t.cfg.RateLimit
-	if max := float64(t.cfg.RateBurst); b.tokens > max {
-		b.tokens = max
-	}
-	b.last = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
+// reader is the socket read loop's own state: no other goroutine touches
+// it, so it needs no locking.
+type reader struct {
+	t       *Transport
+	auth    *wire.Auth // opens inbound datagrams and seals their acks
+	buckets map[netip.AddrPort]*bucket
+	ack     []byte // the ack being written, reused
+	sealed  []byte // its sealed form, reused
 }
 
 // readLoop receives datagrams until the socket closes. Hostile input is
@@ -783,10 +935,9 @@ func (t *Transport) admit(buckets map[string]*bucket, raddr *net.UDPAddr) bool {
 func (t *Transport) readLoop() {
 	defer t.wg.Done()
 	buf := make([]byte, 64*1024)
-	buckets := make(map[string]*bucket)
-	auth := t.newAuth() // opens inbound datagrams and seals their acks
+	r := reader{t: t, auth: t.newAuth(), buckets: make(map[netip.AddrPort]*bucket)}
 	for {
-		n, raddr, err := t.conn.ReadFromUDP(buf)
+		n, raddr, err := t.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-t.done:
@@ -799,38 +950,85 @@ func (t *Transport) readLoop() {
 		if n < 1 {
 			continue
 		}
-		if !t.admit(buckets, raddr) {
-			t.cfg.Metrics.Inc(CtrRateLimited)
-			t.trace(obs.EvRateLimited, 0, 0, raddr.String())
-			continue
-		}
-		frame := buf[:n]
-		if auth != nil {
-			inner, err := auth.Open(frame)
-			if err != nil {
-				t.cfg.Metrics.Inc(CtrAuthReject)
-				t.trace(obs.EvAuthReject, 0, 0, raddr.String())
-				continue
-			}
-			frame = inner
-			if len(frame) < 1 {
-				t.cfg.Metrics.Inc(CtrDecodeErr)
-				continue
-			}
-		}
-		switch frame[0] {
-		case frameAck:
-			t.handleAck(frame[1:])
-		case frameData:
-			t.handleData(frame[1:], raddr, auth)
-		case frameBatch:
-			t.handleBatch(frame[1:], raddr, auth)
-		default:
-			t.cfg.Metrics.Inc(CtrDecodeErr)
-		}
+		r.handle(buf[:n], netip.AddrPortFrom(raddr.Addr().Unmap(), raddr.Port()))
 	}
 }
 
+// handle sheds or dispatches one inbound datagram from raddr.
+func (r *reader) handle(frame []byte, raddr netip.AddrPort) {
+	t := r.t
+	if !r.admit(raddr) {
+		t.cfg.Metrics.Inc(CtrRateLimited)
+		t.trace(obs.EvRateLimited, 0, 0, raddr.String())
+		return
+	}
+	if r.auth != nil {
+		inner, err := r.auth.Open(frame)
+		if err != nil {
+			t.cfg.Metrics.Inc(CtrAuthReject)
+			t.trace(obs.EvAuthReject, 0, 0, raddr.String())
+			return
+		}
+		frame = inner
+		if len(frame) < 1 {
+			t.cfg.Metrics.Inc(CtrDecodeErr)
+			return
+		}
+	}
+	switch frame[0] {
+	case frameAck:
+		t.handleAck(frame[1:])
+	case frameData:
+		r.handleData(frame[1:], raddr)
+	case frameBatch:
+		r.handleBatch(frame[1:], raddr)
+	default:
+		t.cfg.Metrics.Inc(CtrDecodeErr)
+	}
+}
+
+// admit charges one datagram from raddr against its bucket and reports
+// whether it may pass. Limiting disabled admits everything.
+func (r *reader) admit(raddr netip.AddrPort) bool {
+	cfg := &r.t.cfg
+	if cfg.RateLimit <= 0 {
+		return true
+	}
+	now := time.Now()
+	b, ok := r.buckets[raddr]
+	if !ok {
+		if len(r.buckets) >= maxBuckets {
+			// Prune remotes whose buckets have fully refilled — they have
+			// been idle at least RateBurst/RateLimit seconds.
+			refill := time.Duration(float64(cfg.RateBurst) / cfg.RateLimit * float64(time.Second))
+			for k, old := range r.buckets {
+				if now.Sub(old.last) >= refill {
+					delete(r.buckets, k)
+				}
+			}
+			if len(r.buckets) >= maxBuckets {
+				// Table still full of active remotes: refuse the newcomer
+				// rather than evict someone who is behaving.
+				return false
+			}
+		}
+		b = &bucket{tokens: float64(cfg.RateBurst), last: now}
+		r.buckets[raddr] = b
+	}
+	b.tokens += now.Sub(b.last).Seconds() * cfg.RateLimit
+	if max := float64(cfg.RateBurst); b.tokens > max {
+		b.tokens = max
+	}
+	b.last = now
+	if b.tokens < 1 {
+		return false
+	}
+	b.tokens--
+	return true
+}
+
+// handleAck runs the ack transition of the sender whose exchange the ack
+// names, if any.
 func (t *Transport) handleAck(body []byte) {
 	msgID, n := binary.Uvarint(body)
 	if n <= 0 {
@@ -839,49 +1037,51 @@ func (t *Transport) handleAck(body []byte) {
 	}
 	t.cfg.Metrics.Inc(CtrAckRx)
 	t.mu.Lock()
-	ch, ok := t.acks[msgID]
+	s := t.inflight[msgID]
 	t.mu.Unlock()
-	if ok {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+	if s != nil {
+		s.ack(msgID)
 	}
 }
 
-func (t *Transport) handleData(body []byte, raddr *net.UDPAddr, auth *wire.Auth) {
+func (r *reader) handleData(body []byte, raddr netip.AddrPort) {
 	env, err := wire.Decode(body)
 	if err != nil {
-		t.cfg.Metrics.Inc(CtrDecodeErr)
+		r.t.cfg.Metrics.Inc(CtrDecodeErr)
 		return
 	}
 
 	// Ack every valid data frame, duplicates included — the retransmit
 	// means the sender missed the previous ack.
-	t.sendAck(env.MsgID, raddr, auth)
-	t.deliver(env)
+	r.sendAck(env.MsgID, raddr)
+	r.t.deliver(env)
 }
 
 // handleBatch unbundles a coalesced frame: one ack for the whole batch
 // (keyed on its first envelope, mirroring the sender's ARQ), then each
 // inner envelope through the usual per-envelope dedup and delivery.
-func (t *Transport) handleBatch(body []byte, raddr *net.UDPAddr, auth *wire.Auth) {
+func (r *reader) handleBatch(body []byte, raddr netip.AddrPort) {
 	envs, err := wire.DecodeBatch(body)
 	if err != nil {
-		t.cfg.Metrics.Inc(CtrDecodeErr)
+		r.t.cfg.Metrics.Inc(CtrDecodeErr)
 		return
 	}
-	t.cfg.Metrics.Inc(CtrBatchRx)
-	t.sendAck(envs[0].MsgID, raddr, auth)
+	r.t.cfg.Metrics.Inc(CtrBatchRx)
+	r.sendAck(envs[0].MsgID, raddr)
 	for _, env := range envs {
-		t.deliver(env)
+		r.t.deliver(env)
 	}
 }
 
-func (t *Transport) sendAck(msgID uint64, raddr *net.UDPAddr, auth *wire.Auth) {
-	ack := seal(auth, binary.AppendUvarint([]byte{frameAck}, msgID))
-	if _, err := t.conn.WriteToUDP(ack, raddr); err == nil {
-		t.cfg.Metrics.Inc(CtrAckTx)
+func (r *reader) sendAck(msgID uint64, raddr netip.AddrPort) {
+	r.ack = binary.AppendUvarint(append(r.ack[:0], frameAck), msgID)
+	ack := r.ack
+	if r.auth != nil {
+		r.sealed = r.auth.AppendSeal(r.sealed[:0], ack)
+		ack = r.sealed
+	}
+	if _, err := r.t.conn.WriteToUDPAddrPort(ack, raddr); err == nil {
+		r.t.cfg.Metrics.Inc(CtrAckTx)
 	}
 }
 
