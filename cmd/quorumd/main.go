@@ -110,10 +110,8 @@ func buildConfig(args []string, stderr io.Writer) (daemon.Config, map[radio.Node
 		replTTL   = fs.Duration("replica-ttl", 0, "how long a REPLICA_ACK lease stays fresh (default 8 heartbeats)")
 		drop      = fs.Float64("drop", 0, "chaos testing: drop outbound data frames with this probability, in [0, 1)")
 		batchB    = fs.Int("batch-bytes", 0, "payload cap of one batch frame; frames queued for a peer always share a batch up to this size (0 = default, about one MTU)")
-		batchD    = fs.Duration("batch-delay", 0, "linger this long for more frames to a peer before flushing a batch (0 = flush as soon as the queue is empty)")
 		authKey   = fs.String("auth-key", "", "cluster passphrase: seal and verify every datagram with an HMAC-SHA256 key derived from it (empty disables)")
-		rateLimit = fs.Float64("rate-limit", 0, "accepted datagrams per second per remote address (0 disables)")
-		rateBurst = fs.Int("rate-burst", 0, "rate-limit burst size (default max(16, rate-limit))")
+		rateLimit = fs.Float64("rate-limit", 0, "accepted datagrams per second per remote address, in bursts of up to max(16, rate-limit) (0 disables)")
 		verbose   = fs.Bool("v", false, "verbose protocol logging to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -156,10 +154,8 @@ func buildConfig(args []string, stderr io.Writer) (daemon.Config, map[radio.Node
 		ReplicaTTL:        *replTTL,
 		DropRate:          *drop,
 		BatchFlushBytes:   *batchB,
-		BatchFlushDelay:   *batchD,
 		AuthKey:           wire.DeriveKey(*authKey),
 		RateLimit:         *rateLimit,
-		RateBurst:         *rateBurst,
 	}
 	if *verbose {
 		logger := log.New(stderr, "", log.Ltime|log.Lmicroseconds)

@@ -192,7 +192,7 @@ func TestRunTwoNodeSmoke(t *testing.T) {
 func TestBuildConfigHardeningFlags(t *testing.T) {
 	cfg, _, err := buildConfig([]string{
 		"-id", "1", "-bootstrap", "-space", "10.0.0.1-10.0.0.9",
-		"-auth-key", "hunter2", "-rate-limit", "50", "-rate-burst", "10",
+		"-auth-key", "hunter2", "-rate-limit", "50",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -200,8 +200,8 @@ func TestBuildConfigHardeningFlags(t *testing.T) {
 	if want := wire.DeriveKey("hunter2"); !bytes.Equal(cfg.AuthKey, want) {
 		t.Errorf("AuthKey = %x, want DeriveKey(passphrase) = %x", cfg.AuthKey, want)
 	}
-	if cfg.RateLimit != 50 || cfg.RateBurst != 10 {
-		t.Errorf("rate limit config = %v/%d, want 50/10", cfg.RateLimit, cfg.RateBurst)
+	if cfg.RateLimit != 50 {
+		t.Errorf("rate limit = %v, want 50", cfg.RateLimit)
 	}
 
 	cfg, _, err = buildConfig([]string{

@@ -36,32 +36,22 @@ const (
 	CounterBuddyReclaims = "buddy_reclaims"
 )
 
+// The baseline's timers.
+const (
+	syncPeriod    = 10 * time.Second // every node floods its allocation table once per period
+	retryInterval = 3 * time.Second  // wait between configuration attempts
+	buddyTimeout  = 5 * time.Second  // an abrupt departure's buddy reclaims the block after this
+)
+
 // Params configures the baseline.
 type Params struct {
 	// Space is the address pool, owned entirely by the first node.
 	Space addrspace.Block
-	// SyncPeriod is the global allocation-table synchronization period
-	// (default 10s). Every node floods its table once per period.
-	SyncPeriod time.Duration
-	// RetryInterval is the wait between configuration attempts (default 3s).
-	RetryInterval time.Duration
-	// BuddyTimeout is how long after an abrupt departure the buddy
-	// reclaims the block (default 5s).
-	BuddyTimeout time.Duration
 }
 
 func (p *Params) setDefaults() {
 	if p.Space == (addrspace.Block{}) {
 		p.Space = addrspace.Block{Lo: 0x0A000001, Hi: 0x0A000001 + 1023}
-	}
-	if p.SyncPeriod == 0 {
-		p.SyncPeriod = 10 * time.Second
-	}
-	if p.RetryInterval == 0 {
-		p.RetryInterval = 3 * time.Second
-	}
-	if p.BuddyTimeout == 0 {
-		p.BuddyTimeout = 5 * time.Second
 	}
 }
 
@@ -150,7 +140,7 @@ func (p *Protocol) NodeArrived(id radio.NodeID) {
 // configured node floods its allocation table once per period. This O(n^2)
 // traffic is the protocol's defining overhead.
 func (p *Protocol) scheduleSync() {
-	p.rt.Sim.Schedule(p.p.SyncPeriod, func() {
+	p.rt.Sim.Schedule(syncPeriod, func() {
 		snap := p.rt.Net.Snapshot()
 		for _, id := range p.sortedConfigured() {
 			comp := len(snap.Component(id))
@@ -190,7 +180,7 @@ func (p *Protocol) tryConfigure(ns *nodeState) {
 	}
 	if helper == nil {
 		if p.anyConfiguredInComponent(snap, ns.id) {
-			p.rt.Sim.Schedule(p.p.RetryInterval, func() { p.tryConfigure(ns) })
+			p.rt.Sim.Schedule(retryInterval, func() { p.tryConfigure(ns) })
 			return
 		}
 		// First node of the component: owns the whole space.
@@ -218,7 +208,7 @@ func (p *Protocol) tryConfigure(ns *nodeState) {
 			}
 		}
 		if granter == nil {
-			p.rt.Sim.Schedule(p.p.RetryInterval, func() { p.tryConfigure(ns) })
+			p.rt.Sim.Schedule(retryInterval, func() { p.tryConfigure(ns) })
 			return
 		}
 		d, _ := snap.HopCount(helper.id, granter.id)
@@ -228,7 +218,7 @@ func (p *Protocol) tryConfigure(ns *nodeState) {
 
 	lower, upper, err := granter.block.SplitHalf()
 	if err != nil {
-		p.rt.Sim.Schedule(p.p.RetryInterval, func() { p.tryConfigure(ns) })
+		p.rt.Sim.Schedule(retryInterval, func() { p.tryConfigure(ns) })
 		return
 	}
 	granter.block = lower
@@ -284,7 +274,7 @@ func (p *Protocol) NodeDeparting(id radio.NodeID, graceful bool) {
 			block := ns.block
 			buddyID := ns.buddy
 			hasBuddy := ns.hasBuddy
-			p.rt.Sim.Schedule(p.p.BuddyTimeout, func() {
+			p.rt.Sim.Schedule(buddyTimeout, func() {
 				if !hasBuddy {
 					return
 				}

@@ -98,7 +98,7 @@ func TestPeriodicSyncChargesQuadratically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := New(rt, Params{Space: addrspace.Block{Lo: 1, Hi: 1024}, SyncPeriod: 5 * time.Second})
+		p, err := New(rt, Params{Space: addrspace.Block{Lo: 1, Hi: 1024}})
 		if err != nil {
 			t.Fatal(err)
 		}

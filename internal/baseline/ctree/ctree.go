@@ -35,34 +35,24 @@ const (
 	CounterRootReclamations = "root_reclamations"
 )
 
+// The baseline's timers. The paper does not give [3]'s report period; 5s
+// makes the measured maintenance overhead match its "similar performance"
+// claim, see EXPERIMENTS.md.
+const (
+	reportPeriod  = 5 * time.Second // coordinator-to-root update period
+	retryInterval = 3 * time.Second // wait between configuration attempts
+	missedReports = 2               // silent periods before the root reclaims a coordinator's space
+)
+
 // Params configures the baseline.
 type Params struct {
 	// Space is the address pool, owned entirely by the C-root at start.
 	Space addrspace.Block
-	// ReportPeriod is the coordinator-to-root update period (default 5s;
-	// the paper does not give [3]'s period — 5s makes the measured
-	// maintenance overhead match its "similar performance" claim, see
-	// EXPERIMENTS.md).
-	ReportPeriod time.Duration
-	// RetryInterval is the wait between configuration attempts (default 3s).
-	RetryInterval time.Duration
-	// MissedReports is how many periods a coordinator may stay silent
-	// before the root reclaims its space (default 2).
-	MissedReports int
 }
 
 func (p *Params) setDefaults() {
 	if p.Space == (addrspace.Block{}) {
 		p.Space = addrspace.Block{Lo: 0x0A000001, Hi: 0x0A000001 + 1023}
-	}
-	if p.ReportPeriod == 0 {
-		p.ReportPeriod = 5 * time.Second
-	}
-	if p.RetryInterval == 0 {
-		p.RetryInterval = 3 * time.Second
-	}
-	if p.MissedReports == 0 {
-		p.MissedReports = 2
 	}
 }
 
@@ -193,7 +183,7 @@ func (p *Protocol) NodeArrived(id radio.NodeID) {
 // scheduleReports runs the periodic coordinator-to-root updates and the
 // root's failure detection.
 func (p *Protocol) scheduleReports() {
-	p.rt.Sim.Schedule(p.p.ReportPeriod, func() {
+	p.rt.Sim.Schedule(reportPeriod, func() {
 		p.runReports()
 		p.scheduleReports()
 	})
@@ -234,7 +224,7 @@ func (p *Protocol) runReports() {
 	for _, id := range silent {
 		ns := p.nodes[id]
 		ns.missed++
-		if ns.missed >= p.p.MissedReports {
+		if ns.missed >= missedReports {
 			ns.missed = 0
 			p.rootReclaim(snap, ns)
 		}
@@ -295,7 +285,7 @@ func (p *Protocol) tryConfigure(ns *nodeState) {
 		addr, ok := coord.pool.FirstFree()
 		if !ok {
 			// No borrowing in this scheme: wait for reclamation.
-			p.rt.Sim.Schedule(p.p.RetryInterval, func() { p.tryConfigure(ns) })
+			p.rt.Sim.Schedule(retryInterval, func() { p.tryConfigure(ns) })
 			return
 		}
 		if _, err := coord.pool.Mark(addr, addrspace.Occupied); err != nil {
@@ -332,7 +322,7 @@ func (p *Protocol) tryConfigure(ns *nodeState) {
 	}
 	if nearest == nil {
 		if p.anyConfiguredInComponent(snap, ns.id) {
-			p.rt.Sim.Schedule(p.p.RetryInterval, func() { p.tryConfigure(ns) })
+			p.rt.Sim.Schedule(retryInterval, func() { p.tryConfigure(ns) })
 			return
 		}
 		// First node: C-root with the whole space.
@@ -362,7 +352,7 @@ func (p *Protocol) tryConfigure(ns *nodeState) {
 
 	upper, err := nearest.pool.SplitLargest()
 	if err != nil {
-		p.rt.Sim.Schedule(p.p.RetryInterval, func() { p.tryConfigure(ns) })
+		p.rt.Sim.Schedule(retryInterval, func() { p.tryConfigure(ns) })
 		return
 	}
 	latency := 2 * nearestDist

@@ -38,21 +38,19 @@ const (
 	CounterCleanups = "cleanups"
 )
 
+// retryInterval is the wait between configuration attempts when the
+// requester has no configured neighbor yet.
+const retryInterval = 3 * time.Second
+
 // Params configures the baseline.
 type Params struct {
 	// Space is the address pool.
 	Space addrspace.Block
-	// RetryInterval is the wait between configuration attempts when the
-	// requester has no configured neighbor yet (default 3s).
-	RetryInterval time.Duration
 }
 
 func (p *Params) setDefaults() {
 	if p.Space == (addrspace.Block{}) {
 		p.Space = addrspace.Block{Lo: 0x0A000001, Hi: 0x0A000001 + 1023}
-	}
-	if p.RetryInterval == 0 {
-		p.RetryInterval = 3 * time.Second
 	}
 }
 
@@ -152,7 +150,7 @@ func (p *Protocol) tryConfigure(ns *nodeState) {
 		// No configured neighbor: either we are the first node in this
 		// component (take an address directly) or we wait for one.
 		if p.anyConfiguredInComponent(snap, ns.id) {
-			p.rt.Sim.Schedule(p.p.RetryInterval, func() { p.tryConfigure(ns) })
+			p.rt.Sim.Schedule(retryInterval, func() { p.tryConfigure(ns) })
 			return
 		}
 		addr, ok := p.allocate(ns.id)
@@ -171,7 +169,7 @@ func (p *Protocol) tryConfigure(ns *nodeState) {
 
 	addr, ok := p.allocate(ns.id)
 	if !ok {
-		p.rt.Sim.Schedule(p.p.RetryInterval, func() { p.tryConfigure(ns) })
+		p.rt.Sim.Schedule(retryInterval, func() { p.tryConfigure(ns) })
 		return
 	}
 

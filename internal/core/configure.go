@@ -81,7 +81,7 @@ func (p *Protocol) NodeArrived(id radio.NodeID) {
 	p.rt.Net.InvalidateSnapshot()
 	_ = p.rt.Net.Register(id, func(m netstack.Message) { p.dispatch(id, m) })
 	p.rt.Trace(obs.Event{Kind: obs.EvNodeArrived, Node: id})
-	p.rt.Sim.Schedule(p.p.HelloInterval, func() { p.attemptConfigure(nd) })
+	p.rt.Sim.Schedule(helloInterval, func() { p.attemptConfigure(nd) })
 }
 
 // dispatch routes a delivered message to the node's handler.
@@ -256,7 +256,7 @@ func (p *Protocol) armCfgTimeout(nd *node) {
 	if nd.cfgTimer != nil {
 		nd.cfgTimer.Cancel()
 	}
-	nd.cfgTimer = p.rt.Sim.Schedule(p.p.ConfigTimeout, func() {
+	nd.cfgTimer = p.rt.Sim.Schedule(configTimeout, func() {
 		if nd.alive && !nd.hasIP {
 			nd.configuring = false
 			p.attemptConfigure(nd)
@@ -267,13 +267,13 @@ func (p *Protocol) armCfgTimeout(nd *node) {
 func (p *Protocol) retryConfigureLater(nd *node) {
 	nd.configuring = false
 	p.rt.Coll.Inc("config_retries")
-	p.rt.Sim.Schedule(p.p.ConfigTimeout, func() { p.attemptConfigure(nd) })
+	p.rt.Sim.Schedule(configTimeout, func() { p.attemptConfigure(nd) })
 }
 
 // --- first node procedure (§IV-B) ----------------------------------------
 
-// firstNodeStep broadcasts a configuration request; after Te with no
-// response it repeats up to MaxRetries times and then declares this node
+// firstNodeStep broadcasts a configuration request; after te with no
+// response it repeats up to maxRetries times and then declares this node
 // the first cluster head with the whole address space.
 func (p *Protocol) firstNodeStep(nd *node) {
 	nd.firstTries++
@@ -282,12 +282,12 @@ func (p *Protocol) firstNodeStep(nd *node) {
 		Category: metrics.CatConfig,
 		Payload:  msg.FirstBcast{Tries: nd.firstTries},
 	})
-	p.rt.Sim.Schedule(p.p.Te, func() {
+	p.rt.Sim.Schedule(te, func() {
 		if !nd.alive || nd.hasIP {
 			return
 		}
 		nd.configuring = false
-		if nd.firstTries >= p.p.MaxRetries {
+		if nd.firstTries >= maxRetries {
 			p.becomeFirstHead(nd)
 			return
 		}
@@ -356,7 +356,7 @@ func (p *Protocol) initHead(nd *node, pool *addrspace.Pool, ip addrspace.Addr, n
 	nd.probing = make(map[radio.NodeID]*sim.Timer)
 	nd.ballots = make(map[uint64]*pendingBallot)
 	nd.reclaims = make(quorum.Reclaims)
-	nd.grants = quorum.NewGrants(4 * p.p.QuorumTimeout)
+	nd.grants = quorum.NewGrants(4 * quorumTimeout)
 	nd.voteCache = newVoteCache(p.p.VoteCacheTTL)
 	nd.healthMon = health.New(health.Config{
 		Target: p.p.MinReplicas + 1, // MinReplicas holders plus the owner
@@ -612,8 +612,8 @@ func (p *Protocol) startBallot(alloc *node, pb *pendingBallot) {
 		// the grant also reserves the proposal, so concurrent requests at
 		// this allocator cannot pick the same address.
 		if !alloc.grants.Reserve(pb.addr, alloc.id, pb.id, p.rt.Sim.Now()) {
-			backoff := p.p.QuorumTimeout +
-				time.Duration(p.rt.Sim.Rand().Int63n(int64(p.p.QuorumTimeout)+1))
+			backoff := quorumTimeout +
+				time.Duration(p.rt.Sim.Rand().Int63n(int64(quorumTimeout)+1))
 			p.rt.Coll.Inc("ballots_contended")
 			p.reallocate(alloc, pb, backoff, pb.reqPathHops)
 			return
@@ -666,7 +666,7 @@ func (p *Protocol) startBallot(alloc *node, pb *pendingBallot) {
 			pb.sentHops[m] = hops
 		}
 	}
-	pb.timer = p.rt.Sim.Schedule(p.p.QuorumTimeout, func() { p.onBallotTimeout(alloc, pb) })
+	pb.timer = p.rt.Sim.Schedule(quorumTimeout, func() { p.onBallotTimeout(alloc, pb) })
 	p.checkBallot(alloc, pb)
 }
 
@@ -707,8 +707,8 @@ func (p *Protocol) onQuorumCfm(alloc *node, m netstack.Message, pl msg.QuorumCfm
 		p.rt.Coll.Inc("ballots_contended")
 		p.rt.Trace(obs.Event{Kind: obs.EvBallotAbort, Node: alloc.id, Peer: m.Src, Addr: pb.addr, MsgID: pb.id, Span: pb.span, Detail: "contended"})
 		p.closeBallot(alloc, pb)
-		backoff := p.p.QuorumTimeout +
-			time.Duration(p.rt.Sim.Rand().Int63n(int64(p.p.QuorumTimeout)+1))
+		backoff := quorumTimeout +
+			time.Duration(p.rt.Sim.Rand().Int63n(int64(quorumTimeout)+1))
 		p.reallocate(alloc, pb, backoff, pb.reqPathHops+pb.maxRTT)
 		return
 	}
@@ -759,7 +759,7 @@ func (p *Protocol) checkBallot(alloc *node, pb *pendingBallot) {
 	p.finishBallot(alloc, pb)
 }
 
-// onBallotTimeout fires when votes are still missing after QuorumTimeout:
+// onBallotTimeout fires when votes are still missing after quorumTimeout:
 // unreachable members are dropped (and fed into the §V-B quorum-adjustment
 // machinery); if the remaining votes form a quorum the ballot completes,
 // otherwise it fails and the requestor retries later.

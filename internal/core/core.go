@@ -64,42 +64,30 @@ func (r Role) String() string {
 // maxProposals bounds address proposals per configuration request.
 const maxProposals = 16
 
+// The protocol's timers and limits. The paper fixes them (§IV–V) and its
+// evaluation varies topology, not timers, so they are constants; Td, which
+// the ablation catalog varies, is the one timer left in Params.
+const (
+	helloInterval        = time.Second            // beacon period, and the maintenance tick
+	te                   = 2 * time.Second        // T_e, the first node's re-broadcast wait (§IV-B)
+	maxRetries           = 3                      // Max_r, the first node's broadcast attempts (§IV-B)
+	tr                   = 3 * time.Second        // T_r, the REP_REQ wait before reclamation (§V-B)
+	updatePeriod         = 5 * time.Second        // common-node location check period (§IV-C1)
+	quorumTimeout        = 500 * time.Millisecond // bounds one vote-collection round
+	configTimeout        = 3 * time.Second        // requestor's wait before re-trying configuration
+	reclaimSettle        = 2 * time.Second        // REC_REP wait before freeing unclaimed addresses (§IV-D)
+	reclaimCooldown      = 60 * time.Second       // suppresses repeat reclamations of one target
+	partitionCheckPeriod = 5 * time.Second        // how often heads compare network IDs (§V-C)
+)
+
 // Params configures the protocol. Zero fields take the defaults the
 // simulation section of the paper implies.
 type Params struct {
 	// Space is the network's full address pool, owned by the first head.
 	Space addrspace.Block
 
-	// HelloInterval is the beacon period (default 1s).
-	HelloInterval time.Duration
-	// Te is the first node's re-broadcast wait (default 2s).
-	Te time.Duration
-	// MaxRetries is Max_r, the first node's broadcast attempts (default 3).
-	MaxRetries int
 	// Td delays quorum shrink after a member stops responding (default 3s).
 	Td time.Duration
-	// Tr is the REP_REQ verification wait before reclamation (default 3s).
-	Tr time.Duration
-	// UpdatePeriod is the common-node location check period (default 5s).
-	UpdatePeriod time.Duration
-	// QuorumTimeout bounds one vote-collection round (default 500ms).
-	QuorumTimeout time.Duration
-	// ConfigTimeout is the requestor's wait before re-trying configuration
-	// (default 3s).
-	ConfigTimeout time.Duration
-	// ReclaimSettle is how long reclamation waits for REC_REP reports
-	// before freeing unclaimed addresses (default 2s).
-	ReclaimSettle time.Duration
-	// ReclaimCooldown suppresses repeat reclamations of the same target
-	// (default 60s).
-	ReclaimCooldown time.Duration
-	// PartitionCheckPeriod is how often heads compare network IDs
-	// (default 5s).
-	PartitionCheckPeriod time.Duration
-	// IsolationGrace is how long a head must remain cut off from every
-	// other head before it restarts as a new network (§V-C); it defaults
-	// to Td + Tr + 2*HelloInterval so the failure machinery runs first.
-	IsolationGrace time.Duration
 
 	// MinReplicas is the QDSet size below which a head recruits more
 	// replica holders (3 in §V-B).
@@ -143,46 +131,18 @@ func (p *Params) setDefaults() {
 	if p.Space == (addrspace.Block{}) { // zero value: unset
 		p.Space = addrspace.Block{Lo: 0x0A000001, Hi: 0x0A000001 + 1023} // 10.0.0.1/22-ish: 1024 addresses
 	}
-	if p.HelloInterval == 0 {
-		p.HelloInterval = time.Second
-	}
-	if p.Te == 0 {
-		p.Te = 2 * time.Second
-	}
-	if p.MaxRetries == 0 {
-		p.MaxRetries = 3
-	}
 	if p.Td == 0 {
 		p.Td = 3 * time.Second
-	}
-	if p.Tr == 0 {
-		p.Tr = 3 * time.Second
-	}
-	if p.UpdatePeriod == 0 {
-		p.UpdatePeriod = 5 * time.Second
-	}
-	if p.QuorumTimeout == 0 {
-		p.QuorumTimeout = 500 * time.Millisecond
-	}
-	if p.ConfigTimeout == 0 {
-		p.ConfigTimeout = 3 * time.Second
-	}
-	if p.ReclaimSettle == 0 {
-		p.ReclaimSettle = 2 * time.Second
-	}
-	if p.ReclaimCooldown == 0 {
-		p.ReclaimCooldown = 60 * time.Second
-	}
-	if p.PartitionCheckPeriod == 0 {
-		p.PartitionCheckPeriod = 5 * time.Second
-	}
-	if p.IsolationGrace == 0 {
-		p.IsolationGrace = p.Td + p.Tr + 2*p.HelloInterval
 	}
 	if p.MinReplicas == 0 {
 		p.MinReplicas = 3
 	}
 }
+
+// isolationGrace is how long a head must remain cut off from every other
+// head before it restarts as a new network (§V-C): Td + T_r + two hello
+// intervals, so that the failure machinery runs first.
+func (p Params) isolationGrace() time.Duration { return p.Td + tr + 2*helloInterval }
 
 // adminRecord is what an administrator head remembers about a common node
 // that registered via UPDATE_LOC.

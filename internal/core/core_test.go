@@ -109,8 +109,8 @@ func TestFirstNodeBecomesHead(t *testing.T) {
 		t.Errorf("configured heads = %d, want 1", n)
 	}
 	lat := h.rt.Coll.Summarize(SampleConfigLatency)
-	if lat.Count != 1 || lat.Mean != float64(h.p.Params().MaxRetries) {
-		t.Errorf("first-node latency = %+v, want %d broadcast hops", lat, h.p.Params().MaxRetries)
+	if lat.Count != 1 || lat.Mean != float64(maxRetries) {
+		t.Errorf("first-node latency = %+v, want %d broadcast hops", lat, maxRetries)
 	}
 }
 
@@ -539,8 +539,7 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	prm := p.Params()
-	if prm.HelloInterval == 0 || prm.Te == 0 || prm.MaxRetries == 0 ||
-		prm.Td == 0 || prm.Tr == 0 || prm.MinReplicas == 0 || prm.Space.IsEmpty() {
+	if prm.Td == 0 || prm.MinReplicas == 0 || prm.Space.IsEmpty() {
 		t.Errorf("defaults missing: %+v", prm)
 	}
 	if p.Name() != "quorum" {

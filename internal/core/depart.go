@@ -97,8 +97,8 @@ func (p *Protocol) departCommon(nd *node) {
 		p.killNode(nd)
 		return
 	}
-	// Leave on DEPART_ACK; give up after ConfigTimeout if it never comes.
-	p.rt.Sim.Schedule(p.p.ConfigTimeout, func() { p.killNode(nd) })
+	// Leave on DEPART_ACK; give up after configTimeout if it never comes.
+	p.rt.Sim.Schedule(configTimeout, func() { p.killNode(nd) })
 }
 
 func (p *Protocol) onReturnAddr(nd *node, m netstack.Message, pl msg.ReturnAddr) {
@@ -250,7 +250,7 @@ func (p *Protocol) departHead(nd *node) {
 			_, _ = p.send(nd.id, h, msg.TChResign, metrics.CatDeparture, msg.ChResign{})
 		}
 	}
-	p.rt.Sim.Schedule(p.p.ConfigTimeout, func() { p.killNode(nd) })
+	p.rt.Sim.Schedule(configTimeout, func() { p.killNode(nd) })
 }
 
 func (p *Protocol) onChReturn(nd *node, m netstack.Message, pl msg.ChReturn) {

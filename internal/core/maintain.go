@@ -25,12 +25,12 @@ const (
 )
 
 // scheduleTick starts the recurring maintenance event. One tick per
-// HelloInterval: hello-beacon cost is charged analytically (one
+// helloInterval: hello-beacon cost is charged analytically (one
 // transmission per live node), heads check QDSet liveness, and on coarser
 // multiples common nodes run location checks and heads compare network IDs
 // (partition detection).
 func (p *Protocol) scheduleTick() {
-	p.tickTimer = p.rt.Sim.Schedule(p.p.HelloInterval, func() {
+	p.tickTimer = p.rt.Sim.Schedule(helloInterval, func() {
 		p.tick()
 		p.scheduleTick()
 	})
@@ -57,14 +57,14 @@ func (p *Protocol) tick() {
 
 	p.checkHeadLiveness()
 
-	updateEvery := uint64(p.p.UpdatePeriod / p.p.HelloInterval)
+	updateEvery := uint64(updatePeriod / helloInterval)
 	if updateEvery == 0 {
 		updateEvery = 1
 	}
 	if !p.p.UponLeaveOnly && p.ticks%updateEvery == 0 {
 		p.runLocationUpdates()
 	}
-	partitionEvery := uint64(p.p.PartitionCheckPeriod / p.p.HelloInterval)
+	partitionEvery := uint64(partitionCheckPeriod / helloInterval)
 	if partitionEvery == 0 {
 		partitionEvery = 1
 	}
@@ -154,7 +154,7 @@ func (p *Protocol) suspectMember(nd *node, m radio.NodeID) {
 		return
 	}
 	p.rt.Trace(obs.Event{Kind: obs.EvPeerSuspect, Node: nd.id, Peer: m})
-	jitter := time.Duration(p.rt.Sim.Rand().Int63n(int64(2*p.p.HelloInterval) + 1))
+	jitter := time.Duration(p.rt.Sim.Rand().Int63n(int64(2*helloInterval) + 1))
 	nd.suspects[m] = p.rt.Sim.Schedule(p.p.Td+jitter, func() { p.onTdExpired(nd, m) })
 }
 
@@ -185,8 +185,8 @@ func (p *Protocol) onTdExpired(nd *node, m radio.NodeID) {
 	if t, ok := nd.probing[m]; ok {
 		t.Cancel()
 	}
-	trJitter := time.Duration(p.rt.Sim.Rand().Int63n(int64(2*p.p.HelloInterval) + 1))
-	nd.probing[m] = p.rt.Sim.Schedule(p.p.Tr+trJitter, func() { p.onTrExpired(nd, m) })
+	trJitter := time.Duration(p.rt.Sim.Rand().Int63n(int64(2*helloInterval) + 1))
+	nd.probing[m] = p.rt.Sim.Schedule(tr+trJitter, func() { p.onTrExpired(nd, m) })
 
 	p.maintainReplicationLevel(nd)
 }

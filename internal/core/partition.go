@@ -58,13 +58,13 @@ func (p *Protocol) checkPartitions() {
 			p.mergeRejoin(snap, nd)
 		case p.isolated(snap, nd):
 			// Debounce: restart only after the condition persists past
-			// IsolationGrace, giving the §V-B failure machinery (Td
+			// the isolation grace, giving the §V-B failure machinery (Td
 			// shrink, REP_REQ, reclamation) its chance to explain the
 			// silence as deaths rather than a partition.
 			if !nd.isolatedObserved {
 				nd.isolatedObserved = true
 				nd.isolatedSince = p.rt.Sim.Now()
-			} else if p.rt.Sim.Now()-nd.isolatedSince >= p.p.IsolationGrace {
+			} else if p.rt.Sim.Now()-nd.isolatedSince >= p.p.isolationGrace() {
 				p.isolatedRestart(nd)
 			}
 		default:
@@ -154,8 +154,8 @@ func (p *Protocol) onReconfig(nd *node) {
 // merging nodes join "one by one" (§V-C) instead of stampeding the
 // allocators at one instant.
 func (p *Protocol) scheduleRejoin(nd *node) {
-	jitter := time.Duration(p.rt.Sim.Rand().Int63n(int64(2 * p.p.HelloInterval)))
-	p.rt.Sim.Schedule(p.p.HelloInterval+jitter, func() { p.attemptConfigure(nd) })
+	jitter := time.Duration(p.rt.Sim.Rand().Int63n(int64(2 * helloInterval)))
+	p.rt.Sim.Schedule(helloInterval+jitter, func() { p.attemptConfigure(nd) })
 }
 
 // resetToUnconfigured strips a node's address and role so it can rejoin.

@@ -23,7 +23,7 @@ const (
 
 // initiateReclamation starts the §IV-D process for target's address space:
 // an ADDR_REC broadcast asks the target's surviving members to report
-// their existence to their closest head; after ReclaimSettle every replica
+// their existence to their closest head; after reclaimSettle every replica
 // holder frees the addresses nobody claimed. A head reclaims its own space
 // (target == initiator) when it has run out of addresses in both IPSpace
 // and QuorumSpace (§IV-D).
@@ -35,7 +35,7 @@ func (p *Protocol) initiateReclamation(initiator *node, target radio.NodeID, tar
 		return
 	}
 	if target != initiator.id {
-		if last, done := initiator.recentReclaims[target]; done && p.rt.Sim.Now()-last < p.p.ReclaimCooldown {
+		if last, done := initiator.recentReclaims[target]; done && p.rt.Sim.Now()-last < reclaimCooldown {
 			return // somebody already reclaimed this target recently
 		}
 	}
@@ -61,7 +61,7 @@ func (p *Protocol) beginReclaimWindow(nd *node, target radio.NodeID, span uint64
 		return // not a holder: nothing to settle
 	}
 	if run := nd.reclaims.Open(target, span, p.rt.Sim.Now()); run != nil {
-		p.rt.Sim.Schedule(p.p.ReclaimSettle, func() { p.settleReclaim(nd, target, run) })
+		p.rt.Sim.Schedule(reclaimSettle, func() { p.settleReclaim(nd, target, run) })
 	}
 }
 

@@ -31,7 +31,6 @@ func TestChaosMaliciousDaemonDefeated(t *testing.T) {
 	ds := newCluster(t, 5, func(cfg *Config) {
 		cfg.AuthKey = key
 		cfg.RateLimit = 400 // generous: honest heartbeat traffic stays far below this
-		cfg.RateBurst = 200
 	})
 	waitFor(t, 30*time.Second, "five-daemon formation", func() bool {
 		for _, d := range ds {

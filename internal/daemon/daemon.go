@@ -108,27 +108,22 @@ type Config struct {
 	// monitor re-syncs holders at half-life so healthy leases never lapse.
 	ReplicaTTL time.Duration
 
-	// RetryBase/MaxAttempts/DropRate tune the UDP transport (see
-	// udptransport.Config).
-	RetryBase   time.Duration
-	MaxAttempts int
-	DropRate    float64
-	// BatchFlushBytes/BatchFlushDelay shape transport frame coalescing:
-	// queued messages to one peer always leave the socket as a single
-	// batch frame, capped at this many payload bytes (zero: about one
-	// MTU) and lingering this long for stragglers (zero: none). See
+	// RetryBase/DropRate tune the UDP transport (see udptransport.Config).
+	RetryBase time.Duration
+	DropRate  float64
+	// BatchFlushBytes shapes transport frame coalescing: queued messages
+	// to one peer always leave the socket as a single batch frame, capped
+	// at this many payload bytes (zero: about one MTU). See
 	// udptransport.Config.
 	BatchFlushBytes int
-	BatchFlushDelay time.Duration
 	// AuthKey, when set, seals every outgoing datagram with
 	// HMAC-SHA256 and rejects unauthenticated input before any protocol
 	// state is touched (see udptransport.Config.AuthKey and DESIGN.md
 	// Appendix F). Every cluster member must share the key.
 	AuthKey []byte
 	// RateLimit caps accepted datagrams per second per remote address
-	// (token bucket, burst RateBurst); 0 disables limiting.
+	// (token bucket, burst max(16, RateLimit)); 0 disables limiting.
 	RateLimit float64
-	RateBurst int
 
 	// Nonce disambiguates the network tag; 0 draws a random one.
 	Nonce uint32
@@ -229,11 +224,12 @@ type Daemon struct {
 	early  map[radio.NodeID]string // peers added before Start, for Start to register
 
 	draining atomic.Bool
+	killed   atomic.Bool
 
 	httpLn  net.Listener
 	httpSrv *http.Server
 
-	events chan func()
+	events chan func() // nil wakes the loop to exit after Kill
 	done   chan struct{}
 	loopWG chan struct{} // closed when the event loop exits
 
@@ -320,13 +316,10 @@ func (d *Daemon) Start() error {
 		Listen:          d.cfg.Listen,
 		Metrics:         d.coll,
 		RetryBase:       d.cfg.RetryBase,
-		MaxAttempts:     d.cfg.MaxAttempts,
 		DropRate:        d.cfg.DropRate,
 		BatchFlushBytes: d.cfg.BatchFlushBytes,
-		BatchFlushDelay: d.cfg.BatchFlushDelay,
 		AuthKey:         d.cfg.AuthKey,
 		RateLimit:       d.cfg.RateLimit,
-		RateBurst:       d.cfg.RateBurst,
 		Tracer:          d.tracer,
 		Histograms:      d.hists,
 	})
@@ -457,13 +450,17 @@ func (d *Daemon) Depart(ctx context.Context) error {
 // the crash the paper's reclamation machinery exists for. Safe to call
 // more than once.
 func (d *Daemon) Kill() {
-	select {
-	case <-d.done:
+	if d.killed.Swap(true) {
 		return
-	default:
 	}
 	d.trace(obs.Event{Kind: obs.EvDaemonStop, Detail: "kill"})
 	close(d.done)
+	// Wake the loop to exit. A full queue needs no wake-up: the loop is
+	// busy and sees killed before its next event.
+	select {
+	case d.events <- nil:
+	default:
+	}
 	if d.httpSrv != nil {
 		_ = d.httpSrv.Close()
 	}
@@ -479,15 +476,15 @@ func (d *Daemon) Close() { d.Kill() }
 
 // --- event loop ----------------------------------------------------------
 
+// loop runs events until Kill: it receives from events alone, and Kill's
+// nil wake-up or its killed flag, read before each event, ends it.
 func (d *Daemon) loop() {
 	defer close(d.loopWG)
-	for {
-		select {
-		case <-d.done:
+	for fn := range d.events {
+		if fn == nil || d.killed.Load() {
 			return
-		case fn := <-d.events:
-			fn()
 		}
+		fn()
 	}
 }
 

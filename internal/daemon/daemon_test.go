@@ -2,15 +2,18 @@ package daemon
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"quorumconf/internal/addrspace"
 	"quorumconf/internal/radio"
+	"quorumconf/internal/transport/udptransport"
 )
 
 // testSpace is 10.0.0.1 - 10.0.0.64.
@@ -348,6 +351,40 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestKillWithFullQueue: Kill does not block on a full event queue, whose
+// loop is awake anyway, and once the loop has seen the kill no queued event
+// starts.
+func TestKillWithFullQueue(t *testing.T) {
+	d := newCluster(t, 1)[0]
+	running, release := make(chan struct{}), make(chan struct{})
+	d.post(func() { close(running); <-release })
+	<-running
+	var ran atomic.Int32
+	for full := false; !full; {
+		select {
+		case d.events <- func() { ran.Add(1) }:
+		default:
+			full = true
+		}
+	}
+	killed := make(chan struct{})
+	go func() { d.Kill(); close(killed) }()
+	// Kill closes the transport after its wake-up, while the loop is still
+	// held in the first event.
+	waitFor(t, 5*time.Second, "Kill past its wake-up", func() bool {
+		return errors.Is(d.tr.AddPeer(9, "127.0.0.1:1"), udptransport.ErrClosed)
+	})
+	close(release)
+	select {
+	case <-killed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Kill did not return")
+	}
+	if n := ran.Load(); n != 0 {
+		t.Errorf("%d queued events ran after the kill", n)
+	}
+}
+
 // TestClusterUnderChaoticTransport forms a small cluster with 20%% of
 // outbound data frames artificially dropped: the ARQ layer must still
 // converge the protocol.
@@ -473,7 +510,7 @@ func ExampleStatusResponse() {
 	// Output: owner 10.0.0.1-10.0.0.64
 }
 
-// TestClusterWithBatchedTransport: the batch knobs pass through Config to
+// TestClusterWithBatchedTransport: the batch cap passes through Config to
 // the transport and a cluster forms and allocates over coalesced frames.
 // The join handshake itself is mostly lock-step request/response (batches
 // of one fall back to plain frames), so the assertion is functional:
@@ -481,7 +518,6 @@ func ExampleStatusResponse() {
 func TestClusterWithBatchedTransport(t *testing.T) {
 	daemons := newCluster(t, 3, func(c *Config) {
 		c.BatchFlushBytes = 16 * 1024
-		c.BatchFlushDelay = 2 * time.Millisecond
 	})
 	waitFor(t, 15*time.Second, "3 daemons joined", func() bool {
 		for _, d := range daemons {

@@ -52,7 +52,6 @@ func TestAllocationSpanAcrossFleet(t *testing.T) {
 	tracers := make(map[radio.NodeID]*obs.Tracer)
 	ds := newCluster(t, 3, func(c *Config) {
 		c.BatchFlushBytes = 16 * 1024
-		c.BatchFlushDelay = 2 * time.Millisecond
 		tr := obs.NewTracer(clock)
 		tracers[c.ID] = tr
 		c.Tracer = tr

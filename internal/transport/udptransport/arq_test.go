@@ -366,41 +366,57 @@ func TestOversizeFrameBehindSmallOnes(t *testing.T) {
 		return &wire.Envelope{Type: msg.TReplicaDist, Dst: 2, Category: metrics.CatSync,
 			Payload: msg.ReplicaDist{Info: msg.HolderInfo{Owner: radio.NodeID(seq), Holders: make([]radio.NodeID, n)}}}
 	}
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		// The linger holds the worker while the whole burst queues up, so
-		// the frames meet in one collection: 48 KB of small ones, then 24 KB.
-		{"largest cap with linger", Config{BatchFlushBytes: maxBatchBytes, BatchFlushDelay: 50 * time.Millisecond}},
-		{"default cap", Config{}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a, b := newPairWith(t, tc.cfg)
-			var rec orderRecorder
-			b.SetHandler(rec.handle)
-
-			const small = 40
-			for i := 0; i < small; i++ {
-				if err := a.Send(context.Background(), sized(i, 1200)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := a.Send(context.Background(), sized(small, 24*1024)); err != nil {
+	// burst sends 40 small frames (48 KB), a 24 KB one and one more small
+	// one, numbered from first; arrived waits for n messages in order.
+	const small = 40
+	burst := func(t *testing.T, a *Transport, first int) {
+		t.Helper()
+		for i := 0; i < small; i++ {
+			if err := a.Send(context.Background(), sized(first+i, 1200)); err != nil {
 				t.Fatal(err)
 			}
-			if err := a.Send(context.Background(), sized(small+1, 1200)); err != nil {
-				t.Fatal(err)
-			}
-			waitFor(t, 10*time.Second, func() bool {
-				return rec.len() == small+2 || a.Metrics().Counter(CtrSendDrop) > 0
-			})
-			if got := a.Metrics().Counter(CtrSendDrop); got != 0 {
-				t.Fatalf("send_drop = %d, want 0", got)
-			}
-			rec.checkInOrder(t, small+2)
-		})
+		}
+		if err := a.Send(context.Background(), sized(first+small, 24*1024)); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Send(context.Background(), sized(first+small+1, 1200)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	arrived := func(t *testing.T, a *Transport, rec *orderRecorder, n int) {
+		t.Helper()
+		waitFor(t, 10*time.Second, func() bool {
+			return rec.len() == n || a.Metrics().Counter(CtrSendDrop) > 0
+		})
+		if got := a.Metrics().Counter(CtrSendDrop); got != 0 {
+			t.Fatalf("send_drop = %d, want 0", got)
+		}
+		rec.checkInOrder(t, n)
+	}
+	t.Run("largest cap", func(t *testing.T) {
+		a, b := newPairWith(t, Config{BatchFlushBytes: maxBatchBytes})
+		var rec orderRecorder
+		b.SetHandler(rec.handle)
+		// The burst queues behind a first exchange, so the frames meet in
+		// one collection: 48 KB of small ones, then 24 KB.
+		release := stall(t, a, b, sized(0, 1200))
+		burst(t, a, 1)
+		release()
+		arrived(t, a, &rec, small+3)
+		if got := a.Metrics().Counter(CtrBatchTx); got != 2 {
+			t.Errorf("batch frames = %d, want 2: the 24 KB frame did not open its own exchange", got)
+		}
+		if got := a.Metrics().Counter(CtrBatched); got != small+2 {
+			t.Errorf("batched envelopes = %d, want %d", got, small+2)
+		}
+	})
+	t.Run("default cap", func(t *testing.T) {
+		a, b := newPairWith(t, Config{})
+		var rec orderRecorder
+		b.SetHandler(rec.handle)
+		burst(t, a, 0)
+		arrived(t, a, &rec, small+2)
+	})
 }
 
 // TestLateAckDoesNotCompleteNextExchange: a peer that acknowledges the
@@ -408,7 +424,7 @@ func TestOversizeFrameBehindSmallOnes(t *testing.T) {
 // ack has acknowledged nothing else. The second exchange must run its whole
 // retransmission schedule and fail, not complete on the late duplicate.
 func TestLateAckDoesNotCompleteNextExchange(t *testing.T) {
-	a, err := New(Config{ID: 1, RetryBase: 5 * time.Millisecond, MaxAttempts: 3})
+	a, err := New(Config{ID: 1, RetryBase: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,24 +15,15 @@ import (
 
 // TestBatchCoalescesBurst: a burst of small messages to one peer leaves the
 // socket as a handful of batch frames, and every envelope still arrives
-// exactly once — with no knob set (whatever queued up during the previous
-// exchange's round trip shares a frame) and with a flush delay lingering
-// for stragglers.
+// exactly once: whatever queued up during the previous exchange's round
+// trip shares a frame.
 func TestBatchCoalescesBurst(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		linger time.Duration
-	}{
-		{"default", 0},
-		{"flush delay", 50 * time.Millisecond},
-	} {
-		t.Run(tc.name, func(t *testing.T) { testBatchCoalescesBurst(t, tc.linger) })
-	}
+	t.Run("default", testBatchCoalescesBurst)
 }
 
-func testBatchCoalescesBurst(t *testing.T, linger time.Duration) {
+func testBatchCoalescesBurst(t *testing.T) {
 	ring := obs.NewRing(256)
-	a, b := newPairWith(t, Config{BatchFlushDelay: linger, Tracer: obs.NewTracer(nil, ring)})
+	a, b := newPairWith(t, Config{Tracer: obs.NewTracer(nil, ring)})
 
 	const n = 100
 	var mu sync.Mutex
@@ -138,20 +129,10 @@ func TestBatchRetransmitDeduped(t *testing.T) {
 // TestBatchSendWaitShareFate: SendWait callers whose messages coalesce into
 // one batch all resolve with the batch's single acknowledgement.
 func TestBatchSendWaitShareFate(t *testing.T) {
-	a, err := New(Config{ID: 1, BatchFlushDelay: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close(context.Background()) })
-	b, err := New(Config{ID: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close(context.Background()) })
-	if err := a.AddPeer(2, b.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
+	ring := obs.NewRing(64)
+	a, b := newPairWith(t, Config{Tracer: obs.NewTracer(nil, ring)})
 	b.SetHandler(func(*wire.Envelope) {})
+	release := stall(t, a, b, numbered(0))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -164,34 +145,49 @@ func TestBatchSendWaitShareFate(t *testing.T) {
 			errs[i] = a.SendWait(ctx, &wire.Envelope{Type: msg.TRepReq, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}})
 		}(i)
 	}
+	// Every SendWait has queued once its transport_send is traced.
+	waitFor(t, 5*time.Second, func() bool {
+		sends := 0
+		for _, e := range ring.Snapshot() {
+			if e.Kind == obs.EvTransportSend {
+				sends++
+			}
+		}
+		return sends == 1+len(errs)
+	})
+	release()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("SendWait %d: %v", i, err)
 		}
 	}
+	if got := a.Metrics().Counter(CtrBatchTx); got != 1 {
+		t.Errorf("batch frames = %d, want 1", got)
+	}
+	if got := a.Metrics().Counter(CtrBatched); got != int64(len(errs)) {
+		t.Errorf("batched envelopes = %d, want %d", got, len(errs))
+	}
 }
 
-// TestFlushDelayLingers: with a flush delay set, a message that finds the
-// queue dry waits for stragglers. A second message sent 5ms later, well
-// inside the 50ms linger, leaves in the same batch frame.
-func TestFlushDelayLingers(t *testing.T) {
-	a, b := newPairWith(t, Config{BatchFlushDelay: 50 * time.Millisecond})
-	var rec orderRecorder
-	b.SetHandler(rec.handle)
-	if err := a.Send(context.Background(), numbered(0)); err != nil {
+// stall points a's peer 2 at a mute socket and sends first there, so that
+// what a sends next queues behind an exchange nobody acknowledges. The
+// returned release points peer 2 at to: the address is read per copy, so
+// the next retransmission is acknowledged and the queue leaves in one
+// collection.
+func stall(t *testing.T, a, to *Transport, first *wire.Envelope) (release func()) {
+	t.Helper()
+	mute := rawSocket(t)
+	if err := a.AddPeer(2, mute.LocalAddr().String()); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
-	if err := a.Send(context.Background(), numbered(1)); err != nil {
+	if err := a.Send(context.Background(), first); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return rec.len() == 2 })
-	rec.checkInOrder(t, 2)
-	if got := a.Metrics().Counter(CtrBatchTx); got != 1 {
-		t.Errorf("batch frames = %d, want 1: the second message did not ride the first one's frame", got)
-	}
-	if got := a.Metrics().Counter(CtrBatched); got != 2 {
-		t.Errorf("batched envelopes = %d, want 2", got)
+	waitFor(t, 5*time.Second, func() bool { return a.Metrics().Counter(CtrDataTx) >= 1 })
+	return func() {
+		if err := a.AddPeer(2, to.LocalAddr().String()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -223,7 +223,7 @@ func TestAuthReplayReorder(t *testing.T) {
 // a different remote is unaffected.
 func TestRateLimit(t *testing.T) {
 	ring := obs.NewRing(256)
-	b, err := New(Config{ID: 2, RateLimit: 1, RateBurst: 5, Tracer: obs.NewTracer(nil, ring)})
+	b, err := New(Config{ID: 2, RateLimit: 1, Tracer: obs.NewTracer(nil, ring)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +259,12 @@ func TestRateLimit(t *testing.T) {
 	mu.Unlock()
 	// The bucket admits the burst plus whatever refills during the flood
 	// (at 1/s, effectively nothing); everything else is shed.
-	if floodDelivered > 10 {
-		t.Errorf("flood delivered %d frames, want <= 10 (burst 5)", floodDelivered)
+	burst := rateBurst(1)
+	if floodDelivered > burst+5 {
+		t.Errorf("flood delivered %d frames, want <= %d (burst %d)", floodDelivered, burst+5, burst)
 	}
-	if got := b.Metrics().Counter(CtrRateLimited); got < sent-10 {
-		t.Errorf("rate_limited = %d, want >= %d", got, sent-10)
+	if got := b.Metrics().Counter(CtrRateLimited); got < int64(sent-burst-5) {
+		t.Errorf("rate_limited = %d, want >= %d", got, sent-burst-5)
 	}
 	limited := 0
 	for _, e := range ring.Snapshot() {
@@ -296,7 +297,7 @@ func TestRateLimit(t *testing.T) {
 // TestRateLimitRecovers: after the bucket drains, waiting lets tokens
 // refill and traffic pass again.
 func TestRateLimitRecovers(t *testing.T) {
-	b, err := New(Config{ID: 2, RateLimit: 50, RateBurst: 2})
+	b, err := New(Config{ID: 2, RateLimit: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,16 +323,25 @@ func TestRateLimitRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := uint64(1); i <= 10; i++ {
+	flood := uint64(rateBurst(50) + 8)
+	for i := uint64(1); i <= flood; i++ {
 		send(i)
 	}
 	waitFor(t, 5*time.Second, func() bool { return b.Metrics().Counter(CtrRateLimited) > 0 })
-
-	time.Sleep(100 * time.Millisecond) // 50/s refills ~5 tokens
-	send(11)
 	waitFor(t, 5*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return delivered >= 3
+		return int64(delivered)+b.Metrics().Counter(CtrRateLimited) == int64(flood)
+	})
+	mu.Lock()
+	drained := delivered
+	mu.Unlock()
+
+	time.Sleep(100 * time.Millisecond) // 50/s refills ~5 tokens
+	send(flood + 1)
+	waitFor(t, 5*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return delivered > drained
 	})
 }

@@ -43,13 +43,14 @@ func TestSpanSurvivesSocket(t *testing.T) {
 // the configured histogram registry.
 func TestSpanSurvivesBatchAndRetry(t *testing.T) {
 	hists := obs.NewHistograms()
+	// At this drop rate a message survives by the length of the give-up
+	// horizon, RetryBase·(2^maxAttempts − 1) = 6.3s, which a measured
+	// round trip fills with a dozen copies.
 	a, err := New(Config{
 		ID:              1,
 		DropRate:        0.4,
-		RetryBase:       10 * time.Millisecond,
-		MaxAttempts:     12,
+		RetryBase:       100 * time.Millisecond,
 		BatchFlushBytes: 16 * 1024,
-		BatchFlushDelay: 10 * time.Millisecond,
 		Histograms:      hists,
 	})
 	if err != nil {
@@ -74,8 +75,23 @@ func TestSpanSurvivesBatchAndRetry(t *testing.T) {
 	b.SetHandler(func(env *wire.Envelope) {
 		mu.Lock()
 		defer mu.Unlock()
-		got[env.Span] = true
+		if env.Span != 0 {
+			got[env.Span] = true
+		}
 	})
+
+	// Until an exchange is acknowledged on its first copy, each one starts
+	// from RetryBase and gets only maxAttempts copies; one in 250 would be
+	// lost at this drop rate. Measure the round trip first.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for sampled := false; !sampled; {
+		if err := a.SendWait(ctx, numbered(0)); ctx.Err() != nil {
+			t.Fatalf("no round trip measured: %v", err)
+		}
+		rtt, ok := hists.Snapshot(obs.HistTransportRTT)
+		sampled = ok && rtt.Count > 0
+	}
 
 	want := make(map[uint64]bool)
 	for i := 0; i < n; i++ {

@@ -50,8 +50,7 @@
 // one 'B' frame; a lone message leaves as a plain 'D' frame. That wake-up
 // lag is what lets a burst share a frame. BatchFlushBytes caps a batch's
 // payload (default about one MTU; the message that would overflow it opens
-// the next exchange) and BatchFlushDelay optionally lingers for
-// stragglers. A batch rides the ARQ as a unit, keyed on its first
+// the next exchange). A batch rides the ARQ as a unit, keyed on its first
 // envelope's message ID; the receiver acknowledges that ID once and
 // delivers each inner envelope through the usual per-envelope dedup, so a
 // retransmitted batch cannot double-deliver.
@@ -68,8 +67,8 @@
 // recovery thus costs about a round trip rather than a tuned constant.
 //
 // Patience does not shrink with the RTO: a frame is given up only after
-// MaxAttempts copies and RetryBase·(2^MaxAttempts − 1) since the first — the
-// time MaxAttempts copies spaced from RetryBase take — so a fast path sends
+// maxAttempts copies and RetryBase·(2^maxAttempts − 1) since the first — the
+// time maxAttempts copies spaced from RetryBase take — so a fast path sends
 // more copies inside the same horizon instead of dropping sooner. A message
 // given up is dropped with a counter bump; the protocol's own timeouts
 // recover, exactly as they do over lossy radio.
@@ -151,6 +150,20 @@ const defaultBatchBytes = 1400
 // retransmitted 0.3% of all exchanges for nothing. 1 ms sits at the p99.9.
 const rtoFloor = time.Millisecond
 
+// maxAttempts sets the give-up horizon: a message is dropped once at least
+// this many copies were sent and RetryBase·(2^maxAttempts − 1) has passed
+// since the first. A peer whose measured round trip is short gets more
+// copies than this inside the horizon.
+const maxAttempts = 6
+
+// queueLen is the per-destination queue capacity.
+const queueLen = 512
+
+// rateBurst is the rate limiter's bucket depth for a limit of limit
+// datagrams per second: how many back-to-back datagrams a remote may burst
+// before the steady rate applies.
+func rateBurst(limit float64) int { return max(16, int(limit)) }
+
 // Counter names recorded into the collector.
 const (
 	CtrDataTx    = "transport.data_tx"    // data datagrams written (incl. retransmits)
@@ -181,16 +194,8 @@ type Config struct {
 	Metrics *metrics.SyncCollector
 	// RetryBase is the first retransmission delay until the peer's round
 	// trip has been measured, and the ceiling of the adaptive delay after
-	// (default 30ms).
+	// (default 30ms). It also scales the give-up horizon.
 	RetryBase time.Duration
-	// MaxAttempts sets the give-up horizon (default 6): a message is
-	// dropped once at least this many copies were sent and
-	// RetryBase·(2^MaxAttempts − 1) has passed since the first. A peer
-	// whose measured round trip is short gets more copies than this
-	// inside the horizon.
-	MaxAttempts int
-	// QueueLen is the per-destination queue capacity (default 512).
-	QueueLen int
 	// DropRate discards outbound data frames with this probability, in
 	// [0, 1) — a chaos knob mirroring the netstack's loss model, for
 	// exercising retransmission against real sockets.
@@ -201,24 +206,16 @@ type Config struct {
 	// default of about one MTU (1400); values past what one datagram can
 	// carry are capped internally.
 	BatchFlushBytes int
-	// BatchFlushDelay is the optional coalescing linger: after the queue
-	// runs dry the sender waits at most this long for more messages
-	// before flushing. Zero (the default) flushes as soon as the queue is
-	// empty.
-	BatchFlushDelay time.Duration
 	// AuthKey, when non-empty, turns on frame authentication: every
 	// outbound datagram is sealed (wire.Seal, HMAC-SHA256) and inbound
 	// datagrams that fail wire.Open are dropped before any transport
 	// state is touched. All endpoints of a cluster must share the key.
 	AuthKey []byte
 	// RateLimit, when positive, enables a per-remote-address token bucket
-	// admitting this many datagrams per second; datagrams beyond the
-	// budget are dropped before authentication. Zero disables limiting.
+	// admitting this many datagrams per second, max(16, RateLimit) deep;
+	// datagrams beyond the budget are dropped before authentication. Zero
+	// disables limiting.
 	RateLimit float64
-	// RateBurst is the bucket depth — how many back-to-back datagrams a
-	// remote may burst before the steady rate applies (default
-	// max(16, RateLimit)).
-	RateBurst int
 	// Tracer receives transport_send/retry/drop/dedup events; nil
 	// disables tracing at zero cost.
 	Tracer *obs.Tracer
@@ -240,23 +237,11 @@ func (c *Config) setDefaults() {
 	if c.RetryBase <= 0 {
 		c.RetryBase = 30 * time.Millisecond
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 6
-	}
 	if c.BatchFlushBytes <= 0 {
 		c.BatchFlushBytes = defaultBatchBytes
 	}
 	if c.BatchFlushBytes > maxBatchBytes {
 		c.BatchFlushBytes = maxBatchBytes
-	}
-	if c.QueueLen == 0 {
-		c.QueueLen = 512
-	}
-	if c.RateLimit > 0 && c.RateBurst == 0 {
-		c.RateBurst = 16
-		if int(c.RateLimit) > c.RateBurst {
-			c.RateBurst = int(c.RateLimit)
-		}
 	}
 }
 
@@ -282,14 +267,12 @@ type Transport struct {
 	cfg  Config
 	conn *net.UDPConn
 
+	handler atomic.Pointer[Handler]
+
 	mu       sync.Mutex
-	handler  Handler
 	peers    map[radio.NodeID]netip.AddrPort
 	senders  map[radio.NodeID]*sender
 	inflight map[uint64]*sender // each sender's latest exchange, by its ack key
-	seen     map[dedupKey]struct{}
-	seenRing []dedupKey
-	seenPos  int
 	closed   bool
 
 	msgSeq atomic.Uint64
@@ -320,7 +303,6 @@ func New(cfg Config) (*Transport, error) {
 		peers:    make(map[radio.NodeID]netip.AddrPort),
 		senders:  make(map[radio.NodeID]*sender),
 		inflight: make(map[uint64]*sender),
-		seen:     make(map[dedupKey]struct{}),
 		done:     make(chan struct{}),
 	}
 	// Message IDs start at a random offset: peers remember (source, ID)
@@ -341,11 +323,7 @@ func (t *Transport) Metrics() *metrics.SyncCollector { return t.cfg.Metrics }
 
 // SetHandler installs the delivery callback. Must be called before traffic
 // is expected; a nil handler drops deliveries.
-func (t *Transport) SetHandler(h Handler) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.handler = h
-}
+func (t *Transport) SetHandler(h Handler) { t.handler.Store(&h) }
 
 // AddPeer registers (or updates) the socket address for a node ID.
 func (t *Transport) AddPeer(id radio.NodeID, addr string) error {
@@ -394,7 +372,7 @@ func (t *Transport) Send(ctx context.Context, env *wire.Envelope) error {
 
 // SendWait is Send that also waits for the message's fate: it returns nil
 // once the peer acknowledged the message, ErrRetriesExhausted if it was
-// given up unacknowledged (see Config.MaxAttempts), or the context
+// given up unacknowledged (see Config.RetryBase), or the context
 // error if ctx expires first (the transmission keeps running in that
 // case — UDP has no unsend).
 func (t *Transport) SendWait(ctx context.Context, env *wire.Envelope) error {
@@ -513,9 +491,9 @@ func (t *Transport) isClosed() bool {
 }
 
 // horizon is how long after its first copy an exchange may be given up:
-// the time MaxAttempts copies spaced from RetryBase take.
+// the time maxAttempts copies spaced from RetryBase take.
 func (t *Transport) horizon() time.Duration {
-	return t.cfg.RetryBase<<t.cfg.MaxAttempts - t.cfg.RetryBase
+	return t.cfg.RetryBase<<maxAttempts - t.cfg.RetryBase
 }
 
 // rttEstimator is one destination's Jacobson/Karels round-trip estimate,
@@ -592,9 +570,8 @@ type sender struct {
 	space chan struct{}
 	// busy holds from the wake-up that starts an exchange until that
 	// exchange ends with the queue empty; Send wakes run only when it is
-	// clear. lingering holds while run waits out BatchFlushDelay, when
-	// every Send wakes it.
-	busy, lingering bool
+	// clear.
+	busy bool
 
 	// The exchange in flight; members is nil when there is none.
 	members  []outgoing
@@ -631,9 +608,9 @@ func (s *sender) signal() {
 func (s *sender) enqueue(ctx context.Context, out outgoing) error {
 	for {
 		s.mu.Lock()
-		if len(s.queue) < s.t.cfg.QueueLen {
+		if len(s.queue) < queueLen {
 			s.queue = append(s.queue, out)
-			if !s.busy || s.lingering {
+			if !s.busy {
 				s.busy = true
 				s.signal()
 			}
@@ -661,90 +638,52 @@ func (s *sender) enqueue(ctx context.Context, out outgoing) error {
 
 // run is the destination's goroutine: each wake-up starts one exchange.
 // Close wakes it too, and it then fails the exchange in flight and exits.
-// It looks for Close both before it waits, since a lingering collect may
-// take Close's wake-up, and after, so that Close's wake-up starts nothing.
 func (s *sender) run() {
 	defer s.t.wg.Done()
-	for !s.t.isClosed() {
-		<-s.wake
-		if !s.t.isClosed() && s.collect() {
+	for range s.wake {
+		if s.t.isClosed() {
+			s.close()
+			return
+		}
+		if s.collect() {
 			s.start()
 		}
 	}
-	s.close()
 }
 
-// collect moves the next exchange's members off the queue into s.batch,
-// lingering up to BatchFlushDelay for stragglers when that is set and the
-// frame has room. It reports false, leaving the sender idle, when the
-// queue was empty.
+// collect moves the next exchange's members off the queue into s.batch, in
+// order, until it holds wire.MaxBatch messages or BatchFlushBytes of
+// payload. The message that would take it past the cap stays queued and
+// opens the next exchange, so a frame exceeds the cap only when one message
+// does. It reports false, leaving the sender idle, when the queue was
+// empty.
 func (s *sender) collect() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	clear(s.batch)
-	var size int
-	var full bool
-	s.batch, size, full = s.take(s.batch[:0], 0)
-	if len(s.batch) == 0 {
+	s.batch = s.batch[:0]
+	if len(s.queue) == 0 {
 		s.busy = false
 		return false
 	}
-	delay := s.t.cfg.BatchFlushDelay
-	if full || delay <= 0 {
-		return true
-	}
-	linger := time.NewTimer(delay)
-	defer linger.Stop()
-	s.lingering = true
-	for waiting := true; waiting && !full; {
-		s.mu.Unlock()
-		select {
-		case <-s.wake:
-		case <-linger.C:
-			waiting = false
-		case <-s.t.done:
-			waiting = false
-		}
-		s.mu.Lock()
-		s.batch, size, full = s.take(s.batch, size)
-	}
-	s.lingering = false
-	// A Send's wake-up left behind while lingering: its message is in this
-	// batch or waits for the next exchange, which the ack wakes run for.
-	select {
-	case <-s.wake:
-	default:
-	}
-	return true
-}
-
-// take moves queued messages into batch, whose payload is size bytes,
-// until it holds wire.MaxBatch messages or BatchFlushBytes of payload. The
-// message that would take it past the cap stays queued and opens the next
-// exchange, so a frame exceeds the cap only when one message does. full
-// reports that the batch closed for one of these reasons rather than
-// because the queue ran dry. Callers hold mu.
-func (s *sender) take(batch []outgoing, size int) (_ []outgoing, _ int, full bool) {
 	limit := s.t.cfg.BatchFlushBytes
-	n := 0
+	size, n := 0, 0
 	for ; n < len(s.queue); n++ {
 		next := len(s.queue[n].frame) - 1
-		if len(batch) == wire.MaxBatch || size >= limit || (len(batch) > 0 && size+next > limit) {
+		if len(s.batch) == wire.MaxBatch || size >= limit || (len(s.batch) > 0 && size+next > limit) {
 			break
 		}
-		batch = append(batch, s.queue[n])
+		s.batch = append(s.batch, s.queue[n])
 		size += next
 	}
-	if n > 0 {
-		rest := copy(s.queue, s.queue[n:])
-		clear(s.queue[rest:])
-		s.queue = s.queue[:rest]
-		if s.space != nil {
-			close(s.space)
-			s.space = nil
-		}
+	rest := copy(s.queue, s.queue[n:])
+	clear(s.queue[rest:])
+	s.queue = s.queue[:rest]
+	if s.space != nil {
+		close(s.space)
+		s.space = nil
 	}
-	return batch, size, len(s.queue) > 0 || len(batch) == wire.MaxBatch || size >= limit
+	return true
 }
 
 // start sends s.batch as one exchange: a lone message as its own 'D'
@@ -851,7 +790,7 @@ func (s *sender) ack(id uint64) {
 }
 
 // expire is the timer's callback. It sends another copy after a doubled
-// wait stretched by up to half — never shortened — or, once MaxAttempts
+// wait stretched by up to half — never shortened — or, once maxAttempts
 // copies were sent and the horizon has passed, gives the exchange up. A
 // short RTO therefore buys earlier recovery, not less patience. A fire
 // that an ack or a later arm overtook finds no exchange or a deadline
@@ -863,7 +802,7 @@ func (s *sender) expire() {
 		s.mu.Unlock()
 		return
 	}
-	if s.attempt+1 >= t.cfg.MaxAttempts && time.Since(s.first) >= t.horizon() {
+	if s.attempt+1 >= maxAttempts && time.Since(s.first) >= t.horizon() {
 		// Greet a peer this silent like a fresh one: from RetryBase.
 		s.est.backed = t.cfg.RetryBase
 		t.cfg.Metrics.Inc(CtrSendDrop)
@@ -924,8 +863,15 @@ type reader struct {
 	t       *Transport
 	auth    *wire.Auth // opens inbound datagrams and seals their acks
 	buckets map[netip.AddrPort]*bucket
-	ack     []byte // the ack being written, reused
-	sealed  []byte // its sealed form, reused
+	burst   float64 // the buckets' depth
+	ack     []byte  // the ack being written, reused
+	sealed  []byte  // its sealed form, reused
+
+	// The dedup window: the last dedupCap (source, message ID) pairs
+	// delivered, oldest overwritten first.
+	seen     map[dedupKey]struct{}
+	seenRing []dedupKey
+	seenPos  int
 }
 
 // readLoop receives datagrams until the socket closes. Hostile input is
@@ -935,7 +881,8 @@ type reader struct {
 func (t *Transport) readLoop() {
 	defer t.wg.Done()
 	buf := make([]byte, 64*1024)
-	r := reader{t: t, auth: t.newAuth(), buckets: make(map[netip.AddrPort]*bucket)}
+	r := reader{t: t, auth: t.newAuth(), buckets: make(map[netip.AddrPort]*bucket),
+		burst: float64(rateBurst(t.cfg.RateLimit)), seen: make(map[dedupKey]struct{})}
 	for {
 		n, raddr, err := t.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
@@ -999,8 +946,8 @@ func (r *reader) admit(raddr netip.AddrPort) bool {
 	if !ok {
 		if len(r.buckets) >= maxBuckets {
 			// Prune remotes whose buckets have fully refilled — they have
-			// been idle at least RateBurst/RateLimit seconds.
-			refill := time.Duration(float64(cfg.RateBurst) / cfg.RateLimit * float64(time.Second))
+			// been idle at least burst/RateLimit seconds.
+			refill := time.Duration(r.burst / cfg.RateLimit * float64(time.Second))
 			for k, old := range r.buckets {
 				if now.Sub(old.last) >= refill {
 					delete(r.buckets, k)
@@ -1012,13 +959,11 @@ func (r *reader) admit(raddr netip.AddrPort) bool {
 				return false
 			}
 		}
-		b = &bucket{tokens: float64(cfg.RateBurst), last: now}
+		b = &bucket{tokens: r.burst, last: now}
 		r.buckets[raddr] = b
 	}
 	b.tokens += now.Sub(b.last).Seconds() * cfg.RateLimit
-	if max := float64(cfg.RateBurst); b.tokens > max {
-		b.tokens = max
-	}
+	b.tokens = min(b.tokens, r.burst)
 	b.last = now
 	if b.tokens < 1 {
 		return false
@@ -1054,7 +999,7 @@ func (r *reader) handleData(body []byte, raddr netip.AddrPort) {
 	// Ack every valid data frame, duplicates included — the retransmit
 	// means the sender missed the previous ack.
 	r.sendAck(env.MsgID, raddr)
-	r.t.deliver(env)
+	r.deliver(env)
 }
 
 // handleBatch unbundles a coalesced frame: one ack for the whole batch
@@ -1069,7 +1014,7 @@ func (r *reader) handleBatch(body []byte, raddr netip.AddrPort) {
 	r.t.cfg.Metrics.Inc(CtrBatchRx)
 	r.sendAck(envs[0].MsgID, raddr)
 	for _, env := range envs {
-		r.t.deliver(env)
+		r.deliver(env)
 	}
 }
 
@@ -1105,29 +1050,26 @@ func seal(auth *wire.Auth, frame []byte) []byte {
 
 // deliver runs the dedup window and hands a received envelope to the
 // handler.
-func (t *Transport) deliver(env *wire.Envelope) {
+func (r *reader) deliver(env *wire.Envelope) {
+	t := r.t
 	key := dedupKey{src: env.Src, id: env.MsgID}
-	t.mu.Lock()
-	if _, dup := t.seen[key]; dup {
-		t.mu.Unlock()
+	if _, dup := r.seen[key]; dup {
 		t.cfg.Metrics.Inc(CtrDupDrop)
 		t.trace(obs.EvTransportDedup, env.Src, env.MsgID, "")
 		return
 	}
-	if len(t.seenRing) < dedupCap {
-		t.seenRing = append(t.seenRing, key)
+	if len(r.seenRing) < dedupCap {
+		r.seenRing = append(r.seenRing, key)
 	} else {
-		delete(t.seen, t.seenRing[t.seenPos])
-		t.seenRing[t.seenPos] = key
-		t.seenPos = (t.seenPos + 1) % dedupCap
+		delete(r.seen, r.seenRing[r.seenPos])
+		r.seenRing[r.seenPos] = key
+		r.seenPos = (r.seenPos + 1) % dedupCap
 	}
-	t.seen[key] = struct{}{}
-	h := t.handler
-	t.mu.Unlock()
+	r.seen[key] = struct{}{}
 
 	t.cfg.Metrics.Inc(CtrDelivered)
 	t.cfg.Metrics.AddTraffic(env.Category, env.Hops)
-	if h != nil {
-		h(env)
+	if h := t.handler.Load(); h != nil && *h != nil {
+		(*h)(env)
 	}
 }

@@ -128,7 +128,7 @@ func TestSendAfterClose(t *testing.T) {
 // that stays silent for the first two data frames and only acks the third:
 // the message must still arrive exactly once in the sender's accounting.
 func TestRetransmitUntilAcked(t *testing.T) {
-	a, err := New(Config{ID: 1, RetryBase: 20 * time.Millisecond, MaxAttempts: 6})
+	a, err := New(Config{ID: 1, RetryBase: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestSendWaitAcked(t *testing.T) {
 func TestSendWaitRetriesExhausted(t *testing.T) {
 	ring := obs.NewRing(64)
 	tracer := obs.NewTracer(nil, ring)
-	a, err := New(Config{ID: 1, RetryBase: 5 * time.Millisecond, MaxAttempts: 3, Tracer: tracer})
+	a, err := New(Config{ID: 1, RetryBase: time.Millisecond, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,8 +287,8 @@ func TestSendWaitRetriesExhausted(t *testing.T) {
 			drops++
 		}
 	}
-	if sends != 1 || retries != 2 || drops != 1 {
-		t.Errorf("trace saw sends=%d retries=%d drops=%d, want 1/2/1", sends, retries, drops)
+	if sends != 1 || retries != maxAttempts-1 || drops != 1 {
+		t.Errorf("trace saw sends=%d retries=%d drops=%d, want 1/%d/1", sends, retries, drops, maxAttempts-1)
 	}
 }
 
@@ -303,12 +303,12 @@ func TestSendContextCancelled(t *testing.T) {
 	}
 }
 
-// TestSendQueueFull: once a destination's queue holds QueueLen messages,
+// TestSendQueueFull: once a destination's queue holds queueLen messages,
 // Send with context.Background() fails at once with ErrQueueFull and counts
 // a send_drop, while Send with a cancellable context blocks for space until
 // its deadline and returns the context's error.
 func TestSendQueueFull(t *testing.T) {
-	a, err := New(Config{ID: 1, QueueLen: 2, RetryBase: time.Second})
+	a, err := New(Config{ID: 1, RetryBase: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,12 +323,12 @@ func TestSendQueueFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool { return a.Metrics().Counter(CtrDataTx) >= 1 })
-	for i := 1; i <= 2; i++ {
+	for i := 1; i <= queueLen; i++ {
 		if err := a.Send(context.Background(), numbered(i)); err != nil {
 			t.Fatalf("message %d into a queue with room: %v", i, err)
 		}
 	}
-	if err := a.Send(context.Background(), numbered(3)); !errors.Is(err, ErrQueueFull) {
+	if err := a.Send(context.Background(), numbered(queueLen+1)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("send into a full queue without a deadline: %v, want ErrQueueFull", err)
 	}
 	if got := a.Metrics().Counter(CtrSendDrop); got != 1 {
@@ -339,7 +339,7 @@ func TestSendQueueFull(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), wait)
 	defer cancel()
 	start := time.Now()
-	err = a.Send(ctx, numbered(4))
+	err = a.Send(ctx, numbered(queueLen+2))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("send into a full queue with a deadline: %v, want context.DeadlineExceeded", err)
 	}
@@ -352,39 +352,28 @@ func TestSendQueueFull(t *testing.T) {
 }
 
 // TestCloseEndsSenders: Close returns once every destination's goroutine
-// has exited, whether it was lingering for stragglers or waiting out an
-// exchange to a silent peer, and a SendWait in flight gets ErrClosed.
+// has exited, also one waiting out an exchange to a silent peer, and a
+// SendWait in flight gets ErrClosed.
 func TestCloseEndsSenders(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		cfg   Config
-		ready func(*Transport, *obs.Ring) bool
-	}{
-		{"lingering", Config{BatchFlushDelay: time.Hour}, func(_ *Transport, ring *obs.Ring) bool { return len(ring.Snapshot()) > 0 }},
-		{"exchange in flight", Config{RetryBase: time.Hour}, func(a *Transport, _ *obs.Ring) bool { return a.Metrics().Counter(CtrDataTx) > 0 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ring := obs.NewRing(16)
-			tc.cfg.ID, tc.cfg.Tracer = 1, obs.NewTracer(nil, ring)
-			a, err := New(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mute := rawSocket(t)
-			if err := a.AddPeer(2, mute.LocalAddr().String()); err != nil {
-				t.Fatal(err)
-			}
-			fate := make(chan error, 1)
-			go func() { fate <- a.SendWait(context.Background(), numbered(0)) }()
-			waitFor(t, 5*time.Second, func() bool { return tc.ready(a, ring) })
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := a.Close(ctx); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			if err := <-fate; !errors.Is(err, ErrClosed) {
-				t.Errorf("SendWait across Close: %v, want ErrClosed", err)
-			}
-		})
-	}
+	t.Run("exchange in flight", func(t *testing.T) {
+		a, err := New(Config{ID: 1, RetryBase: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mute := rawSocket(t)
+		if err := a.AddPeer(2, mute.LocalAddr().String()); err != nil {
+			t.Fatal(err)
+		}
+		fate := make(chan error, 1)
+		go func() { fate <- a.SendWait(context.Background(), numbered(0)) }()
+		waitFor(t, 5*time.Second, func() bool { return a.Metrics().Counter(CtrDataTx) > 0 })
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := a.Close(ctx); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if err := <-fate; !errors.Is(err, ErrClosed) {
+			t.Errorf("SendWait across Close: %v, want ErrClosed", err)
+		}
+	})
 }
