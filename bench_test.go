@@ -1,6 +1,7 @@
 package quorumconf
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -20,27 +21,6 @@ func benchConfig() experiment.Config {
 		AbruptFractions: []float64{0.1, 0.3},
 		MidSize:         100,
 		ArrivalInterval: 2 * time.Second,
-	}
-}
-
-func benchFigure(b *testing.B, run func(experiment.Config) (experiment.Figure, error)) {
-	b.Helper()
-	benchFigureCfg(b, benchConfig(), run)
-}
-
-func benchFigureCfg(b *testing.B, cfg experiment.Config, run func(experiment.Config) (experiment.Figure, error)) {
-	b.Helper()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.BaseSeed = int64(i + 1)
-		fig, err := run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(fig.Series) == 0 {
-			b.Fatal("figure produced no series")
-		}
 	}
 }
 
@@ -74,81 +54,40 @@ func BenchmarkTable1Trace(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5ConfigLatencyVsSize: configuration latency vs network size,
-// quorum vs MANETconf (Figure 5).
-func BenchmarkFig5ConfigLatencyVsSize(b *testing.B) { benchFigure(b, experiment.Fig5) }
-
-// BenchmarkFig6ConfigLatencyVsRange: configuration latency vs transmission
-// range (Figure 6).
-func BenchmarkFig6ConfigLatencyVsRange(b *testing.B) { benchFigure(b, experiment.Fig6) }
-
-// BenchmarkFig7LatencySurface: quorum latency over the (tr, nn) grid
-// (Figure 7). Rounds and grid points fan out over the worker pool
-// (Workers defaults to GOMAXPROCS).
-func BenchmarkFig7LatencySurface(b *testing.B) { benchFigure(b, experiment.Fig7) }
-
-// BenchmarkFig7LatencySurfaceSerial pins the Workers=1 baseline for the
-// sweep engine. The ratio to BenchmarkFig7LatencySurface is the pool's
-// speedup on this host; results are bit-identical either way.
-func BenchmarkFig7LatencySurfaceSerial(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Workers = 1
-	benchFigureCfg(b, cfg, experiment.Fig7)
+// BenchmarkFigure regenerates each row of the figure catalog (Figs 5-14,
+// the ablations, the loss extension and the byzantine sweep) as one
+// sub-benchmark named after its row, through experiment.Lookup like
+// quorumsim -fig. Rounds and grid points fan out over the worker pool
+// (Workers defaults to GOMAXPROCS); fig7-serial pins the Workers=1 baseline
+// for the sweep engine, so its ratio to fig7 is the pool's speedup on this
+// host. Results are bit-identical either way.
+func BenchmarkFigure(b *testing.B) {
+	_, keys := experiment.Lookup("")
+	for _, entry := range keys {
+		id, _, _ := strings.Cut(entry, "/")
+		if id == "all" || id == "ablations" {
+			continue // the groups rerun the rows
+		}
+		b.Run(id, func(b *testing.B) { benchRow(b, id, benchConfig()) })
+	}
+	serial := benchConfig()
+	serial.Workers = 1
+	b.Run("fig7-serial", func(b *testing.B) { benchRow(b, "fig7", serial) })
 }
 
-// BenchmarkFig8ConfigOverhead: configuration message overhead vs size,
-// quorum vs Mohsin–Prakash (Figure 8).
-func BenchmarkFig8ConfigOverhead(b *testing.B) { benchFigure(b, experiment.Fig8) }
-
-// BenchmarkFig9DepartureOverhead: departure message overhead vs size
-// (Figure 9).
-func BenchmarkFig9DepartureOverhead(b *testing.B) { benchFigure(b, experiment.Fig9) }
-
-// BenchmarkFig10Maintenance: movement+departure maintenance overhead vs
-// size, both location-update schemes vs the C-tree baseline (Figure 10).
-func BenchmarkFig10Maintenance(b *testing.B) { benchFigure(b, experiment.Fig10) }
-
-// BenchmarkFig11SpeedSweep: movement overhead vs node speed (Figure 11).
-func BenchmarkFig11SpeedSweep(b *testing.B) { benchFigure(b, experiment.Fig11) }
-
-// BenchmarkFig12IPSpace: QDSet size and IP-space extension vs range
-// (Figure 12).
-func BenchmarkFig12IPSpace(b *testing.B) { benchFigure(b, experiment.Fig12) }
-
-// BenchmarkFig13Reliability: IP state lost vs abrupt-leave fraction,
-// quorum replication vs C-root reporting (Figure 13).
-func BenchmarkFig13Reliability(b *testing.B) { benchFigure(b, experiment.Fig13) }
-
-// BenchmarkFig14Reclamation: address reclamation overhead vs size
-// (Figure 14).
-func BenchmarkFig14Reclamation(b *testing.B) { benchFigure(b, experiment.Fig14) }
-
-// Ablation benches for the design choices called out in DESIGN.md §5.
-
-// BenchmarkAblationDynamicLinear: dynamic linear voting on/off.
-func BenchmarkAblationDynamicLinear(b *testing.B) {
-	benchFigure(b, experiment.AblationDynamicLinear)
-}
-
-// BenchmarkAblationBorrowing: QuorumSpace borrowing on/off under a join
-// wave.
-func BenchmarkAblationBorrowing(b *testing.B) { benchFigure(b, experiment.AblationBorrowing) }
-
-// BenchmarkAblationAllocatorChoice: nearest vs largest-block allocator.
-func BenchmarkAblationAllocatorChoice(b *testing.B) {
-	benchFigure(b, experiment.AblationAllocatorChoice)
-}
-
-// BenchmarkAblationQuorumShrink: Td shrink-timeout sweep.
-func BenchmarkAblationQuorumShrink(b *testing.B) {
-	benchFigure(b, experiment.AblationQuorumShrink)
-}
-
-// BenchmarkExtensionLossTolerance: configuration success under per-hop
-// message loss (extension beyond the paper's reliable-delivery
-// assumption).
-func BenchmarkExtensionLossTolerance(b *testing.B) {
-	benchFigure(b, experiment.ExtensionLossTolerance)
+func benchRow(b *testing.B, id string, cfg experiment.Config) {
+	run, _ := experiment.Lookup(id)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.BaseSeed = int64(i + 1)
+		figs, err := run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(figs) == 0 || len(figs[0].Series) == 0 {
+			b.Fatal("figure produced no series")
+		}
+	}
 }
 
 // BenchmarkAllocThroughput: allocations per simulated second under

@@ -7,14 +7,17 @@
 //	quorumsim -fig all               # figures 5..14
 //	quorumsim -fig table1            # Table 1 message trace
 //	quorumsim -fig 4 -nodes 100      # Figure 4 layout
+//	quorumsim -fig 4 -format svg     # Figure 4 drawing
 //	quorumsim -fig ablations         # design-choice ablation studies
 //	quorumsim -fig ablation-td       # any catalog entry by its figure ID
 //	quorumsim -fig 5 -rounds 50      # more rounds per data point
 //	quorumsim -fig all -parallel 8   # sweep rounds on an 8-worker pool
 //
 // Output is a plain text table per figure: one row per x value, one column
-// per series — directly consumable by gnuplot or a spreadsheet. Results
-// are bit-identical for every -parallel value, including the default.
+// per series — directly consumable by gnuplot or a spreadsheet. A catalog
+// figure also renders as CSV (-format csv), and the Fig 4 layout as an SVG
+// drawing (-format svg); Table 1 renders only as a table. Results are
+// bit-identical for every -parallel value, including the default.
 package main
 
 import (
@@ -25,6 +28,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -47,7 +51,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("quorumsim", flag.ContinueOnError)
 	_, keys := experiment.Lookup("")
 	figFlag := fs.String("fig", "all", "figure to regenerate: "+figKeys(keys))
-	format := fs.String("format", "table", "output format: table or csv")
+	format := fs.String("format", "table", "output format: table, csv (catalog figures) or svg (-fig 4)")
 	rounds := fs.Int("rounds", 3, "simulation rounds per data point (paper: 1000)")
 	seed := fs.Int64("seed", 1, "base random seed")
 	nodes := fs.Int("nodes", 100, "node count for -fig 4 layouts")
@@ -62,9 +66,6 @@ func run(args []string, out io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	if *format != "table" && *format != "csv" {
-		return fmt.Errorf("unknown -format %q (want table or csv)", *format)
-	}
 	if *rounds < 1 {
 		return fmt.Errorf("-rounds %d: need at least one round", *rounds)
 	}
@@ -73,6 +74,22 @@ func run(args []string, out io.Writer) error {
 	}
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel %d: worker count cannot be negative", *parallel)
+	}
+	key := strings.ToLower(*figFlag)
+	runFig, _ := experiment.Lookup(key)
+	formats := []string{"table", "csv"}
+	switch key {
+	case "table1", "t1":
+		formats = []string{"table"}
+	case "4", "fig4", "layout":
+		formats = []string{"table", "svg"}
+	default:
+		if runFig == nil {
+			return fmt.Errorf("unknown figure %q (want %s)", *figFlag, figKeys(keys))
+		}
+	}
+	if !slices.Contains(formats, *format) {
+		return fmt.Errorf("-format %q: -fig %s renders as %s", *format, *figFlag, strings.Join(formats, " or "))
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -121,14 +138,6 @@ func run(args []string, out io.Writer) error {
 			f.Close()
 		}()
 	}
-	render := func(f experiment.Figure) string {
-		if *format == "csv" {
-			return f.CSV()
-		}
-		return f.String()
-	}
-
-	key := strings.ToLower(*figFlag)
 	switch key {
 	case "table1", "t1":
 		events, err := experiment.Table1Trace()
@@ -142,19 +151,23 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(out, layout.String())
+		if *format == "svg" {
+			fmt.Fprint(out, layout.SVG(150))
+		} else {
+			fmt.Fprint(out, layout.String())
+		}
 		return nil
-	}
-	runFig, keys := experiment.Lookup(key)
-	if runFig == nil {
-		return fmt.Errorf("unknown figure %q (want %s)", *figFlag, figKeys(keys))
 	}
 	figs, err := runFig(cfg)
 	if err != nil {
 		return err
 	}
 	for _, f := range figs {
-		fmt.Fprintln(out, render(f))
+		if *format == "csv" {
+			fmt.Fprintln(out, f.CSV())
+		} else {
+			fmt.Fprintln(out, f.String())
+		}
 	}
 	return nil
 }

@@ -53,6 +53,49 @@ func TestRunSingleFigureCSV(t *testing.T) {
 	}
 }
 
+// TestRunFormats pins which -format each kind of -fig renders: a catalog
+// figure as a table or CSV, Table 1 as a table only, and the Fig 4 layout
+// as a table or an SVG drawing. Any other pairing is an error, not a
+// silent fallback to the table.
+func TestRunFormats(t *testing.T) {
+	accepted := []struct {
+		fig, format, want string
+	}{
+		{"ablation-td", "table", "reclamation hops     failed ballots"},
+		{"ablation-td", "csv", "Td (s),reclamation hops,failed ballots"},
+		{"table1", "table", "QUORUM_CLT"},
+		{"4", "table", "# fig4"},
+		{"4", "svg", "<svg"},
+	}
+	for _, c := range accepted {
+		var b strings.Builder
+		if err := run([]string{"-fig", c.fig, "-format", c.format, "-rounds", "1", "-nodes", "20"}, &b); err != nil {
+			t.Errorf("-fig %s -format %s: %v", c.fig, c.format, err)
+		} else if !strings.Contains(b.String(), c.want) {
+			t.Errorf("-fig %s -format %s output lacks %q:\n%.300s", c.fig, c.format, c.want, b.String())
+		}
+	}
+	rejected := []struct{ fig, format string }{
+		{"ablation-td", "svg"},
+		{"all", "svg"},
+		{"table1", "csv"},
+		{"table1", "svg"},
+		{"4", "csv"},
+		{"ablation-td", "yaml"},
+		{"table1", "yaml"},
+		{"4", "yaml"},
+	}
+	for _, c := range rejected {
+		var b strings.Builder
+		if err := run([]string{"-fig", c.fig, "-format", c.format}, &b); err == nil {
+			t.Errorf("-fig %s -format %s accepted", c.fig, c.format)
+		}
+		if b.Len() != 0 {
+			t.Errorf("-fig %s -format %s printed output before failing", c.fig, c.format)
+		}
+	}
+}
+
 // TestRunUnknownFigure pins that an unknown -fig is refused with a message
 // naming every key quorumsim accepts: its own and the figure catalog's.
 func TestRunUnknownFigure(t *testing.T) {
@@ -166,6 +209,7 @@ func TestMainExitCodes(t *testing.T) {
 		{[]string{"-fig", "table1"}, 0},
 		{[]string{"-fig", "99"}, 1},
 		{[]string{"-format", "yaml"}, 1},
+		{[]string{"-fig", "table1", "-format", "csv"}, 1},
 		{[]string{"-nope"}, 1},
 		{[]string{"-rounds", "0"}, 1},
 	}

@@ -1,12 +1,6 @@
 // Command quorumtrace renders protocol traces for humans.
 //
-// With no arguments it prints the paper's Table 1: the full message
-// exchange, in delivery order, that configures a new cluster head —
-// CH_REQ, CH_PRP, CH_CNF, the QUORUM_CLT/QUORUM_CFM vote collection with
-// the allocator's adjacent heads, CH_CFG and CH_ACK, followed by the new
-// head's replica distribution.
-//
-// The spans subcommand reconstructs causal timelines instead: it reads an
+// Its one subcommand, spans, reconstructs causal timelines: it reads an
 // obs JSONL event stream (quorumsim -trace output, or a /v1/trace ring
 // dumped one event per line), groups events by their span identifier, and
 // prints each allocation/reclamation/join as an ordered hop list with
@@ -14,6 +8,8 @@
 //
 //	quorumtrace spans -in events.jsonl
 //	quorumsim -trace /dev/stdout | quorumtrace spans
+//
+// The paper's Table 1 message exchange is quorumsim -fig table1.
 package main
 
 import (
@@ -25,20 +21,15 @@ import (
 	"os"
 	"strings"
 
-	"quorumconf/internal/experiment"
 	"quorumconf/internal/obs"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "spans" {
-		os.Exit(runSpans(os.Args[2:]))
+	if len(os.Args) < 2 || os.Args[1] != "spans" {
+		fmt.Fprintln(os.Stderr, "usage: quorumtrace spans [-in events.jsonl]")
+		os.Exit(2)
 	}
-	events, err := experiment.Table1Trace()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "quorumtrace:", err)
-		os.Exit(1)
-	}
-	fmt.Print(experiment.FormatTrace(events))
+	os.Exit(runSpans(os.Args[2:]))
 }
 
 // runSpans implements `quorumtrace spans`: decode JSONL events, stitch

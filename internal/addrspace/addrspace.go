@@ -36,14 +36,11 @@ func Parse(s string) (Addr, error) {
 }
 
 // Block is an inclusive contiguous address range [Lo, Hi]. A block with
-// Lo > Hi is empty (use EmptyBlock); note the zero Block is the valid
-// single-address block [0, 0], not the empty block.
+// Lo > Hi is empty; note the zero Block is the valid single-address block
+// [0, 0], not the empty block.
 type Block struct {
 	Lo, Hi Addr
 }
-
-// EmptyBlock returns the canonical empty block.
-func EmptyBlock() Block { return Block{Lo: 1, Hi: 0} }
 
 // NewBlock returns the block [lo, hi]; lo must not exceed hi.
 func NewBlock(lo, hi Addr) (Block, error) {

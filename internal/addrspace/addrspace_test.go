@@ -62,9 +62,9 @@ func TestBlockBasics(t *testing.T) {
 	if b.Contains(99) || b.Contains(200) {
 		t.Error("Contains true for out-of-range address")
 	}
-	empty := EmptyBlock()
+	empty := Block{Lo: 1, Hi: 0}
 	if !empty.IsEmpty() || empty.Size() != 0 || empty.Contains(0) {
-		t.Error("EmptyBlock not treated as empty")
+		t.Error("Lo > Hi not treated as empty")
 	}
 	var zero Block
 	if zero.IsEmpty() || zero.Size() != 1 || !zero.Contains(0) {
@@ -127,7 +127,7 @@ func TestAdjacentAndMerge(t *testing.T) {
 	if _, err := b.Merge(c); err == nil {
 		t.Error("merge of non-adjacent blocks accepted")
 	}
-	empty := EmptyBlock()
+	empty := Block{Lo: 1, Hi: 0}
 	if empty.Adjacent(a) || a.Adjacent(empty) {
 		t.Error("empty block reported adjacent")
 	}
@@ -148,7 +148,7 @@ func TestStatusString(t *testing.T) {
 }
 
 func TestNewTableValidation(t *testing.T) {
-	if _, err := NewTable(EmptyBlock()); err == nil {
+	if _, err := NewTable(Block{Lo: 1, Hi: 0}); err == nil {
 		t.Error("table over empty block accepted")
 	}
 }

@@ -57,9 +57,6 @@ func (p *Pool) normalize() {
 	}
 }
 
-// Empty reports whether the pool holds no tables.
-func (p *Pool) Empty() bool { return len(p.tables) == 0 }
-
 // Tables returns the pool's tables in block order. Callers must not mutate
 // the slice; mutating the tables mutates the pool.
 func (p *Pool) Tables() []*Table { return p.tables }

@@ -12,7 +12,7 @@ func poolOver(t *testing.T, lo, hi Addr) *Pool {
 
 func TestNewPoolSkipsNil(t *testing.T) {
 	p := NewPool(nil, nil)
-	if !p.Empty() || p.Size() != 0 {
+	if len(p.Tables()) != 0 || p.Size() != 0 {
 		t.Error("pool of nils not empty")
 	}
 }

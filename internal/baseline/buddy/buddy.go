@@ -115,14 +115,6 @@ func (p *Protocol) ConfiguredCount() int {
 	return n
 }
 
-// BlockSize returns the size of the disjoint block a node manages.
-func (p *Protocol) BlockSize(id radio.NodeID) uint32 {
-	if ns, ok := p.nodes[id]; ok && ns.alive && ns.configured {
-		return ns.block.Size()
-	}
-	return 0
-}
-
 // NodeArrived implements protocol.Protocol.
 func (p *Protocol) NodeArrived(id radio.NodeID) {
 	if !p.running {

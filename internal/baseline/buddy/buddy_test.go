@@ -64,7 +64,7 @@ func TestBuddySplitOnArrival(t *testing.T) {
 		t.Fatal("nodes unconfigured")
 	}
 	// Disjoint halves of the 64-address space.
-	if b0, b1 := p.BlockSize(0), p.BlockSize(1); b0+b1 != 64 {
+	if b0, b1 := blockSize(p, 0), blockSize(p, 1); b0+b1 != 64 {
 		t.Errorf("blocks %d + %d != 64", b0, b1)
 	}
 	ip0, _ := p.IP(0)
@@ -128,7 +128,7 @@ func TestGracefulDepartureReturnsBlockToBuddy(t *testing.T) {
 	if p.IsConfigured(1) {
 		t.Error("departed node still configured")
 	}
-	if got := p.BlockSize(0); got != 64 {
+	if got := blockSize(p, 0); got != 64 {
 		t.Errorf("buddy block = %d, want merged 64", got)
 	}
 	if rt.Coll.Hops(metrics.CatDeparture) == 0 {
@@ -147,7 +147,7 @@ func TestAbruptDepartureBuddyReclaims(t *testing.T) {
 	if rt.Coll.Counter(CounterBuddyReclaims) == 0 {
 		t.Error("buddy never reclaimed the block")
 	}
-	if got := p.BlockSize(0); got != 64 {
+	if got := blockSize(p, 0); got != 64 {
 		t.Errorf("buddy block = %d, want reclaimed 64", got)
 	}
 	if rt.Coll.Hops(metrics.CatReclamation) == 0 {
@@ -205,4 +205,13 @@ func TestUniqueAddressesGrid(t *testing.T) {
 		}
 		seen[ip] = n
 	}
+}
+
+// blockSize is the size of the disjoint block node id manages, 0 when it
+// manages none.
+func blockSize(p *Protocol, id radio.NodeID) uint32 {
+	if ns, ok := p.nodes[id]; ok && ns.alive && ns.configured {
+		return ns.block.Size()
+	}
+	return 0
 }

@@ -29,12 +29,6 @@ func HeadsWithin(snap *radio.Snapshot, id radio.NodeID, k int, isHead HeadFunc) 
 	return heads
 }
 
-// EligibleHead reports whether id may declare itself a cluster head: no
-// existing head within two hops.
-func EligibleHead(snap *radio.Snapshot, id radio.NodeID, isHead HeadFunc) bool {
-	return len(HeadsWithin(snap, id, 2, isHead)) == 0
-}
-
 // QDSet returns id's adjacent cluster heads within three hops — the
 // replica holders and quorum electorate for id's IPSpace.
 func QDSet(snap *radio.Snapshot, id radio.NodeID, isHead HeadFunc) []radio.NodeID {

@@ -50,21 +50,23 @@ func TestHeadsWithin(t *testing.T) {
 	}
 }
 
+// TestEligibleHead pins the §IV-B rule as core applies it: a node may
+// declare itself a cluster head when HeadsWithin finds no head within two
+// hops.
 func TestEligibleHead(t *testing.T) {
 	snap := lineSnap(t, 8)
 	isHead := headSet(0)
-	if EligibleHead(snap, 1, isHead) {
-		t.Error("node 1 eligible with head 1 hop away")
+	for id, want := range map[radio.NodeID]bool{1: false, 2: false, 3: true, 7: true} {
+		if got := eligibleHead(snap, id, isHead); got != want {
+			t.Errorf("node %d eligible = %v, want %v (head at node 0)", id, got, want)
+		}
 	}
-	if EligibleHead(snap, 2, isHead) {
-		t.Error("node 2 eligible with head 2 hops away")
-	}
-	if !EligibleHead(snap, 3, isHead) {
-		t.Error("node 3 not eligible with nearest head 3 hops away")
-	}
-	if !EligibleHead(snap, 7, isHead) {
-		t.Error("node 7 not eligible")
-	}
+}
+
+// eligibleHead reports whether id may declare itself a cluster head: no
+// existing head within two hops.
+func eligibleHead(snap *radio.Snapshot, id radio.NodeID, isHead HeadFunc) bool {
+	return len(HeadsWithin(snap, id, 2, isHead)) == 0
 }
 
 func TestQDSetUsesThreeHops(t *testing.T) {
@@ -158,7 +160,7 @@ func greedyHeads(snap *radio.Snapshot) map[radio.NodeID]bool {
 	heads := map[radio.NodeID]bool{}
 	isHead := func(id radio.NodeID) bool { return heads[id] }
 	for _, id := range snap.Nodes() {
-		if EligibleHead(snap, id, isHead) {
+		if eligibleHead(snap, id, isHead) {
 			heads[id] = true
 		}
 	}

@@ -146,10 +146,3 @@ func (p *Protocol) byzForgeReports(nd *node, target radio.NodeID) {
 		}
 	}
 }
-
-// AddressConflictCount is the number of addresses currently assigned to
-// more than one alive node — the adversarial headline metric (zero in every
-// honest run).
-func (p *Protocol) AddressConflictCount() int {
-	return len(p.AddressConflicts())
-}

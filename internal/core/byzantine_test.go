@@ -24,8 +24,8 @@ func TestByzDupClaimerCausesConflicts(t *testing.T) {
 	if n := countKind(ring, obs.EvByzantineDupClaim); n < 2 {
 		t.Errorf("byzantine_dup_claim events = %d, want >= 2", n)
 	}
-	if got := h.p.AddressConflictCount(); got < 1 {
-		t.Errorf("AddressConflictCount = %d, want >= 1 (same address granted repeatedly)", got)
+	if got := len(h.p.AddressConflicts()); got < 1 {
+		t.Errorf("%d conflicted addresses, want >= 1 (same address granted repeatedly)", got)
 	}
 	if got := h.rt.Coll.Counter(CounterByzantineActs); got < 2 {
 		t.Errorf("byzantine_acts = %d, want >= 2", got)

@@ -214,7 +214,6 @@ type departedInfo struct {
 	IP      addrspace.Addr
 	HasIP   bool
 	Holders []radio.NodeID
-	Space   uint32
 }
 
 // Protocol is the quorum-based autoconfiguration protocol over one
@@ -230,7 +229,6 @@ type Protocol struct {
 	ballotSeq uint64
 	spanSeq   uint64
 	ticks     uint64
-	tickTimer *sim.Timer
 	running   bool
 
 	byz map[radio.NodeID]ByzantineBehavior // malicious node -> behavior set
@@ -465,11 +463,6 @@ func (p *Protocol) HoldersOf(owner radio.NodeID) []radio.NodeID {
 	return nil
 }
 
-// DepartedSpaceSize returns the IPSpace size a departed head owned.
-func (p *Protocol) DepartedSpaceSize(owner radio.NodeID) uint32 {
-	return p.departed[owner].Space
-}
-
 // AddressConflicts returns groups of alive nodes sharing one address
 // within the same connected component — the paper's central invariant is
 // that this is always empty once merges settle. Disconnected islands may
@@ -509,13 +502,4 @@ func (p *Protocol) AddressConflicts() map[addrspace.Addr][]radio.NodeID {
 func (p *Protocol) Alive(id radio.NodeID) bool {
 	nd, ok := p.nodes[id]
 	return ok && nd.alive
-}
-
-// MembersOf returns the common nodes a head currently tracks as its
-// cluster members, ascending.
-func (p *Protocol) MembersOf(id radio.NodeID) []radio.NodeID {
-	if nd, ok := p.nodes[id]; ok && nd.isHead() {
-		return sortedIDs(nd.members)
-	}
-	return nil
 }

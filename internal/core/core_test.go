@@ -82,6 +82,15 @@ func (h *harness) assertNoConflicts() {
 	}
 }
 
+// membersOf returns the common nodes head id tracks as its cluster
+// members, ascending; nil when id is not a head.
+func (h *harness) membersOf(id radio.NodeID) []radio.NodeID {
+	if nd, ok := h.p.nodes[id]; ok && nd.isHead() {
+		return sortedIDs(nd.members)
+	}
+	return nil
+}
+
 func smallSpace() Params {
 	return Params{Space: addrspace.Block{Lo: 1, Hi: 64}}
 }
@@ -135,8 +144,8 @@ func TestSecondNodeJoinsAsCommon(t *testing.T) {
 		t.Errorf("NetworkID(1) = %v, want %v", nid1, ip0)
 	}
 	h.assertNoConflicts()
-	if got := h.p.MembersOf(0); len(got) != 1 || got[0] != 1 {
-		t.Errorf("MembersOf(0) = %v, want [1]", got)
+	if got := h.membersOf(0); len(got) != 1 || got[0] != 1 {
+		t.Errorf("members of head 0 = %v, want [1]", got)
 	}
 }
 
@@ -309,7 +318,7 @@ func TestGracefulHeadDepartureReturnsBlock(t *testing.T) {
 	if !nd4.hasConfigurer || nd4.configurer != 0 {
 		t.Errorf("node 4 configurer = %v (has=%v), want 0", nd4.configurer, nd4.hasConfigurer)
 	}
-	if got := h.p.MembersOf(0); len(got) == 0 {
+	if got := h.membersOf(0); len(got) == 0 {
 		t.Error("head 0 adopted no members")
 	}
 	h.assertNoConflicts()
@@ -570,7 +579,7 @@ func TestIntrospectionOnUnknownNodes(t *testing.T) {
 	if h.p.HoldersOf(99) != nil {
 		t.Error("unknown node has holders")
 	}
-	if h.p.MembersOf(99) != nil {
+	if h.membersOf(99) != nil {
 		t.Error("unknown node has members")
 	}
 }

@@ -55,9 +55,6 @@ func (p *Protocol) killNode(nd *node) {
 	info := departedInfo{Role: nd.role, IP: nd.ip, HasIP: nd.hasIP}
 	if nd.isHead() {
 		info.Holders = nd.electorate(nd.id)
-		if nd.pools != nil {
-			info.Space = nd.pools.Size()
-		}
 	}
 	nd.alive = false
 	if nd.cfgTimer != nil {

@@ -30,20 +30,10 @@ const (
 // multiples common nodes run location checks and heads compare network IDs
 // (partition detection).
 func (p *Protocol) scheduleTick() {
-	p.tickTimer = p.rt.Sim.Schedule(helloInterval, func() {
+	p.rt.Sim.Schedule(helloInterval, func() {
 		p.tick()
 		p.scheduleTick()
 	})
-}
-
-// StopTicking halts the maintenance loop (used when a scenario drains the
-// event queue at the end of a run).
-func (p *Protocol) StopTicking() {
-	if p.tickTimer != nil {
-		p.tickTimer.Cancel()
-		p.tickTimer = nil
-	}
-	p.running = false
 }
 
 func (p *Protocol) tick() {

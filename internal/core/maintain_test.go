@@ -109,18 +109,6 @@ func TestAgentRelayTrace(t *testing.T) {
 	}
 }
 
-// TestStopTicking halts the maintenance loop so an idle simulator drains.
-func TestStopTicking(t *testing.T) {
-	h := newHarness(t, smallSpace())
-	h.arriveAt(0, 0, 500, 500)
-	h.runUntil(20 * time.Second)
-	h.p.StopTicking()
-	// The only remaining events are finite; Run must terminate.
-	if err := h.rt.Sim.Run(); err != nil {
-		t.Fatalf("Run after StopTicking: %v", err)
-	}
-}
-
 // TestSuspectCancelledWhenMemberReturns: a QDSet member that becomes
 // unreachable briefly (mobility) is not excised if it comes back within Td.
 func TestSuspectCancelledWhenMemberReturns(t *testing.T) {

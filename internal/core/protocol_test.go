@@ -389,7 +389,4 @@ func TestHoldersNecrology(t *testing.T) {
 	if !found {
 		t.Errorf("holders %v missing head 0", holders)
 	}
-	if h.p.DepartedSpaceSize(3) == 0 {
-		t.Error("departed head's space size not recorded")
-	}
 }

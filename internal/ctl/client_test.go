@@ -198,27 +198,3 @@ func TestFanOut(t *testing.T) {
 		}
 	}
 }
-
-func TestFirst(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/status", jsonHandler(200, daemon.StatusResponse{ID: 1, Role: "owner"}))
-	good := fakeDaemon(t, mux)
-	badMux := http.NewServeMux()
-	badMux.HandleFunc("/v1/status", jsonHandler(503, daemon.ErrorResponse{Error: "down"}))
-	bad := fakeDaemon(t, badMux)
-
-	f := NewFleet([]string{bad.URL, good.URL}, WithRetries(0))
-	v, err := First(context.Background(), f, func(ctx context.Context, c *Client) (daemon.StatusResponse, error) {
-		return c.Status(ctx)
-	})
-	if err != nil || v.Role != "owner" {
-		t.Errorf("First = %+v, %v", v, err)
-	}
-
-	allBad := NewFleet([]string{bad.URL}, WithRetries(0))
-	if _, err := First(context.Background(), allBad, func(ctx context.Context, c *Client) (daemon.StatusResponse, error) {
-		return c.Status(ctx)
-	}); err == nil {
-		t.Error("First over an all-dead fleet succeeded")
-	}
-}

@@ -55,28 +55,3 @@ func FanOut[T any](ctx context.Context, f *Fleet, fn func(context.Context, *Clie
 	sort.SliceStable(results, func(i, j int) bool { return results[i].Addr < results[j].Addr })
 	return results
 }
-
-// First calls fn against every daemon concurrently and returns the first
-// successful answer, cancelling the rest. When every daemon fails it
-// returns the first daemon's error.
-func First[T any](ctx context.Context, f *Fleet, fn func(context.Context, *Client) (T, error)) (T, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := FanOut(ctx, f, func(ctx context.Context, c *Client) (T, error) {
-		v, err := fn(ctx, c)
-		if err == nil {
-			cancel() // got one; release the stragglers
-		}
-		return v, err
-	})
-	for _, r := range results {
-		if r.Err == nil {
-			return r.Value, nil
-		}
-	}
-	var zero T
-	if len(results) == 0 {
-		return zero, &APIError{Status: 0, Message: "empty fleet"}
-	}
-	return zero, results[0].Err
-}

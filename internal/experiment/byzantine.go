@@ -22,20 +22,8 @@ import (
 	"quorumconf/internal/workload"
 )
 
-// ByzantineResult bundles the sweep's figures with a flat summary map of
-// their cells.
-type ByzantineResult struct {
-	// Figures holds three figures — conflict rate, configuration latency,
-	// and recovery index versus k — each with one series per protocol.
-	Figures []Figure
-	// Summary flattens every (metric, protocol, k) cell into
-	// "byz_<metric>_<protocol>_k<k>" keys.
-	Summary map[string]float64
-}
-
-// DefaultByzantineKs is the malicious-node sweep used when the caller
-// passes none.
-var DefaultByzantineKs = []int{0, 2, 4, 6}
+// byzantineKs is the number of malicious insiders at each x of the sweep.
+var byzantineKs = []int{0, 2, 4, 6}
 
 // splitMalicious deterministically partitions the k lowest node IDs into
 // the active subset (vote-liar + duplicate-claimer insiders, which also
@@ -160,12 +148,12 @@ func recoveryIndex(res *workload.Result, counter string) float64 {
 	return float64(res.Metrics().Counter(counter)) / float64(abrupt)
 }
 
-// byzantineRow is the catalog row of the sweep over ks: one arm per
+// byzantineRow is the catalog row of the sweep over byzantineKs: one arm per
 // protocol, each round measuring conflict rate, configuration latency and
 // recovery index, reduced into one figure per metric. Only the quorum
 // protocol's build reads k, to arm the active malicious subset; the
 // baselines face just the generic attacks.
-func (c Config) byzantineRow(ks []int) row {
+func (c Config) byzantineRow() row {
 	byz := func(name, recoveryCounter string, build builder) arm {
 		return arm{name: name, build: build, measure: func(res *workload.Result, sc workload.Scenario) []float64 {
 			return []float64{conflictRate(res, sc), meanLatency(res), recoveryIndex(res, recoveryCounter)}
@@ -173,7 +161,7 @@ func (c Config) byzantineRow(ks []int) row {
 	}
 	return row{
 		id: "byzantine", keys: []string{"byz"},
-		xs:       floats(ks),
+		xs:       floats(byzantineKs),
 		scenario: func(x float64) workload.Scenario { return c.byzScenario(int(x)) },
 		arms: []arm{
 			byz("quorum", core.CounterAddrReclaimed, c.quorum(func(p *core.Params, x float64) {
@@ -203,29 +191,4 @@ func (c Config) byzantineRow(ks []int) row {
 			return figs
 		},
 	}
-}
-
-// ByzantineSweep grows the number of malicious insiders over ks (default
-// DefaultByzantineKs) and measures all four protocols on conflict rate,
-// configuration latency, and recovery index. nil ks selects the default
-// sweep.
-func ByzantineSweep(cfg Config, ks []int) (ByzantineResult, error) {
-	cfg.setDefaults()
-	if len(ks) == 0 {
-		ks = DefaultByzantineKs
-	}
-	rw := cfg.byzantineRow(ks)
-	figs, err := cfg.sweep(&rw)
-	if err != nil {
-		return ByzantineResult{}, err
-	}
-	res := ByzantineResult{Figures: figs, Summary: make(map[string]float64)}
-	for _, f := range figs {
-		for _, s := range f.Series {
-			for _, p := range s.Points {
-				res.Summary[fmt.Sprintf("byz_%s_%s_k%d", f.ID[len("byz-"):], s.Name, int(p.X))] = p.Y
-			}
-		}
-	}
-	return res, nil
 }

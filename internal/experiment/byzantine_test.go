@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"testing"
 
 	"quorumconf/internal/radio"
@@ -50,57 +51,47 @@ func TestByzIDsIncludeSybils(t *testing.T) {
 }
 
 // TestByzantineSweepShape runs a small sweep end to end: three figures with
-// one series per protocol, a clean honest column, and a summary cell for
-// every (metric, protocol, k).
+// one series per protocol and one point per k, and a clean honest column.
 func TestByzantineSweepShape(t *testing.T) {
-	cfg := Config{Rounds: 2, MidSize: 40}
-	ks := []int{0, 4}
-	res, err := ByzantineSweep(cfg, ks)
+	run, _ := Lookup("byzantine")
+	figs, err := run(Config{Rounds: 2, MidSize: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Figures) != 3 {
-		t.Fatalf("figures = %d, want 3", len(res.Figures))
+	if len(figs) != 3 {
+		t.Fatalf("figures = %d, want 3", len(figs))
 	}
-	for _, f := range res.Figures {
+	for _, f := range figs {
 		if len(f.Series) != 4 {
 			t.Errorf("%s: series = %d, want 4 protocols", f.ID, len(f.Series))
 		}
 		for _, s := range f.Series {
-			if len(s.Points) != len(ks) {
-				t.Errorf("%s/%s: points = %d, want %d", f.ID, s.Name, len(s.Points), len(ks))
+			if len(s.Points) != len(byzantineKs) {
+				t.Errorf("%s/%s: points = %d, want %d", f.ID, s.Name, len(s.Points), len(byzantineKs))
 			}
 		}
 	}
 	// The honest column of the conflict figure must be exactly zero for
 	// every protocol: uniqueness holds without insiders.
-	for _, s := range res.Figures[0].Series {
+	for _, s := range figs[0].Series {
 		if s.Points[0].Y != 0 {
 			t.Errorf("honest conflict rate for %s = %v, want 0", s.Name, s.Points[0].Y)
 		}
-	}
-	if len(res.Summary) != 3*4*len(ks) {
-		t.Errorf("summary cells = %d, want %d", len(res.Summary), 3*4*len(ks))
-	}
-	if _, ok := res.Summary["byz_conflict_quorum_k4"]; !ok {
-		t.Error("summary missing byz_conflict_quorum_k4")
 	}
 }
 
 // TestByzantineSweepDeterministic pins that the sweep is a pure function
 // of its configuration, like every other figure.
 func TestByzantineSweepDeterministic(t *testing.T) {
-	run := func() map[string]float64 {
-		res, err := ByzantineSweep(Config{Rounds: 2, MidSize: 30}, []int{3})
+	run, _ := Lookup("byzantine")
+	sweep := func() []Figure {
+		figs, err := run(Config{Rounds: 2, MidSize: 30})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Summary
+		return figs
 	}
-	a, b := run(), run()
-	for k, v := range a {
-		if b[k] != v {
-			t.Errorf("summary[%q] diverged: %v vs %v", k, v, b[k])
-		}
+	if a, b := sweep(), sweep(); !reflect.DeepEqual(a, b) {
+		t.Errorf("sweep diverged:\n%+v\n%+v", a, b)
 	}
 }

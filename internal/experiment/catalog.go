@@ -273,7 +273,7 @@ func catalog(c Config) []row {
 			plot: func(g *grid) []Figure {
 				return []Figure{g.figure(g.series("configured fraction", 0, 0, avg), g.series("mean latency (hops)", 0, 1, avg))}
 			}},
-		c.byzantineRow(DefaultByzantineKs),
+		c.byzantineRow(),
 	}
 }
 
@@ -332,78 +332,3 @@ func Lookup(key string) (run func(Config) ([]Figure, error), keys []string) {
 	}
 	return func(cfg Config) ([]Figure, error) { return cfg.run(key) }, keys
 }
-
-// All runs the paper's figures 5..14 and returns them in paper order.
-// Table 1 is produced by Table1Trace (see trace.go) and Fig 4 by
-// GenerateLayout (see layout.go).
-func All(cfg Config) ([]Figure, error) { return cfg.run("all") }
-
-// Ablations runs every ablation study.
-func Ablations(cfg Config) ([]Figure, error) { return cfg.run("ablations") }
-
-// one runs the catalog row with the given ID.
-func one(cfg Config, id string) (Figure, error) {
-	figs, err := cfg.run(id)
-	if err != nil {
-		return Figure{}, err
-	}
-	return figs[0], nil
-}
-
-// Fig5 reproduces Figure 5: configuration latency versus network size,
-// quorum against MANETconf.
-func Fig5(cfg Config) (Figure, error) { return one(cfg, "fig5") }
-
-// Fig6 reproduces Figure 6: configuration latency versus transmission
-// range, quorum against MANETconf.
-func Fig6(cfg Config) (Figure, error) { return one(cfg, "fig6") }
-
-// Fig7 reproduces Figure 7: the quorum protocol's configuration latency
-// versus network size, one series per transmission range.
-func Fig7(cfg Config) (Figure, error) { return one(cfg, "fig7") }
-
-// Fig8 reproduces Figure 8: configuration message overhead versus network
-// size, quorum against Mohsin–Prakash.
-func Fig8(cfg Config) (Figure, error) { return one(cfg, "fig8") }
-
-// Fig9 reproduces Figure 9: departure message overhead versus network
-// size, quorum against Mohsin–Prakash.
-func Fig9(cfg Config) (Figure, error) { return one(cfg, "fig9") }
-
-// Fig10 reproduces Figure 10: maintenance message overhead versus network
-// size for both location-update schemes and the C-tree scheme.
-func Fig10(cfg Config) (Figure, error) { return one(cfg, "fig10") }
-
-// Fig11 reproduces Figure 11: movement message overhead versus node speed.
-func Fig11(cfg Config) (Figure, error) { return one(cfg, "fig11") }
-
-// Fig12 reproduces Figure 12: average QDSet size and the IP-space
-// extension factor versus transmission range.
-func Fig12(cfg Config) (Figure, error) { return one(cfg, "fig12") }
-
-// Fig13 reproduces Figure 13: percentage of IP state lost versus the
-// fraction of cluster heads that leave abruptly and simultaneously.
-func Fig13(cfg Config) (Figure, error) { return one(cfg, "fig13") }
-
-// Fig14 reproduces Figure 14: address reclamation message overhead versus
-// network size, quorum against the C-tree scheme.
-func Fig14(cfg Config) (Figure, error) { return one(cfg, "fig14") }
-
-// AblationDynamicLinear compares ballot failures with and without dynamic
-// linear voting under abrupt head churn.
-func AblationDynamicLinear(cfg Config) (Figure, error) { return one(cfg, "ablation-dlv") }
-
-// AblationBorrowing measures configuration success under a join wave with
-// QuorumSpace borrowing on and off.
-func AblationBorrowing(cfg Config) (Figure, error) { return one(cfg, "ablation-borrow") }
-
-// AblationAllocatorChoice compares the nearest-head allocator against the
-// largest-free-block one.
-func AblationAllocatorChoice(cfg Config) (Figure, error) { return one(cfg, "ablation-alloc") }
-
-// AblationQuorumShrink sweeps the Td shrink timeout under abrupt churn.
-func AblationQuorumShrink(cfg Config) (Figure, error) { return one(cfg, "ablation-td") }
-
-// ExtensionLossTolerance sweeps a per-hop message loss rate and measures
-// how well the quorum protocol still configures the network.
-func ExtensionLossTolerance(cfg Config) (Figure, error) { return one(cfg, "ext-loss") }

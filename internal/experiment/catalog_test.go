@@ -34,8 +34,8 @@ func TestLookupKeys(t *testing.T) {
 	}
 }
 
-// TestGroupsFollowCatalog pins that All and Ablations return their rows in
-// catalog order.
+// TestGroupsFollowCatalog pins that the groups "all" and "ablations" hold
+// their rows in catalog order.
 func TestGroupsFollowCatalog(t *testing.T) {
 	var paper, ablations []string
 	for _, r := range catalog(Config{}) {
@@ -57,19 +57,16 @@ func TestGroupsFollowCatalog(t *testing.T) {
 // TestFig12And13Traced pins that the rounds of Figs 12 and 13 run through
 // runRound like every other round, so Config.Tracer sees their events.
 func TestFig12And13Traced(t *testing.T) {
-	for _, run := range []func(Config) (Figure, error){Fig12, Fig13} {
+	for _, id := range []string{"fig12", "fig13"} {
 		ring := obs.NewRing(64)
 		cfg := tinyConfig()
 		cfg.MidSize = 40
 		cfg.Ranges = []float64{150}
 		cfg.AbruptFractions = []float64{0.4}
 		cfg.Tracer = obs.NewTracer(func() time.Duration { return 0 }, ring)
-		f, err := run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		figure(t, cfg, id)
 		if ring.Len() == 0 {
-			t.Errorf("%s: rounds emitted no trace events", f.ID)
+			t.Errorf("%s: rounds emitted no trace events", id)
 		}
 	}
 }

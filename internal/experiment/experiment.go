@@ -2,11 +2,11 @@
 // evaluation (§VI). Every figure is one row of the catalog (catalog.go):
 // the parameter sweep over the quorum protocol and the baselines the paper
 // compares it against, and how its seeded rounds reduce to the series the
-// paper plots. One grid engine (parallel.go) runs every row. The exported
-// FigN, Ablation* and ExtensionLossTolerance functions, All, Ablations and
-// ByzantineSweep all read the catalog; cmd/quorumsim renders the figures as
-// text tables, and bench_test.go at the repository root wraps each one in
-// a testing.B benchmark.
+// paper plots. One grid engine (parallel.go) runs every row, and Lookup is
+// the one way to reach a row or a group of rows by its quorumsim -fig key.
+// Table1Trace (Table 1) and GenerateLayout (Fig 4) are the two results
+// that are not sweeps. cmd/quorumsim renders all of them, and
+// BenchmarkFigure at the repository root runs each row as a sub-benchmark.
 package experiment
 
 import (
@@ -53,7 +53,7 @@ type Config struct {
 	// other parameter (default 100; Fig 11 uses 150 per the paper).
 	MidSize int
 	// Workers bounds how many simulation rounds run concurrently across a
-	// figure (and across figures under All). 0 means GOMAXPROCS; 1 runs
+	// figure (and across figures under -fig all). 0 means GOMAXPROCS; 1 runs
 	// fully serial. Figures are bit-identical for every Workers value:
 	// seeds are assigned by round index and samples are reduced in index
 	// order (see parallel.go).
@@ -66,7 +66,7 @@ type Config struct {
 
 	// sem admits at most Workers concurrently-running simulations. It is
 	// created once in setDefaults and shared by every Config copy derived
-	// from it, so nested fan-out (All -> figure -> grid point -> round)
+	// from it, so nested fan-out (group -> figure -> grid point -> round)
 	// cannot oversubscribe memory.
 	sem chan struct{}
 }

@@ -35,11 +35,22 @@ func seriesByName(t *testing.T, f Figure, name string) Series {
 	return Series{}
 }
 
-func TestFig5QuorumBeatsMANETconf(t *testing.T) {
-	f, err := Fig5(tinyConfig())
+// figure runs the catalog row id through Lookup, the one way in.
+func figure(t *testing.T, cfg Config, id string) Figure {
+	t.Helper()
+	run, _ := Lookup(id)
+	if run == nil {
+		t.Fatalf("no catalog row %q", id)
+	}
+	figs, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return figs[0]
+}
+
+func TestFig5QuorumBeatsMANETconf(t *testing.T) {
+	f := figure(t, tinyConfig(), "fig5")
 	q := seriesByName(t, f, "quorum")
 	m := seriesByName(t, f, "manetconf")
 	if len(q.Points) != 2 || len(m.Points) != 2 {
@@ -59,10 +70,7 @@ func TestFig5QuorumBeatsMANETconf(t *testing.T) {
 }
 
 func TestFig6QuorumLocalAcrossRanges(t *testing.T) {
-	f, err := Fig6(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, tinyConfig(), "fig6")
 	q := seriesByName(t, f, "quorum")
 	m := seriesByName(t, f, "manetconf")
 	for i := range q.Points {
@@ -76,10 +84,7 @@ func TestFig6QuorumLocalAcrossRanges(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	f, err := Fig7(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, tinyConfig(), "fig7")
 	if len(f.Series) != 2 {
 		t.Fatalf("series = %d, want one per range", len(f.Series))
 	}
@@ -93,10 +98,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8BuddySyncDominates(t *testing.T) {
-	f, err := Fig8(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, tinyConfig(), "fig8")
 	q := seriesByName(t, f, "quorum")
 	b := seriesByName(t, f, "buddy")
 	last := len(q.Points) - 1
@@ -113,10 +115,7 @@ func TestFig8BuddySyncDominates(t *testing.T) {
 }
 
 func TestFig9QuorumDepartureCheaper(t *testing.T) {
-	f, err := Fig9(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, tinyConfig(), "fig9")
 	q := seriesByName(t, f, "quorum")
 	b := seriesByName(t, f, "buddy")
 	last := len(q.Points) - 1
@@ -130,10 +129,7 @@ func TestFig9QuorumDepartureCheaper(t *testing.T) {
 }
 
 func TestFig10UponLeaveCheapest(t *testing.T) {
-	f, err := Fig10(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, tinyConfig(), "fig10")
 	p := seriesByName(t, f, "quorum/periodic")
 	u := seriesByName(t, f, "quorum/upon-leave")
 	c := seriesByName(t, f, "ctree")
@@ -148,10 +144,7 @@ func TestFig10UponLeaveCheapest(t *testing.T) {
 }
 
 func TestFig11MovementGrowsWithSpeed(t *testing.T) {
-	f, err := Fig11(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, tinyConfig(), "fig11")
 	p := seriesByName(t, f, "quorum/periodic")
 	u := seriesByName(t, f, "quorum/upon-leave")
 	if p.Points[len(p.Points)-1].Y <= p.Points[0].Y {
@@ -165,10 +158,7 @@ func TestFig11MovementGrowsWithSpeed(t *testing.T) {
 }
 
 func TestFig12SpaceExtension(t *testing.T) {
-	f, err := Fig12(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, tinyConfig(), "fig12")
 	ext := seriesByName(t, f, "space extension (x)")
 	qd := seriesByName(t, f, "avg |QDSet|")
 	for i := range ext.Points {
@@ -193,10 +183,7 @@ func TestFig12SpaceExtension(t *testing.T) {
 }
 
 func TestFig13QuorumMoreReliable(t *testing.T) {
-	f, err := Fig13(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, tinyConfig(), "fig13")
 	q := seriesByName(t, f, "quorum")
 	c := seriesByName(t, f, "ctree")
 	for i := range q.Points {
@@ -214,10 +201,7 @@ func TestFig13QuorumMoreReliable(t *testing.T) {
 }
 
 func TestFig14ReclamationNonZero(t *testing.T) {
-	f, err := Fig14(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, tinyConfig(), "fig14")
 	q := seriesByName(t, f, "quorum")
 	c := seriesByName(t, f, "ctree")
 	nonzeroQ, nonzeroC := false, false
@@ -298,10 +282,7 @@ func TestFigureString(t *testing.T) {
 func TestAblationBorrowingHelps(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Sizes = []int{40}
-	f, err := AblationBorrowing(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, cfg, "ablation-borrow")
 	on := seriesByName(t, f, "borrowing on")
 	off := seriesByName(t, f, "borrowing off")
 	if on.Points[0].Y < off.Points[0].Y {

@@ -5,10 +5,7 @@ import "testing"
 func TestExtensionLossTolerance(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.MidSize = 60
-	f, err := ExtensionLossTolerance(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, cfg, "ext-loss")
 	conf := seriesByName(t, f, "configured fraction")
 	if conf.Points[0].Y < 0.95 {
 		t.Errorf("lossless configured fraction = %.2f, want ~1", conf.Points[0].Y)

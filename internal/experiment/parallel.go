@@ -20,7 +20,7 @@ import (
 //     so floating-point accumulation order is the serial loop's.
 //
 // Concurrency is admitted only at the leaf — around one simulated round —
-// via Config.acquire. Outer fan-out levels (rows under All, cells under a
+// via Config.acquire. Outer fan-out levels (rows under a group, cells under a
 // row) spawn cheap goroutines freely, so nested parallelism can never
 // deadlock on the semaphore and memory stays bounded by Workers
 // concurrently-live simulations.

@@ -29,26 +29,11 @@ func determinismConfig(workers int) Config {
 // stddev reduction order). CI runs this under -race, which doubles as the
 // data-race check on the fan-out machinery.
 func TestParallelSweepsBitIdentical(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func(Config) (Figure, error)
-	}{
-		{"fig5", Fig5},
-		{"fig8", Fig8},
-		{"fig13", Fig13},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
+	for _, id := range []string{"fig5", "fig8", "fig13"} {
+		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			serial, err := c.run(determinismConfig(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			parallel, err := c.run(determinismConfig(8))
-			if err != nil {
-				t.Fatal(err)
-			}
+			serial := figure(t, determinismConfig(1), id)
+			parallel := figure(t, determinismConfig(8), id)
 			if s, p := serial.CSV(), parallel.CSV(); s != p {
 				t.Errorf("CSV output differs between Workers=1 and Workers=8:\nserial:\n%s\nparallel:\n%s", s, p)
 			}
@@ -63,14 +48,8 @@ func TestParallelSweepsBitIdentical(t *testing.T) {
 // concurrent simulations: two identical parallel runs must agree with each
 // other.
 func TestParallelRunsRepeatable(t *testing.T) {
-	a, err := Fig5(determinismConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fig5(determinismConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := figure(t, determinismConfig(8), "fig5")
+	b := figure(t, determinismConfig(8), "fig5")
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("repeated parallel runs differ:\n%+v\n%+v", a, b)
 	}

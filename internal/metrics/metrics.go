@@ -135,14 +135,6 @@ func (c *Collector) Observe(name string, v float64) {
 	c.samples[name] = append(c.samples[name], v)
 }
 
-// Samples returns a copy of the named sample series.
-func (c *Collector) Samples(name string) []float64 {
-	s := c.samples[name]
-	out := make([]float64, len(s))
-	copy(out, s)
-	return out
-}
-
 // Counters returns a copy of all named counters.
 func (c *Collector) Counters() map[string]int64 {
 	out := make(map[string]int64, len(c.counters))

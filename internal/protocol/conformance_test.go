@@ -206,10 +206,7 @@ func TestConformanceSurvivesAbruptChurn(t *testing.T) {
 			// Survivors stay configured and unique.
 			seen := map[addrspace.Addr][]radio.NodeID{}
 			alive, configured := 0, 0
-			for i := radio.NodeID(0); i < 40; i++ {
-				if !res.RT.Topo.Has(i) {
-					continue
-				}
+			for _, i := range res.RT.Topo.Nodes() {
 				alive++
 				if a, ok := c.ip(res.Proto, i); ok {
 					configured++

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -58,7 +59,7 @@ func TestRemoveNode(t *testing.T) {
 	_ = rt.Net.Register(1, func(netstack.Message) { delivered = true })
 
 	rt.RemoveNode(1)
-	if rt.Topo.Has(1) {
+	if slices.Contains(rt.Topo.Nodes(), 1) {
 		t.Error("node still in topology after RemoveNode")
 	}
 	// Messages to the removed node go nowhere.

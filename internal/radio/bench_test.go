@@ -108,11 +108,11 @@ func TestGridNegativeCoordinates(t *testing.T) {
 	_ = topo.Add(1, mobility.Static(mobility.Point{X: 20, Y: 20}))
 	_ = topo.Add(2, mobility.Static(mobility.Point{X: -250, Y: -250}))
 	s := topo.Snapshot(0)
-	if d := s.Degree(0); d != 1 {
-		t.Errorf("Degree(0) = %d, want 1 (node 1 within range across the origin)", d)
+	if d := len(s.Neighbors(0)); d != 1 {
+		t.Errorf("node 0 has %d neighbors, want 1 (node 1 within range across the origin)", d)
 	}
-	if d := s.Degree(2); d != 0 {
-		t.Errorf("Degree(2) = %d, want 0", d)
+	if d := len(s.Neighbors(2)); d != 0 {
+		t.Errorf("node 2 has %d neighbors, want 0", d)
 	}
 }
 

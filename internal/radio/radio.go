@@ -68,12 +68,6 @@ func (t *Topology) Add(id NodeID, m mobility.Model) error {
 // no-op so departure handling does not need existence checks.
 func (t *Topology) Remove(id NodeID) { delete(t.models, id) }
 
-// Has reports whether the node is currently part of the network.
-func (t *Topology) Has(id NodeID) bool {
-	_, ok := t.models[id]
-	return ok
-}
-
 // Len returns the number of live nodes.
 func (t *Topology) Len() int { return len(t.models) }
 
@@ -174,8 +168,8 @@ func (t *Topology) Snapshot(at time.Duration) *Snapshot {
 // in the sorted ID slice); all per-node state — positions, adjacency, BFS
 // distances — lives in dense slices keyed by that index. Distance queries
 // memoize one full BFS per source, and bounded queries (WithinHops with
-// small k, ShortestPath) reuse scratch buffers across calls, so repeated
-// queries against the same snapshot allocate next to nothing.
+// small k) reuse scratch buffers across calls, so repeated queries against
+// the same snapshot allocate next to nothing.
 //
 // A Snapshot is not safe for concurrent use: the memo and scratch buffers
 // mutate lazily. Every snapshot belongs to exactly one simulation run,
@@ -193,7 +187,6 @@ type Snapshot struct {
 	// Scratch reused by bounded BFS queries; entries are reset to -1 after
 	// each use by replaying the visit queue.
 	scratchDist []int32
-	scratchPrev []int32
 	queue       []int32
 }
 
@@ -278,15 +271,6 @@ func (s *Snapshot) Neighbors(id NodeID) []NodeID {
 	return s.nbrIDs[i]
 }
 
-// Degree returns the number of one-hop neighbors.
-func (s *Snapshot) Degree(id NodeID) int {
-	i, ok := s.index(id)
-	if !ok {
-		return 0
-	}
-	return len(s.adj[i])
-}
-
 // HopCount returns the length in hops of a shortest path from a to b, and
 // whether b is reachable from a. HopCount(x, x) is 0 for a present node.
 func (s *Snapshot) HopCount(a, b NodeID) (int, bool) {
@@ -306,76 +290,6 @@ func (s *Snapshot) HopCount(a, b NodeID) (int, bool) {
 		return 0, false
 	}
 	return int(d), true
-}
-
-// ShortestPath returns one shortest path from a to b inclusive of both
-// endpoints. Ties are broken toward lower node IDs, so paths are
-// deterministic (adjacency lists are ascending, so the first parent found
-// is the lowest-ID one).
-func (s *Snapshot) ShortestPath(a, b NodeID) ([]NodeID, bool) {
-	ai, ok := s.index(a)
-	if !ok {
-		return nil, false
-	}
-	bi, ok := s.index(b)
-	if !ok {
-		return nil, false
-	}
-	if ai == bi {
-		return []NodeID{a}, true
-	}
-	return s.shortestPathIdx(ai, bi)
-}
-
-// shortestPathIdx runs the dense BFS with parent tracking on scratch
-// buffers.
-func (s *Snapshot) shortestPathIdx(ai, bi int32) ([]NodeID, bool) {
-	if s.scratchPrev == nil {
-		s.scratchPrev = make([]int32, len(s.ids))
-		for i := range s.scratchPrev {
-			s.scratchPrev[i] = -1
-		}
-	}
-	prev := s.scratchPrev
-	q := append(s.queue[:0], ai)
-	prev[ai] = ai
-	for head := 0; head < len(q); head++ {
-		cur := q[head]
-		if cur == bi {
-			break
-		}
-		for _, nb := range s.adj[cur] {
-			if prev[nb] < 0 {
-				prev[nb] = cur
-				q = append(q, nb)
-			}
-		}
-	}
-	var path []NodeID
-	found := prev[bi] >= 0
-	if found {
-		var rev []int32
-		for cur := bi; ; cur = prev[cur] {
-			rev = append(rev, cur)
-			if cur == ai {
-				break
-			}
-		}
-		path = make([]NodeID, len(rev))
-		for i := range rev {
-			path[i] = s.ids[rev[len(rev)-1-i]]
-		}
-	}
-	// Reset only the touched entries so the scratch is clean for the next
-	// query.
-	for _, i := range q {
-		prev[i] = -1
-	}
-	s.queue = q[:0]
-	if !found {
-		return nil, false
-	}
-	return path, true
 }
 
 // WithinHops returns every node reachable from id in at most k hops, mapped
@@ -451,38 +365,4 @@ func (s *Snapshot) Component(id NodeID) []NodeID {
 		}
 	}
 	return out
-}
-
-// Components returns every connected component, each sorted ascending, and
-// the list itself ordered by the smallest member.
-func (s *Snapshot) Components() [][]NodeID {
-	seen := make([]bool, len(s.ids))
-	var comps [][]NodeID
-	for i := range s.ids {
-		if seen[i] {
-			continue
-		}
-		comp := s.Component(s.ids[i])
-		for _, n := range comp {
-			seen[s.idx[n]] = true
-		}
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// Diameter returns the longest shortest-path distance within id's
-// component.
-func (s *Snapshot) Diameter(id NodeID) int {
-	comp := s.Component(id)
-	max := 0
-	for _, a := range comp {
-		ai, _ := s.index(a)
-		for _, d := range s.dists(ai) {
-			if int(d) > max {
-				max = int(d)
-			}
-		}
-	}
-	return max
 }

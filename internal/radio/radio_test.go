@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -49,12 +50,12 @@ func TestAddDuplicateAndNil(t *testing.T) {
 
 func TestRemoveAndHas(t *testing.T) {
 	topo := line(t, 3, 50, 100)
-	if !topo.Has(1) {
-		t.Fatal("Has(1) = false")
+	if !slices.Contains(topo.Nodes(), 1) {
+		t.Fatal("node 1 missing")
 	}
 	topo.Remove(1)
-	if topo.Has(1) {
-		t.Error("Has(1) = true after Remove")
+	if slices.Contains(topo.Nodes(), 1) {
+		t.Error("node 1 present after Remove")
 	}
 	topo.Remove(1) // no-op
 	if topo.Len() != 2 {
@@ -102,11 +103,11 @@ func TestSnapshotRangeBoundaryInclusive(t *testing.T) {
 	_ = topo.Add(1, mobility.Static(mobility.Point{X: 100})) // exactly at range
 	_ = topo.Add(2, mobility.Static(mobility.Point{X: 200.0001}))
 	s := topo.Snapshot(0)
-	if s.Degree(0) != 1 {
-		t.Errorf("node at exact range not a neighbor, degree = %d", s.Degree(0))
+	if d := len(s.Neighbors(0)); d != 1 {
+		t.Errorf("node at exact range not a neighbor, degree = %d", d)
 	}
-	if s.Degree(2) != 0 {
-		t.Errorf("node past range is a neighbor, degree = %d", s.Degree(2))
+	if d := len(s.Neighbors(2)); d != 0 {
+		t.Errorf("node past range is a neighbor, degree = %d", d)
 	}
 }
 
@@ -143,50 +144,6 @@ func TestHopCountUnreachable(t *testing.T) {
 	}
 }
 
-func TestShortestPathEndpointsAndLength(t *testing.T) {
-	topo := line(t, 5, 100, 150)
-	s := topo.Snapshot(0)
-	path, ok := s.ShortestPath(0, 4)
-	if !ok {
-		t.Fatal("no path found on connected line")
-	}
-	if path[0] != 0 || path[len(path)-1] != 4 {
-		t.Errorf("path endpoints = %v", path)
-	}
-	if len(path) != 5 {
-		t.Errorf("path length = %d, want 5 nodes", len(path))
-	}
-	self, ok := s.ShortestPath(2, 2)
-	if !ok || len(self) != 1 || self[0] != 2 {
-		t.Errorf("ShortestPath(2,2) = %v,%v", self, ok)
-	}
-}
-
-func TestShortestPathDeterministic(t *testing.T) {
-	// Grid with two equal-cost routes; tie-break must be stable.
-	topo, _ := NewTopology(110)
-	pts := map[NodeID]mobility.Point{
-		0: {X: 0, Y: 0}, 1: {X: 100, Y: 0}, 2: {X: 0, Y: 100},
-		3: {X: 100, Y: 100},
-	}
-	for id, p := range pts {
-		_ = topo.Add(id, mobility.Static(p))
-	}
-	s := topo.Snapshot(0)
-	first, ok := s.ShortestPath(0, 3)
-	if !ok {
-		t.Fatal("no path")
-	}
-	for i := 0; i < 10; i++ {
-		again, _ := s.ShortestPath(0, 3)
-		for j := range first {
-			if again[j] != first[j] {
-				t.Fatalf("path changed between calls: %v vs %v", first, again)
-			}
-		}
-	}
-}
-
 func TestWithinHops(t *testing.T) {
 	topo := line(t, 6, 100, 150)
 	s := topo.Snapshot(0)
@@ -220,18 +177,10 @@ func TestComponents(t *testing.T) {
 	_ = topo.Add(10, mobility.Static(mobility.Point{X: 5000}))
 	_ = topo.Add(11, mobility.Static(mobility.Point{X: 5100}))
 	s := topo.Snapshot(0)
-	comps := s.Components()
-	if len(comps) != 2 {
-		t.Fatalf("Components() = %v, want 2 components", comps)
-	}
-	if len(comps[0]) != 3 || comps[0][0] != 0 {
-		t.Errorf("first component = %v, want [0 1 2]", comps[0])
-	}
-	if len(comps[1]) != 2 || comps[1][0] != 10 {
-		t.Errorf("second component = %v, want [10 11]", comps[1])
-	}
-	if got := s.Component(11); len(got) != 2 {
-		t.Errorf("Component(11) = %v", got)
+	for id, want := range map[NodeID][]NodeID{0: {0, 1, 2}, 2: {0, 1, 2}, 10: {10, 11}, 11: {10, 11}} {
+		if got := s.Component(id); !slices.Equal(got, want) {
+			t.Errorf("Component(%d) = %v, want %v", id, got, want)
+		}
 	}
 	if got := s.Component(99); got != nil {
 		t.Errorf("Component(absent) = %v, want nil", got)
@@ -261,19 +210,11 @@ func TestSnapshotTracksMobility(t *testing.T) {
 	}
 	_ = topo.Add(0, path)
 	_ = topo.Add(1, mobility.Static(mobility.Point{X: 100}))
-	if s := topo.Snapshot(0); s.Degree(0) != 1 {
+	if s := topo.Snapshot(0); len(s.Neighbors(0)) != 1 {
 		t.Error("nodes not connected at t=0")
 	}
-	if s := topo.Snapshot(10 * time.Second); s.Degree(0) != 0 {
+	if s := topo.Snapshot(10 * time.Second); len(s.Neighbors(0)) != 0 {
 		t.Error("nodes still connected after node 0 moved 1km away")
-	}
-}
-
-func TestDiameter(t *testing.T) {
-	topo := line(t, 5, 100, 150)
-	s := topo.Snapshot(0)
-	if d := s.Diameter(0); d != 4 {
-		t.Errorf("Diameter = %d, want 4", d)
 	}
 }
 
@@ -317,8 +258,9 @@ func TestPropertyHopMetric(t *testing.T) {
 	}
 }
 
-// Property: ShortestPath length equals HopCount+1 and consecutive path
-// nodes are actually neighbors.
+// Property: hop counts agree with the adjacency they are computed from.
+// A node b at distance d > 0 from a has a neighbor at distance d-1 from a,
+// and no neighbor of b is more than one hop nearer or farther.
 func TestPropertyPathConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		s := randomSnapshot(seed, 25, 300)
@@ -327,27 +269,19 @@ func TestPropertyPathConsistency(t *testing.T) {
 			a := NodeID(rng.Intn(25))
 			b := NodeID(rng.Intn(25))
 			hops, ok := s.HopCount(a, b)
-			path, okP := s.ShortestPath(a, b)
-			if ok != okP {
-				return false
-			}
 			if !ok {
 				continue
 			}
-			if len(path) != hops+1 {
-				return false
-			}
-			for i := 1; i < len(path); i++ {
-				found := false
-				for _, n := range s.Neighbors(path[i-1]) {
-					if n == path[i] {
-						found = true
-						break
-					}
-				}
-				if !found {
+			closer := hops == 0
+			for _, n := range s.Neighbors(b) {
+				d, okN := s.HopCount(a, n)
+				if !okN || d < hops-1 || d > hops+1 {
 					return false
 				}
+				closer = closer || d == hops-1
+			}
+			if !closer {
+				return false
 			}
 		}
 		return true
@@ -363,9 +297,13 @@ func TestPropertyComponentsPartition(t *testing.T) {
 		s := randomSnapshot(seed, 40, 180)
 		seen := map[NodeID]int{}
 		total := 0
-		for _, comp := range s.Components() {
-			for _, id := range comp {
-				seen[id]++
+		for _, id := range s.Nodes() {
+			comp := s.Component(id)
+			if comp[0] != id {
+				continue // counted from its lowest member
+			}
+			for _, m := range comp {
+				seen[m]++
 				total++
 			}
 		}

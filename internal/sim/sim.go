@@ -50,12 +50,6 @@ func (t *Timer) Cancel() bool {
 	return true
 }
 
-// Cancelled reports whether Cancel was called before the timer fired.
-func (t *Timer) Cancelled() bool { return t.cancelled }
-
-// Fired reports whether the timer's callback has already run.
-func (t *Timer) Fired() bool { return t.fired }
-
 // Pending reports whether the timer is still scheduled to fire.
 func (t *Timer) Pending() bool { return !t.fired && !t.cancelled }
 
@@ -239,6 +233,3 @@ func (s *Simulator) peek() (time.Duration, bool) {
 	}
 	return 0, false
 }
-
-// NextEventAt returns the timestamp of the next pending event, if any.
-func (s *Simulator) NextEventAt() (time.Duration, bool) { return s.peek() }

@@ -100,8 +100,8 @@ func TestCancelPreventsFiring(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled timer fired")
 	}
-	if !tm.Cancelled() || tm.Pending() {
-		t.Errorf("timer state: Cancelled=%v Pending=%v, want true/false", tm.Cancelled(), tm.Pending())
+	if !tm.cancelled || tm.Pending() {
+		t.Errorf("timer state: cancelled=%v Pending=%v, want true/false", tm.cancelled, tm.Pending())
 	}
 }
 
@@ -111,7 +111,7 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run() = %v", err)
 	}
-	if !tm.Fired() {
+	if !tm.fired {
 		t.Fatal("timer did not fire")
 	}
 	if tm.Cancel() {
@@ -246,19 +246,21 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestNextEventAt pins peek, which RunUntil reads to stop at its horizon:
+// the next pending event's time, past cancelled ones.
 func TestNextEventAt(t *testing.T) {
 	s := New(1)
-	if _, ok := s.NextEventAt(); ok {
-		t.Fatal("NextEventAt() on empty queue reported an event")
+	if _, ok := s.peek(); ok {
+		t.Fatal("peek() on empty queue reported an event")
 	}
 	tm := s.Schedule(4*time.Second, func() {})
 	s.Schedule(7*time.Second, func() {})
-	if at, ok := s.NextEventAt(); !ok || at != 4*time.Second {
-		t.Fatalf("NextEventAt() = %v,%v, want 4s,true", at, ok)
+	if at, ok := s.peek(); !ok || at != 4*time.Second {
+		t.Fatalf("peek() = %v,%v, want 4s,true", at, ok)
 	}
 	tm.Cancel()
-	if at, ok := s.NextEventAt(); !ok || at != 7*time.Second {
-		t.Fatalf("NextEventAt() after cancel = %v,%v, want 7s,true", at, ok)
+	if at, ok := s.peek(); !ok || at != 7*time.Second {
+		t.Fatalf("peek() after cancel = %v,%v, want 7s,true", at, ok)
 	}
 }
 

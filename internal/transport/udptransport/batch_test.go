@@ -94,13 +94,19 @@ func TestBatchRetransmitDeduped(t *testing.T) {
 	})
 
 	envs := make([]*wire.Envelope, 3)
+	frames := make([][]byte, len(envs))
 	for i := range envs {
 		envs[i] = &wire.Envelope{
 			MsgID: uint64(7 + i), Type: msg.TRepReq, Src: 1, Dst: 2,
 			Category: metrics.CatSync, Hops: 1, Payload: msg.RepReq{},
 		}
+		f, err := wire.Encode(envs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = f
 	}
-	frame, err := wire.AppendEncodeBatch([]byte{frameBatch}, envs)
+	frame, err := wire.AppendBatchRaw([]byte{frameBatch}, frames)
 	if err != nil {
 		t.Fatal(err)
 	}

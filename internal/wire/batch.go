@@ -31,39 +31,11 @@ var BatchMagic = [2]byte{'Q', 'B'}
 // MaxBatch bounds the number of envelopes one batch frame may carry.
 const MaxBatch = 256
 
-// EncodeBatch serializes envs as one batch frame.
-func EncodeBatch(envs []*Envelope) ([]byte, error) {
-	return AppendEncodeBatch(nil, envs)
-}
-
-// AppendEncodeBatch serializes envs as one batch frame, appending to b.
-func AppendEncodeBatch(b []byte, envs []*Envelope) ([]byte, error) {
-	if len(envs) == 0 {
-		return nil, fmt.Errorf("%w: empty batch", ErrInvalid)
-	}
-	if len(envs) > MaxBatch {
-		return nil, fmt.Errorf("%w: batch of %d exceeds MaxBatch %d", ErrInvalid, len(envs), MaxBatch)
-	}
-	b = append(b, BatchMagic[0], BatchMagic[1], BatchVersion)
-	b = binary.AppendUvarint(b, uint64(len(envs)))
-	var scratch []byte
-	for i, env := range envs {
-		frame, err := AppendEncode(scratch[:0], env)
-		if err != nil {
-			return nil, fmt.Errorf("batch entry %d: %w", i, err)
-		}
-		scratch = frame
-		b = binary.AppendUvarint(b, uint64(len(frame)))
-		b = append(b, frame...)
-	}
-	return b, nil
-}
-
 // AppendBatchRaw builds a batch frame from already-encoded envelope
-// frames, appending to b — the coalescing transport's fast path, which
-// holds frames it encoded at enqueue time and must not pay a second
-// encode per entry. Each frame is checked for the single-envelope header
-// (anything deeper is caught by DecodeBatch on the receive side).
+// frames, appending to b. The coalescing transport encodes each envelope
+// at enqueue time, so building the frame pays no second encode per entry.
+// Each frame is checked for the single-envelope header (anything deeper is
+// caught by DecodeBatch on the receive side).
 func AppendBatchRaw(b []byte, frames [][]byte) ([]byte, error) {
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrInvalid)

@@ -11,6 +11,20 @@ import (
 	"quorumconf/internal/msg"
 )
 
+// encodeBatch frames envs as one batch the way the transport does: each
+// envelope encoded on its own, then the frames joined by AppendBatchRaw.
+func encodeBatch(envs []*Envelope) ([]byte, error) {
+	frames := make([][]byte, len(envs))
+	for i, env := range envs {
+		f, err := Encode(env)
+		if err != nil {
+			return nil, err
+		}
+		frames[i] = f
+	}
+	return AppendBatchRaw(nil, frames)
+}
+
 func batchSamples(t testing.TB) []*Envelope {
 	t.Helper()
 	return []*Envelope{
@@ -26,9 +40,9 @@ func batchSamples(t testing.TB) []*Envelope {
 func TestBatchRoundTrip(t *testing.T) {
 	envs := batchSamples(t)
 	for n := 1; n <= len(envs); n++ {
-		b, err := EncodeBatch(envs[:n])
+		b, err := encodeBatch(envs[:n])
 		if err != nil {
-			t.Fatalf("EncodeBatch(%d): %v", n, err)
+			t.Fatalf("encodeBatch(%d): %v", n, err)
 		}
 		got, err := DecodeBatch(b)
 		if err != nil {
@@ -38,7 +52,7 @@ func TestBatchRoundTrip(t *testing.T) {
 			t.Fatalf("round trip mismatch at n=%d:\n got %+v\nwant %+v", n, got, envs[:n])
 		}
 		// Canonical: re-encoding the decoded batch gives identical bytes.
-		b2, err := EncodeBatch(got)
+		b2, err := encodeBatch(got)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,19 +64,19 @@ func TestBatchRoundTrip(t *testing.T) {
 
 func TestBatchRejects(t *testing.T) {
 	envs := batchSamples(t)
-	valid, err := EncodeBatch(envs)
+	valid, err := encodeBatch(envs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := EncodeBatch(nil); !errors.Is(err, ErrInvalid) {
+	if _, err := encodeBatch(nil); !errors.Is(err, ErrInvalid) {
 		t.Errorf("empty batch: got %v, want ErrInvalid", err)
 	}
 	big := make([]*Envelope, MaxBatch+1)
 	for i := range big {
 		big[i] = envs[0]
 	}
-	if _, err := EncodeBatch(big); !errors.Is(err, ErrInvalid) {
+	if _, err := encodeBatch(big); !errors.Is(err, ErrInvalid) {
 		t.Errorf("oversized batch: got %v, want ErrInvalid", err)
 	}
 
@@ -108,7 +122,7 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		{Type: msg.TRepReq, Src: 1, Dst: 2, Category: metrics.CatSync, Payload: msg.RepReq{}},
 	}
 	for n := 1; n <= len(envs); n++ {
-		b, err := EncodeBatch(envs[:n])
+		b, err := encodeBatch(envs[:n])
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -128,7 +142,7 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
-		b, err := EncodeBatch(envs)
+		b, err := encodeBatch(envs)
 		if err != nil {
 			t.Fatalf("decoded batch fails to encode: %v", err)
 		}
@@ -139,7 +153,7 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(envs, envs2) {
 			t.Fatalf("round trip mismatch:\n 1: %+v\n 2: %+v", envs, envs2)
 		}
-		b2, err := EncodeBatch(envs2)
+		b2, err := encodeBatch(envs2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func TestSpanlessEncodesAsVersion1(t *testing.T) {
 	// The exact version-1 layout, byte for byte: magic, version, type code,
 	// msgID, src, dst, category, hops, payload. Built here by hand so a
 	// layout change (e.g. emitting the span field unconditionally) fails.
-	code, _ := TypeCode(msg.TComReq)
+	code := typeCodes[msg.TComReq]
 	want := []byte{'Q', 'W', 1, code}
 	want = binary.AppendUvarint(want, 0)    // msgID
 	want = binary.AppendVarint(want, 1)     // src
@@ -113,7 +113,7 @@ func TestBatchMixedSpanVersions(t *testing.T) {
 		{Type: msg.TQuorumClt, MsgID: 2, Src: 1, Dst: 2, Category: metrics.CatConfig, Span: 42,
 			Payload: msg.QuorumClt{BallotID: 3, Owner: 1, Addr: 9, Allocator: 1}},
 	}
-	b, err := EncodeBatch(envs)
+	b, err := encodeBatch(envs)
 	if err != nil {
 		t.Fatal(err)
 	}

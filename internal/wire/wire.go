@@ -105,12 +105,6 @@ func init() {
 	}
 }
 
-// TypeCode returns the wire code for a message type name.
-func TypeCode(typ string) (byte, bool) {
-	c, ok := typeCodes[typ]
-	return c, ok
-}
-
 // Encode serializes the envelope.
 func Encode(env *Envelope) ([]byte, error) {
 	return AppendEncode(nil, env)

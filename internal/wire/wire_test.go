@@ -219,9 +219,9 @@ func TestTypeCodeStability(t *testing.T) {
 		msg.TReconfig:   35,
 	}
 	for typ, want := range anchors {
-		got, ok := TypeCode(typ)
+		got, ok := typeCodes[typ]
 		if !ok || got != want {
-			t.Errorf("TypeCode(%s) = %d, %v; want %d", typ, got, ok, want)
+			t.Errorf("type code of %s = %d, %v; want %d", typ, got, ok, want)
 		}
 	}
 	if len(msg.Types()) != 35 {

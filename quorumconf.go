@@ -1,9 +1,8 @@
 // Package quorumconf is the public API of this repository: a Go
 // implementation of "Quorum Based IP Address Autoconfiguration in Mobile
 // Ad Hoc Networks" (Xu & Wu, ICDCS 2007), together with the discrete-event
-// MANET simulator it runs on, the three stateful baselines the paper
-// compares against, and the experiment harness that regenerates every
-// table and figure of the paper's evaluation.
+// MANET simulator it runs on and the three stateful baselines the paper
+// compares against.
 //
 // The implementation lives in internal packages; this package re-exports
 // the surface a downstream user needs:
@@ -14,10 +13,10 @@
 //     instances over a runtime.
 //   - RunScenario drives a paper-style workload (sequential arrivals,
 //     random waypoint at 20 m/s, mixed graceful/abrupt departures).
-//   - Fig5 .. Fig14, Table1Trace, GenerateLayout and the Ablation*
-//     functions regenerate the evaluation.
 //
-// See examples/ for runnable programs and DESIGN.md for the system map.
+// The examples in example_test.go run under go test. The paper's tables
+// and figures are regenerated by cmd/quorumsim (quorumsim -fig), and
+// BenchmarkFigure times each of them; DESIGN.md has the system map.
 package quorumconf
 
 import (
@@ -26,7 +25,6 @@ import (
 	"quorumconf/internal/baseline/ctree"
 	"quorumconf/internal/baseline/manetconf"
 	"quorumconf/internal/core"
-	"quorumconf/internal/experiment"
 	"quorumconf/internal/metrics"
 	"quorumconf/internal/mobility"
 	"quorumconf/internal/msg"
@@ -108,7 +106,7 @@ type (
 	CTreeParams = ctree.Params
 )
 
-// Workloads and experiments.
+// Workloads.
 type (
 	// Protocol is the interface every autoconfiguration protocol
 	// implements.
@@ -119,16 +117,6 @@ type (
 	ScenarioResult = workload.Result
 	// BuildFunc constructs a protocol over a fresh runtime.
 	BuildFunc = workload.BuildFunc
-	// ExperimentConfig scales the figure sweeps.
-	ExperimentConfig = experiment.Config
-	// Figure is reproduced evaluation data.
-	Figure = experiment.Figure
-	// Series is one curve of a figure.
-	Series = experiment.Series
-	// Layout is a Figure-4 style network layout.
-	Layout = experiment.Layout
-	// TraceEvent is one message of a Table-1 trace.
-	TraceEvent = experiment.TraceEvent
 )
 
 // NewRuntime assembles the simulation fabric.
@@ -157,34 +145,4 @@ func RunScenario(sc Scenario, build BuildFunc) (*ScenarioResult, error) {
 // add mid-run probes before advancing the clock.
 func PrepareScenario(sc Scenario, build BuildFunc) (*ScenarioResult, error) {
 	return workload.Prepare(sc, build)
-}
-
-// Experiment runners, one per table/figure of the paper.
-var (
-	Fig5  = experiment.Fig5
-	Fig6  = experiment.Fig6
-	Fig7  = experiment.Fig7
-	Fig8  = experiment.Fig8
-	Fig9  = experiment.Fig9
-	Fig10 = experiment.Fig10
-	Fig11 = experiment.Fig11
-	Fig12 = experiment.Fig12
-	Fig13 = experiment.Fig13
-	Fig14 = experiment.Fig14
-
-	// AllFigures runs Fig5..Fig14 in paper order.
-	AllFigures = experiment.All
-	// Ablations runs the design-choice studies from DESIGN.md §5.
-	Ablations = experiment.Ablations
-)
-
-// Table1Trace reproduces the paper's Table 1 message exchange.
-func Table1Trace() ([]TraceEvent, error) { return experiment.Table1Trace() }
-
-// FormatTrace renders a trace in Table-1 style.
-func FormatTrace(events []TraceEvent) string { return experiment.FormatTrace(events) }
-
-// GenerateLayout reproduces a Figure-4 style random layout.
-func GenerateLayout(cfg ExperimentConfig, nodes int, seed int64) (Layout, error) {
-	return experiment.GenerateLayout(cfg, nodes, seed)
 }

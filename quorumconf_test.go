@@ -1,9 +1,6 @@
 package quorumconf
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestFacadeQuorumEndToEnd drives the public API the way the README shows.
 func TestFacadeQuorumEndToEnd(t *testing.T) {
@@ -64,24 +61,6 @@ func TestFacadeBaselines(t *testing.T) {
 				t.Errorf("%s configured %d/20", name, configured)
 			}
 		})
-	}
-}
-
-// TestFacadeTable1AndLayout exercises the reproduction entry points.
-func TestFacadeTable1AndLayout(t *testing.T) {
-	events, err := Table1Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 || FormatTrace(events) == "" {
-		t.Error("empty trace")
-	}
-	layout, err := GenerateLayout(ExperimentConfig{ArrivalInterval: 2 * time.Second}, 40, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(layout.Nodes) != 40 {
-		t.Errorf("layout nodes = %d", len(layout.Nodes))
 	}
 }
 
