@@ -13,21 +13,17 @@
 package buddy
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"quorumconf/internal/addrspace"
+	"quorumconf/internal/baseline"
 	"quorumconf/internal/metrics"
-	"quorumconf/internal/netstack"
 	"quorumconf/internal/protocol"
 	"quorumconf/internal/radio"
 )
 
-// Sample and counter names.
+// Counter names.
 const (
-	SampleConfigLatency = "config_latency_hops"
-	CounterConfigured   = "configured"
 	// CounterBlockTransfers counts block requests served by a remote node
 	// (the local neighbor's block was unsplittable).
 	CounterBlockTransfers = "block_transfers"
@@ -38,81 +34,31 @@ const (
 
 // The baseline's timers.
 const (
-	syncPeriod    = 10 * time.Second // every node floods its allocation table once per period
-	retryInterval = 3 * time.Second  // wait between configuration attempts
-	buddyTimeout  = 5 * time.Second  // an abrupt departure's buddy reclaims the block after this
+	syncPeriod   = 10 * time.Second // every node floods its allocation table once per period
+	buddyTimeout = 5 * time.Second  // an abrupt departure's buddy reclaims the block after this
 )
 
-// Params configures the baseline.
-type Params struct {
-	// Space is the address pool, owned entirely by the first node.
-	Space addrspace.Block
-}
-
-func (p *Params) setDefaults() {
-	if p.Space == (addrspace.Block{}) {
-		p.Space = addrspace.Block{Lo: 0x0A000001, Hi: 0x0A000001 + 1023}
-	}
-}
-
 type nodeState struct {
-	id         radio.NodeID
-	alive      bool
-	configured bool
-	ip         addrspace.Addr
-	block      addrspace.Block // the disjoint block this node manages
-	buddy      radio.NodeID    // the node that held the other half at split time
-	hasBuddy   bool
+	baseline.Node
+	block    addrspace.Block // the disjoint block this node manages
+	buddy    radio.NodeID    // the node that held the other half at split time
+	hasBuddy bool
 }
 
 // Protocol implements protocol.Protocol with the buddy cost model.
 type Protocol struct {
-	rt *protocol.Runtime
-	p  Params
+	baseline.Roster[*nodeState]
 
-	nodes   map[radio.NodeID]*nodeState
 	running bool
-	ticker  func()
 }
 
 // New creates the baseline over a runtime.
-func New(rt *protocol.Runtime, params Params) (*Protocol, error) {
-	if rt == nil {
-		return nil, fmt.Errorf("buddy: nil runtime")
+func New(rt *protocol.Runtime, params baseline.Params) (*Protocol, error) {
+	r, err := baseline.NewRoster[*nodeState]("buddy", rt, params)
+	if err != nil {
+		return nil, err
 	}
-	params.setDefaults()
-	if params.Space.Size() < 2 {
-		return nil, fmt.Errorf("buddy: address space %v too small", params.Space)
-	}
-	return &Protocol{rt: rt, p: params, nodes: make(map[radio.NodeID]*nodeState)}, nil
-}
-
-// Name implements protocol.Protocol.
-func (p *Protocol) Name() string { return "buddy" }
-
-// IsConfigured implements protocol.Protocol.
-func (p *Protocol) IsConfigured(id radio.NodeID) bool {
-	ns, ok := p.nodes[id]
-	return ok && ns.alive && ns.configured
-}
-
-// IP returns a node's address.
-func (p *Protocol) IP(id radio.NodeID) (addrspace.Addr, bool) {
-	if ns, ok := p.nodes[id]; ok && ns.alive && ns.configured {
-		return ns.ip, true
-	}
-	return 0, false
-}
-
-// ConfiguredCount returns the number of alive configured nodes.
-func (p *Protocol) ConfiguredCount() int {
-	n := 0
-	for _, ns := range p.nodes {
-		if ns.alive && ns.configured {
-			n++
-		}
-	}
-	return n
+	return &Protocol{Roster: r}, nil
 }
 
 // NodeArrived implements protocol.Protocol.
@@ -121,66 +67,48 @@ func (p *Protocol) NodeArrived(id radio.NodeID) {
 		p.running = true
 		p.scheduleSync()
 	}
-	ns := &nodeState{id: id, alive: true}
-	p.nodes[id] = ns
-	p.rt.Net.InvalidateSnapshot()
-	_ = p.rt.Net.Register(id, func(netstack.Message) {})
-	p.rt.Sim.Schedule(time.Second, func() { p.tryConfigure(ns) })
+	p.Arrive(&nodeState{Node: baseline.Node{ID: id}}, p.tryConfigure)
 }
 
 // scheduleSync runs the periodic global table synchronization: each
 // configured node floods its allocation table once per period. This O(n^2)
 // traffic is the protocol's defining overhead.
 func (p *Protocol) scheduleSync() {
-	p.rt.Sim.Schedule(syncPeriod, func() {
-		snap := p.rt.Net.Snapshot()
-		for _, id := range p.sortedConfigured() {
+	p.RT.Sim.Schedule(syncPeriod, func() {
+		snap := p.RT.Net.Snapshot()
+		for _, id := range p.SortedConfigured() {
 			comp := len(snap.Component(id))
-			p.rt.Coll.AddTransmissions(metrics.CatSync, comp)
+			p.RT.Coll.AddTransmissions(metrics.CatSync, comp)
 		}
 		p.scheduleSync()
 	})
-}
-
-func (p *Protocol) sortedConfigured() []radio.NodeID {
-	var out []radio.NodeID
-	for id, ns := range p.nodes {
-		if ns.alive && ns.configured {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // tryConfigure runs one configuration attempt: split the block of a
 // configured neighbor, falling back to the largest-block node from the
 // replicated table when the neighbor cannot split.
 func (p *Protocol) tryConfigure(ns *nodeState) {
-	if !ns.alive || ns.configured {
+	if !ns.Alive || ns.Configured {
 		return
 	}
-	snap := p.rt.Net.Snapshot()
+	snap := p.RT.Net.Snapshot()
 
 	var helper *nodeState
 	helperDist := 0
-	for _, nb := range snap.Neighbors(ns.id) {
-		if hn := p.nodes[nb]; hn != nil && hn.alive && hn.configured {
+	for _, nb := range snap.Neighbors(ns.ID) {
+		if hn, ok := p.Configured(nb); ok {
 			helper, helperDist = hn, 1
 			break
 		}
 	}
 	if helper == nil {
-		if p.anyConfiguredInComponent(snap, ns.id) {
-			p.rt.Sim.Schedule(retryInterval, func() { p.tryConfigure(ns) })
+		if p.AnyConfiguredInComponent(snap, ns.ID) {
+			p.Retry(ns, p.tryConfigure)
 			return
 		}
 		// First node of the component: owns the whole space.
-		ns.block = p.p.Space
-		ns.ip = ns.block.Lo
-		ns.configured = true
-		p.rt.Coll.Observe(SampleConfigLatency, 1)
-		p.rt.Coll.Inc(CounterConfigured)
+		ns.block = p.Space
+		p.Complete(ns, ns.block.Lo, 1)
 		return
 	}
 
@@ -190,9 +118,9 @@ func (p *Protocol) tryConfigure(ns *nodeState) {
 	if granter.block.Size() < 2 {
 		granter = nil
 		var bestSize uint32
-		for _, id := range p.sortedConfigured() {
-			other := p.nodes[id]
-			if other.block.Size() < 2 || !snap.Reachable(helper.id, id) {
+		for _, id := range p.SortedConfigured() {
+			other := p.Nodes[id]
+			if other.block.Size() < 2 || !snap.Reachable(helper.ID, id) {
 				continue
 			}
 			if granter == nil || other.block.Size() > bestSize {
@@ -200,46 +128,38 @@ func (p *Protocol) tryConfigure(ns *nodeState) {
 			}
 		}
 		if granter == nil {
-			p.rt.Sim.Schedule(retryInterval, func() { p.tryConfigure(ns) })
+			p.Retry(ns, p.tryConfigure)
 			return
 		}
-		d, _ := snap.HopCount(helper.id, granter.id)
+		d, _ := snap.HopCount(helper.ID, granter.ID)
 		extraHops = 2 * d
-		p.rt.Coll.Inc(CounterBlockTransfers)
+		p.RT.Coll.Inc(CounterBlockTransfers)
 	}
 
 	lower, upper, err := granter.block.SplitHalf()
 	if err != nil {
-		p.rt.Sim.Schedule(retryInterval, func() { p.tryConfigure(ns) })
+		p.Retry(ns, p.tryConfigure)
 		return
 	}
+	prevBuddy, prevHasBuddy := granter.buddy, granter.hasBuddy
 	granter.block = lower
-	granter.buddy, granter.hasBuddy = ns.id, true
+	granter.buddy, granter.hasBuddy = ns.ID, true
 	latency := 2*helperDist + extraHops
-	p.rt.Coll.AddTraffic(metrics.CatConfig, latency)
-	delay := time.Duration(latency) * p.rt.Net.PerHop()
-	p.rt.Sim.Schedule(delay, func() {
-		if !ns.alive || ns.configured {
-			return
-		}
-		ns.block = upper
-		ns.ip = upper.Lo
-		ns.buddy, ns.hasBuddy = granter.id, true
-		ns.configured = true
-		p.rt.Coll.Observe(SampleConfigLatency, float64(latency))
-		p.rt.Coll.Inc(CounterConfigured)
-	})
-}
-
-func (p *Protocol) anyConfiguredInComponent(snap *radio.Snapshot, id radio.NodeID) bool {
-	for _, other := range snap.Component(id) {
-		if other != id {
-			if ns := p.nodes[other]; ns != nil && ns.alive && ns.configured {
-				return true
+	p.RT.Coll.AddTraffic(metrics.CatConfig, latency)
+	p.Grant(ns, latency,
+		func() (addrspace.Addr, bool) {
+			ns.block = upper
+			ns.buddy, ns.hasBuddy = granter.ID, true
+			return upper.Lo, true
+		},
+		func() {
+			// The half goes back and the granter's buddy is again the
+			// one it had before the split.
+			p.absorb(granter, upper)
+			if granter.buddy == ns.ID {
+				granter.buddy, granter.hasBuddy = prevBuddy, prevHasBuddy
 			}
-		}
-	}
-	return false
+		})
 }
 
 // NodeDeparting implements protocol.Protocol. A graceful departure hands
@@ -247,56 +167,46 @@ func (p *Protocol) anyConfiguredInComponent(snap *radio.Snapshot, id radio.NodeI
 // every replicated table is updated. An abrupt departure is noticed by the
 // buddy after a timeout; the buddy merges the block and announces it.
 func (p *Protocol) NodeDeparting(id radio.NodeID, graceful bool) {
-	ns, ok := p.nodes[id]
-	if !ok || !ns.alive {
+	ns, ok := p.Live(id)
+	if !ok {
 		return
 	}
-	snap := p.rt.Net.Snapshot()
-	if ns.configured {
+	snap := p.RT.Net.Snapshot()
+	if ns.Configured {
 		if graceful {
-			if buddy := p.liveBuddy(ns); buddy != nil {
-				if d, ok := snap.HopCount(id, buddy.id); ok {
-					p.rt.Coll.AddTraffic(metrics.CatDeparture, d)
+			if buddy, ok := p.liveBuddy(ns); ok {
+				if d, ok := snap.HopCount(id, buddy.ID); ok {
+					p.RT.Coll.AddTraffic(metrics.CatDeparture, d)
 				}
 				p.absorb(buddy, ns.block)
 			}
 			// Departure announcement keeps all replicated tables aligned.
-			p.rt.Coll.AddTransmissions(metrics.CatDeparture, len(snap.Component(id)))
+			p.RT.Coll.AddTransmissions(metrics.CatDeparture, len(snap.Component(id)))
 		} else {
-			block := ns.block
-			buddyID := ns.buddy
-			hasBuddy := ns.hasBuddy
-			p.rt.Sim.Schedule(buddyTimeout, func() {
-				if !hasBuddy {
-					return
-				}
-				buddy, ok := p.nodes[buddyID]
-				if !ok || !buddy.alive || !buddy.configured {
+			block, buddyID, hasBuddy := ns.block, ns.buddy, ns.hasBuddy
+			p.RT.Sim.Schedule(buddyTimeout, func() {
+				buddy, ok := p.Configured(buddyID)
+				if !hasBuddy || !ok {
 					return
 				}
 				// Probe that went unanswered, then the reclaim announcement.
-				s := p.rt.Net.Snapshot()
-				p.rt.Coll.AddTransmissions(metrics.CatReclamation, 1)
-				p.rt.Coll.AddTransmissions(metrics.CatReclamation, len(s.Component(buddy.id)))
+				s := p.RT.Net.Snapshot()
+				p.RT.Coll.AddTransmissions(metrics.CatReclamation, 1)
+				p.RT.Coll.AddTransmissions(metrics.CatReclamation, len(s.Component(buddy.ID)))
 				p.absorb(buddy, block)
-				p.rt.Coll.Inc(CounterBuddyReclaims)
+				p.RT.Coll.Inc(CounterBuddyReclaims)
 			})
 		}
 	}
-	ns.alive = false
-	p.rt.RemoveNode(id)
+	p.Depart(ns)
 }
 
 // liveBuddy returns the node's buddy if it is still alive and configured.
-func (p *Protocol) liveBuddy(ns *nodeState) *nodeState {
+func (p *Protocol) liveBuddy(ns *nodeState) (*nodeState, bool) {
 	if !ns.hasBuddy {
-		return nil
+		return nil, false
 	}
-	buddy, ok := p.nodes[ns.buddy]
-	if !ok || !buddy.alive || !buddy.configured {
-		return nil
-	}
-	return buddy
+	return p.Configured(ns.buddy)
 }
 
 // absorb merges a returned block into the receiver when adjacent;

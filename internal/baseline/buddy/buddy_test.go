@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"quorumconf/internal/addrspace"
+	"quorumconf/internal/baseline"
 	"quorumconf/internal/metrics"
 	"quorumconf/internal/mobility"
 	"quorumconf/internal/protocol"
@@ -17,7 +18,7 @@ func newFixture(t *testing.T) (*protocol.Runtime, *Protocol) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(rt, Params{Space: addrspace.Block{Lo: 1, Hi: 64}})
+	p, err := New(rt, baseline.Params{Space: addrspace.Block{Lo: 1, Hi: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,23 +35,6 @@ func arrive(t *testing.T, rt *protocol.Runtime, p *Protocol, at time.Duration, i
 		rt.Net.InvalidateSnapshot()
 		p.NodeArrived(id)
 	})
-}
-
-func TestNewValidation(t *testing.T) {
-	rt, _ := newFixture(t)
-	if _, err := New(nil, Params{}); err == nil {
-		t.Error("nil runtime accepted")
-	}
-	if _, err := New(rt, Params{Space: addrspace.Block{Lo: 9, Hi: 9}}); err == nil {
-		t.Error("tiny space accepted")
-	}
-	p, err := New(rt, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name() != "buddy" {
-		t.Errorf("Name = %q", p.Name())
-	}
 }
 
 func TestBuddySplitOnArrival(t *testing.T) {
@@ -83,7 +67,7 @@ func TestConfigurationIsCheap(t *testing.T) {
 	if err := rt.Sim.RunUntil(90 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	lat := rt.Coll.Summarize(SampleConfigLatency)
+	lat := rt.Coll.Summarize(protocol.SampleConfigLatency)
 	if lat.Count != 6 {
 		t.Fatalf("latency samples = %d, want 6", lat.Count)
 	}
@@ -98,7 +82,7 @@ func TestPeriodicSyncChargesQuadratically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := New(rt, Params{Space: addrspace.Block{Lo: 1, Hi: 1024}})
+		p, err := New(rt, baseline.Params{Space: addrspace.Block{Lo: 1, Hi: 1024}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,12 +139,31 @@ func TestAbruptDepartureBuddyReclaims(t *testing.T) {
 	}
 }
 
+// TestGrantToDeadRequesterIsUndone: a requester that departs before the
+// granter's reply lands takes nothing, and the granter gets back the half
+// it split off and the buddy it had before.
+func TestGrantToDeadRequesterIsUndone(t *testing.T) {
+	rt, p := newFixture(t)
+	arrive(t, rt, p, 0, 0, 500, 500)
+	arrive(t, rt, p, 10*time.Second, 1, 600, 500) // attempts at 11 s; the grant lands 2 hops later
+	rt.Sim.ScheduleAt(11*time.Second+5*time.Millisecond, func() { p.NodeDeparting(1, false) })
+	if err := rt.Sim.RunUntil(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := blockSize(p, 0); got != 64 {
+		t.Errorf("granter block = %d, want its 64 back", got)
+	}
+	if g := p.Nodes[0]; g.hasBuddy {
+		t.Errorf("granter's buddy is %d, want none (the requester died)", g.buddy)
+	}
+}
+
 func TestRemoteBlockTransferWhenNeighborExhausted(t *testing.T) {
 	rt, err := protocol.NewRuntime(protocol.RuntimeConfig{Seed: 1, TransmissionRange: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(rt, Params{Space: addrspace.Block{Lo: 1, Hi: 4}})
+	p, err := New(rt, baseline.Params{Space: addrspace.Block{Lo: 1, Hi: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +213,7 @@ func TestUniqueAddressesGrid(t *testing.T) {
 // blockSize is the size of the disjoint block node id manages, 0 when it
 // manages none.
 func blockSize(p *Protocol, id radio.NodeID) uint32 {
-	if ns, ok := p.nodes[id]; ok && ns.alive && ns.configured {
+	if ns, ok := p.Configured(id); ok {
 		return ns.block.Size()
 	}
 	return 0

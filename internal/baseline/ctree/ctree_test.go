@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"quorumconf/internal/addrspace"
+	"quorumconf/internal/baseline"
 	"quorumconf/internal/metrics"
 	"quorumconf/internal/mobility"
 	"quorumconf/internal/protocol"
@@ -17,7 +18,7 @@ func newFixture(t *testing.T) (*protocol.Runtime, *Protocol) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(rt, Params{Space: addrspace.Block{Lo: 1, Hi: 64}})
+	p, err := New(rt, baseline.Params{Space: addrspace.Block{Lo: 1, Hi: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,23 +35,6 @@ func arrive(t *testing.T, rt *protocol.Runtime, p *Protocol, at time.Duration, i
 		rt.Net.InvalidateSnapshot()
 		p.NodeArrived(id)
 	})
-}
-
-func TestNewValidation(t *testing.T) {
-	rt, _ := newFixture(t)
-	if _, err := New(nil, Params{}); err == nil {
-		t.Error("nil runtime accepted")
-	}
-	if _, err := New(rt, Params{Space: addrspace.Block{Lo: 9, Hi: 9}}); err == nil {
-		t.Error("tiny space accepted")
-	}
-	p, err := New(rt, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name() != "ctree" {
-		t.Errorf("Name = %q", p.Name())
-	}
 }
 
 func TestFirstNodeIsRoot(t *testing.T) {
@@ -193,6 +177,39 @@ func TestGracefulDepartures(t *testing.T) {
 	// Pool handed back to the parent (the root).
 	if got := p.PoolSize(0); got != 64 {
 		t.Errorf("root pool = %d, want 64 after coordinator return", got)
+	}
+}
+
+// TestGrantToDeadRequesterIsUndone: a requester that departs before its
+// grant lands takes nothing, and the granter frees the address (common
+// node) or takes back the half pool it split off (new coordinator).
+func TestGrantToDeadRequesterIsUndone(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    int // nodes on a line 100 m apart; the last one dies
+	}{
+		{"common node", 2},
+		{"coordinator", 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rt, p := newFixture(t)
+			for i := 0; i < c.n; i++ {
+				arrive(t, rt, p, time.Duration(i*10)*time.Second, radio.NodeID(i), float64(i)*100, 0)
+			}
+			// The last node attempts a second after it arrives and dies
+			// 5 ms later, before the reply of 2 or 6 hops lands.
+			last := radio.NodeID(c.n - 1)
+			rt.Sim.ScheduleAt(time.Duration(c.n-1)*10*time.Second+time.Second+5*time.Millisecond, func() { p.NodeDeparting(last, false) })
+			if err := rt.Sim.RunUntil(time.Duration(c.n*10) * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if got := p.PoolSize(0); got != 64 {
+				t.Errorf("root pool = %d, want 64", got)
+			}
+			if got, want := p.Nodes[0].pool.OccupiedCount(), uint32(c.n-1); got != want {
+				t.Errorf("root pool occupied = %d, want %d (the dead requester's address freed)", got, want)
+			}
+		})
 	}
 }
 

@@ -16,131 +16,56 @@
 package manetconf
 
 import (
-	"fmt"
 	"sort"
-	"time"
 
 	"quorumconf/internal/addrspace"
+	"quorumconf/internal/baseline"
 	"quorumconf/internal/metrics"
-	"quorumconf/internal/netstack"
 	"quorumconf/internal/protocol"
 	"quorumconf/internal/radio"
 )
 
-// Sample and counter names.
-const (
-	// SampleConfigLatency matches the quorum protocol's latency sample so
-	// experiment code can compare them directly.
-	SampleConfigLatency = "config_latency_hops"
-	// CounterConfigured counts completed configurations.
-	CounterConfigured = "configured"
-	// CounterCleanups counts lazy reclamations of dead nodes' addresses.
-	CounterCleanups = "cleanups"
-)
+// CounterCleanups counts lazy reclamations of dead nodes' addresses.
+const CounterCleanups = "cleanups"
 
-// retryInterval is the wait between configuration attempts when the
-// requester has no configured neighbor yet.
-const retryInterval = 3 * time.Second
-
-// Params configures the baseline.
-type Params struct {
-	// Space is the address pool.
-	Space addrspace.Block
-}
-
-func (p *Params) setDefaults() {
-	if p.Space == (addrspace.Block{}) {
-		p.Space = addrspace.Block{Lo: 0x0A000001, Hi: 0x0A000001 + 1023}
-	}
-}
-
-type nodeState struct {
-	id         radio.NodeID
-	alive      bool
-	configured bool
-	ip         addrspace.Addr
-}
+type nodeState struct{ baseline.Node }
 
 // Protocol implements protocol.Protocol with MANETconf's cost model.
 type Protocol struct {
-	rt *protocol.Runtime
-	p  Params
+	baseline.Roster[*nodeState]
 
-	nodes map[radio.NodeID]*nodeState
 	// used is the replicated allocation table. Full replication keeps
 	// every copy identical outside windows we do not model, so one shared
 	// table stands in for all of them.
 	used    map[addrspace.Addr]radio.NodeID
-	next    addrspace.Addr
 	unclean []radio.NodeID // abruptly departed, not yet noticed
 }
 
 // New creates the baseline over a runtime.
-func New(rt *protocol.Runtime, params Params) (*Protocol, error) {
-	if rt == nil {
-		return nil, fmt.Errorf("manetconf: nil runtime")
+func New(rt *protocol.Runtime, params baseline.Params) (*Protocol, error) {
+	r, err := baseline.NewRoster[*nodeState]("manetconf", rt, params)
+	if err != nil {
+		return nil, err
 	}
-	params.setDefaults()
-	if params.Space.Size() < 2 {
-		return nil, fmt.Errorf("manetconf: address space %v too small", params.Space)
-	}
-	return &Protocol{
-		rt:    rt,
-		p:     params,
-		nodes: make(map[radio.NodeID]*nodeState),
-		used:  make(map[addrspace.Addr]radio.NodeID),
-		next:  params.Space.Lo,
-	}, nil
-}
-
-// Name implements protocol.Protocol.
-func (p *Protocol) Name() string { return "manetconf" }
-
-// IsConfigured implements protocol.Protocol.
-func (p *Protocol) IsConfigured(id radio.NodeID) bool {
-	ns, ok := p.nodes[id]
-	return ok && ns.alive && ns.configured
-}
-
-// IP returns a node's address.
-func (p *Protocol) IP(id radio.NodeID) (addrspace.Addr, bool) {
-	if ns, ok := p.nodes[id]; ok && ns.alive && ns.configured {
-		return ns.ip, true
-	}
-	return 0, false
-}
-
-// ConfiguredCount returns the number of alive configured nodes.
-func (p *Protocol) ConfiguredCount() int {
-	n := 0
-	for _, ns := range p.nodes {
-		if ns.alive && ns.configured {
-			n++
-		}
-	}
-	return n
+	return &Protocol{Roster: r, used: make(map[addrspace.Addr]radio.NodeID)}, nil
 }
 
 // NodeArrived implements protocol.Protocol.
 func (p *Protocol) NodeArrived(id radio.NodeID) {
-	ns := &nodeState{id: id, alive: true}
-	p.nodes[id] = ns
-	p.rt.Net.InvalidateSnapshot()
-	_ = p.rt.Net.Register(id, func(netstack.Message) {})
-	p.rt.Sim.Schedule(time.Second, func() { p.tryConfigure(ns) })
+	p.Arrive(&nodeState{baseline.Node{ID: id}}, p.tryConfigure)
 }
 
 // tryConfigure runs one MANETconf configuration attempt.
 func (p *Protocol) tryConfigure(ns *nodeState) {
-	if !ns.alive || ns.configured {
+	if !ns.Alive || ns.Configured {
 		return
 	}
-	snap := p.rt.Net.Snapshot()
+	snap := p.RT.Net.Snapshot()
 
 	// Pick the initiator: any configured one-hop neighbor.
 	var initiator radio.NodeID
 	haveInit := false
-	for _, nb := range snap.Neighbors(ns.id) {
+	for _, nb := range snap.Neighbors(ns.ID) {
 		if p.IsConfigured(nb) {
 			initiator, haveInit = nb, true
 			break
@@ -149,17 +74,13 @@ func (p *Protocol) tryConfigure(ns *nodeState) {
 	if !haveInit {
 		// No configured neighbor: either we are the first node in this
 		// component (take an address directly) or we wait for one.
-		if p.anyConfiguredInComponent(snap, ns.id) {
-			p.rt.Sim.Schedule(retryInterval, func() { p.tryConfigure(ns) })
+		if p.AnyConfiguredInComponent(snap, ns.ID) {
+			p.Retry(ns, p.tryConfigure)
 			return
 		}
-		addr, ok := p.allocate(ns.id)
-		if !ok {
-			return
+		if addr, ok := p.allocate(ns.ID); ok {
+			p.Complete(ns, addr, 1) // its own broadcast
 		}
-		ns.ip, ns.configured = addr, true
-		p.rt.Coll.Observe(SampleConfigLatency, 1) // its own broadcast
-		p.rt.Coll.Inc(CounterConfigured)
 		return
 	}
 
@@ -167,9 +88,9 @@ func (p *Protocol) tryConfigure(ns *nodeState) {
 	// them, removes their bindings and floods the retraction.
 	p.cleanupDead(snap, initiator)
 
-	addr, ok := p.allocate(ns.id)
+	addr, ok := p.allocate(ns.ID)
 	if !ok {
-		p.rt.Sim.Schedule(retryInterval, func() { p.tryConfigure(ns) })
+		p.Retry(ns, p.tryConfigure)
 		return
 	}
 
@@ -181,8 +102,8 @@ func (p *Protocol) tryConfigure(ns *nodeState) {
 	//   initiator -> requester            1 hop
 	dist := snap.WithinHops(initiator, snap.Len())
 	comp := len(dist)
-	p.rt.Coll.AddTraffic(metrics.CatConfig, 1) // COM request to initiator
-	p.rt.Coll.AddTransmissions(metrics.CatConfig, comp)
+	p.RT.Coll.AddTraffic(metrics.CatConfig, 1) // COM request to initiator
+	p.RT.Coll.AddTransmissions(metrics.CatConfig, comp)
 	replies, ecc := 0, 0
 	for other, d := range dist {
 		if other == initiator {
@@ -195,33 +116,14 @@ func (p *Protocol) tryConfigure(ns *nodeState) {
 			replies += d
 		}
 	}
-	p.rt.Coll.AddTraffic(metrics.CatConfig, replies)
-	p.rt.Coll.AddTransmissions(metrics.CatConfig, comp)
-	p.rt.Coll.AddTraffic(metrics.CatConfig, 1) // assignment to requester
+	p.RT.Coll.AddTraffic(metrics.CatConfig, replies)
+	p.RT.Coll.AddTransmissions(metrics.CatConfig, comp)
+	p.RT.Coll.AddTraffic(metrics.CatConfig, 1) // assignment to requester
 
 	// Critical path: request, flood out, farthest reply back, assignment.
-	latency := 1 + 2*ecc + 1
-	delay := time.Duration(latency) * p.rt.Net.PerHop()
-	p.rt.Sim.Schedule(delay, func() {
-		if !ns.alive || ns.configured {
-			p.release(addr)
-			return
-		}
-		ns.ip, ns.configured = addr, true
-		p.rt.Coll.Observe(SampleConfigLatency, float64(latency))
-		p.rt.Coll.Inc(CounterConfigured)
-	})
-}
-
-// anyConfiguredInComponent reports whether some configured node shares the
-// component (then the newcomer must go through it rather than self-assign).
-func (p *Protocol) anyConfiguredInComponent(snap *radio.Snapshot, id radio.NodeID) bool {
-	for _, other := range snap.Component(id) {
-		if other != id && p.IsConfigured(other) {
-			return true
-		}
-	}
-	return false
+	p.Grant(ns, 1+2*ecc+1,
+		func() (addrspace.Addr, bool) { return addr, true },
+		func() { p.release(addr) })
 }
 
 // cleanupDead charges the retry-plus-retraction cost for abruptly departed
@@ -234,25 +136,25 @@ func (p *Protocol) cleanupDead(snap *radio.Snapshot, initiator radio.NodeID) {
 	for _, dead := range p.unclean {
 		// One extra flooded retry that the dead node fails to answer,
 		// then a flooded retraction of its binding.
-		p.rt.Coll.AddTransmissions(metrics.CatReclamation, comp)
-		p.rt.Coll.AddTransmissions(metrics.CatReclamation, comp)
-		if ns, ok := p.nodes[dead]; ok && ns.configured {
-			p.release(ns.ip)
-			ns.configured = false
+		p.RT.Coll.AddTransmissions(metrics.CatReclamation, comp)
+		p.RT.Coll.AddTransmissions(metrics.CatReclamation, comp)
+		if ns, ok := p.Nodes[dead]; ok && ns.Configured {
+			p.release(ns.IP)
+			ns.Configured = false
 		}
-		p.rt.Coll.Inc(CounterCleanups)
+		p.RT.Coll.Inc(CounterCleanups)
 	}
 	p.unclean = nil
 }
 
 // allocate picks the lowest unused address.
 func (p *Protocol) allocate(id radio.NodeID) (addrspace.Addr, bool) {
-	for a := p.p.Space.Lo; ; a++ {
+	for a := p.Space.Lo; ; a++ {
 		if _, taken := p.used[a]; !taken {
 			p.used[a] = id
 			return a, true
 		}
-		if a == p.p.Space.Hi {
+		if a == p.Space.Hi {
 			return 0, false
 		}
 	}
@@ -264,20 +166,19 @@ func (p *Protocol) release(a addrspace.Addr) { delete(p.used, a) }
 // address release so every replicated table is updated; abrupt departure
 // leaks the address until a later configuration round cleans it up.
 func (p *Protocol) NodeDeparting(id radio.NodeID, graceful bool) {
-	ns, ok := p.nodes[id]
-	if !ok || !ns.alive {
+	ns, ok := p.Live(id)
+	if !ok {
 		return
 	}
-	if graceful && ns.configured {
-		snap := p.rt.Net.Snapshot()
+	if graceful && ns.Configured {
+		snap := p.RT.Net.Snapshot()
 		comp := len(snap.Component(id))
-		p.rt.Coll.AddTransmissions(metrics.CatDeparture, comp)
-		p.release(ns.ip)
-		ns.configured = false
-	} else if ns.configured {
+		p.RT.Coll.AddTransmissions(metrics.CatDeparture, comp)
+		p.release(ns.IP)
+		ns.Configured = false
+	} else if ns.Configured {
 		p.unclean = append(p.unclean, id)
 		sort.Slice(p.unclean, func(i, j int) bool { return p.unclean[i] < p.unclean[j] })
 	}
-	ns.alive = false
-	p.rt.RemoveNode(id)
+	p.Depart(ns)
 }

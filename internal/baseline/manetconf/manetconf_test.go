@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"quorumconf/internal/addrspace"
+	"quorumconf/internal/baseline"
 	"quorumconf/internal/metrics"
 	"quorumconf/internal/mobility"
 	"quorumconf/internal/protocol"
@@ -17,7 +18,7 @@ func newFixture(t *testing.T) (*protocol.Runtime, *Protocol) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(rt, Params{Space: addrspace.Block{Lo: 1, Hi: 64}})
+	p, err := New(rt, baseline.Params{Space: addrspace.Block{Lo: 1, Hi: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,23 +35,6 @@ func arrive(t *testing.T, rt *protocol.Runtime, p *Protocol, at time.Duration, i
 		rt.Net.InvalidateSnapshot()
 		p.NodeArrived(id)
 	})
-}
-
-func TestNewValidation(t *testing.T) {
-	rt, _ := newFixture(t)
-	if _, err := New(nil, Params{}); err == nil {
-		t.Error("nil runtime accepted")
-	}
-	if _, err := New(rt, Params{Space: addrspace.Block{Lo: 9, Hi: 9}}); err == nil {
-		t.Error("tiny space accepted")
-	}
-	p, err := New(rt, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name() != "manetconf" {
-		t.Errorf("Name = %q", p.Name())
-	}
 }
 
 func TestFirstNodeSelfAssigns(t *testing.T) {
@@ -111,7 +95,7 @@ func TestLatencyGrowsWithDiameter(t *testing.T) {
 		if err := rt.Sim.RunUntil(time.Duration(n*10+30) * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		return rt.Coll.Summarize(SampleConfigLatency).Max
+		return rt.Coll.Summarize(protocol.SampleConfigLatency).Max
 	}
 	short := mkLine(3)
 	long := mkLine(9)
@@ -160,15 +144,5 @@ func TestAbruptDepartureCleanedLazily(t *testing.T) {
 	}
 	if rt.Coll.Hops(metrics.CatReclamation) == 0 {
 		t.Error("cleanup charged nothing")
-	}
-}
-
-func TestIPAccessors(t *testing.T) {
-	_, p := newFixture(t)
-	if _, ok := p.IP(42); ok {
-		t.Error("unknown node has an IP")
-	}
-	if p.IsConfigured(42) {
-		t.Error("unknown node configured")
 	}
 }

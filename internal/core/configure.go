@@ -12,6 +12,7 @@ import (
 	"quorumconf/internal/msg"
 	"quorumconf/internal/netstack"
 	"quorumconf/internal/obs"
+	"quorumconf/internal/protocol"
 	"quorumconf/internal/quorum"
 	"quorumconf/internal/radio"
 	"quorumconf/internal/sim"
@@ -19,11 +20,10 @@ import (
 
 // Counter and sample names recorded in the metrics collector.
 const (
-	// SampleConfigLatency is the per-configuration critical-path hop
-	// count the paper plots in Figures 5-7.
-	SampleConfigLatency = "config_latency_hops"
-	// CounterConfigured counts successful configurations.
-	CounterConfigured = "configured"
+	// CounterConfigured counts successful configurations; it is
+	// protocol.CounterConfigured, named here for callers outside the
+	// simulator stack.
+	CounterConfigured = protocol.CounterConfigured
 	// CounterConfiguredHeads counts configurations that created heads.
 	CounterConfiguredHeads = "configured_heads"
 	// CounterProposalsRejected counts quorum rounds that found the
@@ -331,7 +331,7 @@ func (p *Protocol) becomeFirstHead(nd *node) {
 	tag := msg.NetTag{Addr: ip, Nonce: p.rt.Sim.Rand().Uint32()}
 	p.initHead(nd, pool, ip, tag, 0, false)
 	nd.configuring = false
-	p.rt.Coll.Observe(SampleConfigLatency, float64(nd.firstTries))
+	p.rt.Coll.Observe(protocol.SampleConfigLatency, float64(nd.firstTries))
 	p.rt.Coll.Inc(CounterConfigured)
 	p.rt.Coll.Inc(CounterConfiguredHeads)
 	p.completeHeadSetup(nd)
@@ -926,7 +926,7 @@ func (p *Protocol) onComCfg(nd *node, m netstack.Message, pl msg.ComCfg) {
 // onConfiguredAck finalizes one configuration at the allocator and records
 // the latency sample.
 func (p *Protocol) onConfiguredAck(alloc *node, pathHops int, head bool) {
-	p.rt.Coll.Observe(SampleConfigLatency, float64(pathHops))
+	p.rt.Coll.Observe(protocol.SampleConfigLatency, float64(pathHops))
 	p.rt.Coll.Inc(CounterConfigured)
 	if head {
 		p.rt.Coll.Inc(CounterConfiguredHeads)

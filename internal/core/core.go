@@ -129,7 +129,7 @@ type Params struct {
 
 func (p *Params) setDefaults() {
 	if p.Space == (addrspace.Block{}) { // zero value: unset
-		p.Space = addrspace.Block{Lo: 0x0A000001, Hi: 0x0A000001 + 1023} // 10.0.0.1/22-ish: 1024 addresses
+		p.Space = protocol.DefaultSpace
 	}
 	if p.Td == 0 {
 		p.Td = 3 * time.Second
@@ -464,38 +464,14 @@ func (p *Protocol) HoldersOf(owner radio.NodeID) []radio.NodeID {
 }
 
 // AddressConflicts returns groups of alive nodes sharing one address
-// within the same connected component — the paper's central invariant is
-// that this is always empty once merges settle. Disconnected islands may
-// legitimately reuse addresses (they are separate networks).
+// within the same connected component (protocol.Conflicts over every node
+// the protocol knows).
 func (p *Protocol) AddressConflicts() map[addrspace.Addr][]radio.NodeID {
-	byAddr := map[addrspace.Addr][]radio.NodeID{}
-	for id, nd := range p.nodes {
-		if nd.alive && nd.hasIP {
-			byAddr[nd.ip] = append(byAddr[nd.ip], id)
-		}
+	ids := make([]radio.NodeID, 0, len(p.nodes))
+	for id := range p.nodes {
+		ids = append(ids, id)
 	}
-	snap := p.snapshot()
-	out := map[addrspace.Addr][]radio.NodeID{}
-	for a, ids := range byAddr {
-		if len(ids) < 2 {
-			continue
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		// Keep only members that share a component with another holder.
-		var conflicted []radio.NodeID
-		for i, x := range ids {
-			for j, y := range ids {
-				if i != j && snap.Reachable(x, y) {
-					conflicted = append(conflicted, x)
-					break
-				}
-			}
-		}
-		if len(conflicted) > 1 {
-			out[a] = conflicted
-		}
-	}
-	return out
+	return protocol.Conflicts(p, ids, p.snapshot())
 }
 
 // Alive reports whether the node is still part of the network.

@@ -117,7 +117,7 @@ func TestFirstNodeBecomesHead(t *testing.T) {
 	if n := h.rt.Coll.Counter(CounterConfiguredHeads); n != 1 {
 		t.Errorf("configured heads = %d, want 1", n)
 	}
-	lat := h.rt.Coll.Summarize(SampleConfigLatency)
+	lat := h.rt.Coll.Summarize(protocol.SampleConfigLatency)
 	if lat.Count != 1 || lat.Mean != float64(maxRetries) {
 		t.Errorf("first-node latency = %+v, want %d broadcast hops", lat, maxRetries)
 	}
@@ -207,7 +207,7 @@ func TestSequentialArrivalAllConfigured(t *testing.T) {
 	if got := int(h.rt.Coll.Counter(CounterConfigured)); got != int(id) {
 		t.Errorf("configured counter = %d, want %d", got, id)
 	}
-	if lat := h.rt.Coll.Summarize(SampleConfigLatency); lat.Count != int(id) {
+	if lat := h.rt.Coll.Summarize(protocol.SampleConfigLatency); lat.Count != int(id) {
 		t.Errorf("latency samples = %d, want %d", lat.Count, id)
 	}
 }
@@ -226,7 +226,7 @@ func TestConfigLatencyBounded(t *testing.T) {
 		}
 	}
 	h.runUntil(at + 60*time.Second)
-	lat := h.rt.Coll.Summarize(SampleConfigLatency)
+	lat := h.rt.Coll.Summarize(protocol.SampleConfigLatency)
 	if lat.Count == 0 {
 		t.Fatal("no latency samples")
 	}

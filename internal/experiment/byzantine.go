@@ -13,11 +13,11 @@ package experiment
 import (
 	"fmt"
 
-	"quorumconf/internal/addrspace"
 	"quorumconf/internal/baseline/buddy"
 	"quorumconf/internal/baseline/ctree"
 	"quorumconf/internal/baseline/manetconf"
 	"quorumconf/internal/core"
+	"quorumconf/internal/protocol"
 	"quorumconf/internal/radio"
 	"quorumconf/internal/workload"
 )
@@ -89,45 +89,23 @@ func byzIDs(sc workload.Scenario) []radio.NodeID {
 }
 
 // conflictRate returns the percentage of configured identities holding an
-// address also held by another configured, mutually-reachable identity —
-// the headline uniqueness violation, zero in every honest run. Address
-// reuse across disconnected islands is legitimate (they are separate
-// networks, exactly as core.AddressConflicts counts it) and excluded.
+// address also held by another configured, mutually-reachable identity
+// (protocol.Conflicts) — the headline uniqueness violation, zero in every
+// honest run.
 func conflictRate(res *workload.Result, sc workload.Scenario) float64 {
-	p, ok := res.Proto.(interface {
-		IP(radio.NodeID) (addrspace.Addr, bool)
-	})
-	if !ok {
-		return 0
-	}
-	holders := make(map[addrspace.Addr][]radio.NodeID)
+	ids := byzIDs(sc)
 	configured := 0
-	for _, id := range byzIDs(sc) {
-		if !res.Proto.IsConfigured(id) {
-			continue
-		}
-		if a, ok := p.IP(id); ok {
-			holders[a] = append(holders[a], id)
+	for _, id := range ids {
+		if res.Proto.IsConfigured(id) {
 			configured++
 		}
 	}
 	if configured == 0 {
 		return 0
 	}
-	snap := res.RT.Topo.Snapshot(res.RT.Sim.Now())
 	conflicted := 0
-	for _, ids := range holders {
-		if len(ids) < 2 {
-			continue
-		}
-		for i, x := range ids {
-			for j, y := range ids {
-				if i != j && snap.Reachable(x, y) {
-					conflicted++
-					break
-				}
-			}
-		}
+	for _, group := range protocol.Conflicts(res.Proto, ids, res.RT.Topo.Snapshot(res.RT.Sim.Now())) {
+		conflicted += len(group)
 	}
 	return 100 * float64(conflicted) / float64(configured)
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"quorumconf/internal/addrspace"
+	"quorumconf/internal/baseline"
 	"quorumconf/internal/baseline/buddy"
 	"quorumconf/internal/baseline/ctree"
 	"quorumconf/internal/baseline/manetconf"
@@ -229,7 +230,7 @@ func (c Config) quorum(extra func(p *core.Params, x float64)) builder {
 func (c Config) manetconf() builder {
 	return func(float64) workload.BuildFunc {
 		return func(rt *protocol.Runtime) (protocol.Protocol, error) {
-			return manetconf.New(rt, manetconf.Params{Space: c.Space})
+			return manetconf.New(rt, baseline.Params{Space: c.Space})
 		}
 	}
 }
@@ -237,7 +238,7 @@ func (c Config) manetconf() builder {
 func (c Config) buddy() builder {
 	return func(float64) workload.BuildFunc {
 		return func(rt *protocol.Runtime) (protocol.Protocol, error) {
-			return buddy.New(rt, buddy.Params{Space: c.Space})
+			return buddy.New(rt, baseline.Params{Space: c.Space})
 		}
 	}
 }
@@ -245,7 +246,7 @@ func (c Config) buddy() builder {
 func (c Config) ctree() builder {
 	return func(float64) workload.BuildFunc {
 		return func(rt *protocol.Runtime) (protocol.Protocol, error) {
-			return ctree.New(rt, ctree.Params{Space: c.Space})
+			return ctree.New(rt, baseline.Params{Space: c.Space})
 		}
 	}
 }

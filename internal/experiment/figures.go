@@ -4,6 +4,7 @@ import (
 	"quorumconf/internal/baseline/ctree"
 	"quorumconf/internal/core"
 	"quorumconf/internal/metrics"
+	"quorumconf/internal/protocol"
 	"quorumconf/internal/radio"
 	"quorumconf/internal/workload"
 )
@@ -12,7 +13,7 @@ import (
 
 // meanLatency is the mean configuration latency in hops.
 func meanLatency(res *workload.Result) float64 {
-	return res.Metrics().Summarize(core.SampleConfigLatency).Mean
+	return res.Metrics().Summarize(protocol.SampleConfigLatency).Mean
 }
 
 // hops is the message overhead, in hops, over the given categories.

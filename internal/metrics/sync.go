@@ -11,9 +11,9 @@ import (
 // (single-threaded event loop, no synchronization cost).
 //
 // Named counters and per-category traffic, which the transports bump
-// several times per datagram, are atomics and take no lock; only sample
-// series and traffic under a category outside the defined ones share a
-// mutex.
+// several times per datagram, are atomics and take no lock; only traffic
+// under a category outside the defined ones (a hostile datagram can carry
+// any category byte) takes a mutex. Latency samples go to obs.Histograms.
 type SyncCollector struct {
 	counters sync.Map // counter name → *atomic.Int64
 	hops     [numCategories]atomic.Int64
@@ -56,13 +56,6 @@ func (s *SyncCollector) AddTraffic(cat Category, hops int) {
 	}
 	s.hops[cat].Add(int64(hops))
 	s.messages[cat].Add(1)
-}
-
-// Observe appends one value to a named sample series.
-func (s *SyncCollector) Observe(name string, v float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.c.Observe(name, v)
 }
 
 // Snapshot returns an independent copy of the current state, safe to read

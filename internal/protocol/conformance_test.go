@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"quorumconf/internal/addrspace"
+	"quorumconf/internal/baseline"
 	"quorumconf/internal/baseline/buddy"
 	"quorumconf/internal/baseline/ctree"
 	"quorumconf/internal/baseline/manetconf"
@@ -25,49 +26,23 @@ import (
 type candidate struct {
 	name  string
 	build workload.BuildFunc
-	// ip extracts a node's address (each protocol exposes its own).
-	ip func(p protocol.Protocol, id radio.NodeID) (addrspace.Addr, bool)
 }
 
 func candidates() []candidate {
 	space := addrspace.Block{Lo: 1, Hi: 1024}
 	return []candidate{
-		{
-			name: "quorum",
-			build: func(rt *protocol.Runtime) (protocol.Protocol, error) {
-				return core.New(rt, core.Params{Space: space})
-			},
-			ip: func(p protocol.Protocol, id radio.NodeID) (addrspace.Addr, bool) {
-				return p.(*core.Protocol).IP(id)
-			},
-		},
-		{
-			name: "manetconf",
-			build: func(rt *protocol.Runtime) (protocol.Protocol, error) {
-				return manetconf.New(rt, manetconf.Params{Space: space})
-			},
-			ip: func(p protocol.Protocol, id radio.NodeID) (addrspace.Addr, bool) {
-				return p.(*manetconf.Protocol).IP(id)
-			},
-		},
-		{
-			name: "buddy",
-			build: func(rt *protocol.Runtime) (protocol.Protocol, error) {
-				return buddy.New(rt, buddy.Params{Space: space})
-			},
-			ip: func(p protocol.Protocol, id radio.NodeID) (addrspace.Addr, bool) {
-				return p.(*buddy.Protocol).IP(id)
-			},
-		},
-		{
-			name: "ctree",
-			build: func(rt *protocol.Runtime) (protocol.Protocol, error) {
-				return ctree.New(rt, ctree.Params{Space: space})
-			},
-			ip: func(p protocol.Protocol, id radio.NodeID) (addrspace.Addr, bool) {
-				return p.(*ctree.Protocol).IP(id)
-			},
-		},
+		{"quorum", func(rt *protocol.Runtime) (protocol.Protocol, error) {
+			return core.New(rt, core.Params{Space: space})
+		}},
+		{"manetconf", func(rt *protocol.Runtime) (protocol.Protocol, error) {
+			return manetconf.New(rt, baseline.Params{Space: space})
+		}},
+		{"buddy", func(rt *protocol.Runtime) (protocol.Protocol, error) {
+			return buddy.New(rt, baseline.Params{Space: space})
+		}},
+		{"ctree", func(rt *protocol.Runtime) (protocol.Protocol, error) {
+			return ctree.New(rt, baseline.Params{Space: space})
+		}},
 	}
 }
 
@@ -126,16 +101,8 @@ func TestConformanceUniqueAddresses(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				seen := map[addrspace.Addr]radio.NodeID{}
-				for i := radio.NodeID(0); i < 40; i++ {
-					a, ok := c.ip(res.Proto, i)
-					if !ok {
-						continue
-					}
-					if prev, dup := seen[a]; dup {
-						t.Fatalf("seed %d: nodes %d and %d share %v", seed, prev, i, a)
-					}
-					seen[a] = i
+				if conf := protocol.Conflicts(res.Proto, res.RT.Topo.Nodes(), res.RT.Net.Snapshot()); len(conf) != 0 {
+					t.Fatalf("seed %d: address conflicts %v", seed, conf)
 				}
 			}
 		})
@@ -204,18 +171,14 @@ func TestConformanceSurvivesAbruptChurn(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Survivors stay configured and unique.
-			seen := map[addrspace.Addr][]radio.NodeID{}
-			alive, configured := 0, 0
-			for _, i := range res.RT.Topo.Nodes() {
-				alive++
-				if a, ok := c.ip(res.Proto, i); ok {
-					configured++
-					seen[a] = append(seen[a], i)
-				}
+			survivors := res.RT.Topo.Nodes()
+			if conf := protocol.Conflicts(res.Proto, survivors, res.RT.Net.Snapshot()); len(conf) != 0 {
+				t.Errorf("address conflicts %v", conf)
 			}
-			for a, ids := range seen {
-				if len(ids) > 1 {
-					t.Errorf("address %v shared by %v", a, ids)
+			alive, configured := len(survivors), 0
+			for _, i := range survivors {
+				if res.Proto.IsConfigured(i) {
+					configured++
 				}
 			}
 			if alive == 0 || configured < alive*8/10 {

@@ -1,14 +1,17 @@
 // Package protocol defines the contract between the scenario driver and an
 // autoconfiguration protocol, plus the Runtime bundle of simulation
-// services every protocol implementation consumes. The quorum protocol and
-// the three baselines (MANETconf, buddy, C-tree) all implement Protocol, so
-// the experiment harness can sweep them interchangeably.
+// services every protocol implementation consumes and the address
+// uniqueness check every protocol is held to. The quorum protocol and the
+// three baselines (MANETconf, buddy, C-tree) all implement Protocol, so the
+// experiment harness can sweep them interchangeably.
 package protocol
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
+	"quorumconf/internal/addrspace"
 	"quorumconf/internal/metrics"
 	"quorumconf/internal/netstack"
 	"quorumconf/internal/obs"
@@ -36,6 +39,55 @@ type Protocol interface {
 	NodeDeparting(id radio.NodeID, graceful bool)
 	// IsConfigured reports whether the node currently holds an address.
 	IsConfigured(id radio.NodeID) bool
+	// IP returns the address an alive, configured node holds.
+	IP(id radio.NodeID) (addrspace.Addr, bool)
+}
+
+// The sample and counter every protocol reports on a completed
+// configuration, so experiment code compares them directly.
+const (
+	// SampleConfigLatency is the configuration's critical-path hop count.
+	SampleConfigLatency = "config_latency_hops"
+	// CounterConfigured counts completed configurations.
+	CounterConfigured = "configured"
+)
+
+// DefaultSpace is the address pool a protocol takes when its parameters
+// leave the space zero: 1024 addresses from 10.0.0.1.
+var DefaultSpace = addrspace.Block{Lo: 0x0A000001, Hi: 0x0A000001 + 1023}
+
+// Conflicts returns the groups of nodes among ids that hold one address
+// while they can reach another holder in snap, each group in ascending
+// order. The paper's central invariant is that this is empty once merges
+// settle. Disconnected islands may legitimately reuse an address (they are
+// separate networks), so such reuse is no conflict.
+func Conflicts(p Protocol, ids []radio.NodeID, snap *radio.Snapshot) map[addrspace.Addr][]radio.NodeID {
+	byAddr := map[addrspace.Addr][]radio.NodeID{}
+	for _, id := range ids {
+		if a, ok := p.IP(id); ok {
+			byAddr[a] = append(byAddr[a], id)
+		}
+	}
+	out := map[addrspace.Addr][]radio.NodeID{}
+	for a, holders := range byAddr {
+		if len(holders) < 2 {
+			continue
+		}
+		sort.Slice(holders, func(i, j int) bool { return holders[i] < holders[j] })
+		var conflicted []radio.NodeID
+		for i, x := range holders {
+			for j, y := range holders {
+				if i != j && snap.Reachable(x, y) {
+					conflicted = append(conflicted, x)
+					break
+				}
+			}
+		}
+		if len(conflicted) > 1 {
+			out[a] = conflicted
+		}
+	}
+	return out
 }
 
 // Runtime bundles the simulation services protocols run on.

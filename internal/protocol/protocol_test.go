@@ -1,12 +1,15 @@
 package protocol
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
+	"quorumconf/internal/addrspace"
 	"quorumconf/internal/mobility"
 	"quorumconf/internal/netstack"
+	"quorumconf/internal/radio"
 )
 
 func TestNewRuntimeDefaults(t *testing.T) {
@@ -95,5 +98,41 @@ func TestRuntimeDeterministicSeed(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("same seed diverged")
 		}
+	}
+}
+
+// fixedIPs is a Protocol whose nodes hold the addresses it maps them to.
+type fixedIPs map[radio.NodeID]addrspace.Addr
+
+func (f fixedIPs) Name() string                      { return "fixed" }
+func (f fixedIPs) NodeArrived(radio.NodeID)          {}
+func (f fixedIPs) NodeDeparting(radio.NodeID, bool)  {}
+func (f fixedIPs) IsConfigured(id radio.NodeID) bool { _, ok := f[id]; return ok }
+func (f fixedIPs) IP(id radio.NodeID) (addrspace.Addr, bool) {
+	a, ok := f[id]
+	return a, ok
+}
+
+func TestConflicts(t *testing.T) {
+	topo, err := radio.NewTopology(150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nodes 3, 1 and 2 form a chain 100 m apart; 4 and 5 are islands of
+	// their own, 1 km away from it and from each other.
+	for id, p := range map[radio.NodeID]mobility.Point{
+		3: {X: 0}, 1: {X: 100}, 2: {X: 200}, 4: {X: 1000, Y: 1000}, 5: {Y: 1000},
+	} {
+		if err := topo.Add(id, mobility.Static(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 3 and 1 reach each other over 2 and share 7, which island 4 holds
+	// too; 2 shares 9 only with island 5; 6 holds no address.
+	ips := fixedIPs{3: 7, 1: 7, 4: 7, 2: 9, 5: 9}
+	got := Conflicts(ips, []radio.NodeID{6, 5, 4, 3, 2, 1}, topo.Snapshot(0))
+	want := map[addrspace.Addr][]radio.NodeID{7: {1, 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Conflicts = %v, want %v", got, want)
 	}
 }

@@ -49,7 +49,7 @@ func TestRunConfiguresNodes(t *testing.T) {
 	if got := p.ConfiguredCount(); got != configured {
 		t.Errorf("ConfiguredCount = %d vs %d", got, configured)
 	}
-	if res.Metrics().Summarize(core.SampleConfigLatency).Count == 0 {
+	if res.Metrics().Summarize(protocol.SampleConfigLatency).Count == 0 {
 		t.Error("no latency samples")
 	}
 }

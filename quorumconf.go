@@ -21,6 +21,7 @@ package quorumconf
 
 import (
 	"quorumconf/internal/addrspace"
+	"quorumconf/internal/baseline"
 	"quorumconf/internal/baseline/buddy"
 	"quorumconf/internal/baseline/ctree"
 	"quorumconf/internal/baseline/manetconf"
@@ -94,16 +95,17 @@ const (
 type (
 	// MANETconf is the full-replication baseline [1].
 	MANETconf = manetconf.Protocol
-	// MANETconfParams configures it.
-	MANETconfParams = manetconf.Params
+	// MANETconfParams configures it; all three baselines take the same
+	// parameters.
+	MANETconfParams = baseline.Params
 	// Buddy is the disjoint-block baseline [2] (Mohsin–Prakash).
 	Buddy = buddy.Protocol
 	// BuddyParams configures it.
-	BuddyParams = buddy.Params
+	BuddyParams = baseline.Params
 	// CTree is the coordinator-tree baseline [3] (Sheu et al.).
 	CTree = ctree.Protocol
 	// CTreeParams configures it.
-	CTreeParams = ctree.Params
+	CTreeParams = baseline.Params
 )
 
 // Workloads.
