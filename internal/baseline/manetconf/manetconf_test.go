@@ -37,6 +37,23 @@ func arrive(t *testing.T, rt *protocol.Runtime, p *Protocol, at time.Duration, i
 	})
 }
 
+func TestNewValidation(t *testing.T) {
+	rt, _ := newFixture(t)
+	if _, err := New(nil, baseline.Params{}); err == nil {
+		t.Error("nil runtime accepted")
+	}
+	if _, err := New(rt, baseline.Params{Space: addrspace.Block{Lo: 9, Hi: 9}}); err == nil {
+		t.Error("tiny space accepted")
+	}
+	p, err := New(rt, baseline.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Name() != "manetconf" {
+		t.Errorf("Name = %q", p.Name())
+	}
+}
+
 func TestFirstNodeSelfAssigns(t *testing.T) {
 	rt, p := newFixture(t)
 	arrive(t, rt, p, 0, 0, 500, 500)
@@ -144,5 +161,15 @@ func TestAbruptDepartureCleanedLazily(t *testing.T) {
 	}
 	if rt.Coll.Hops(metrics.CatReclamation) == 0 {
 		t.Error("cleanup charged nothing")
+	}
+}
+
+func TestIPAccessors(t *testing.T) {
+	_, p := newFixture(t)
+	if _, ok := p.IP(42); ok {
+		t.Error("unknown node has an IP")
+	}
+	if p.IsConfigured(42) {
+		t.Error("unknown node configured")
 	}
 }
